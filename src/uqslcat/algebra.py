@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycField, CycNum
+from .linalg import accumulate, nullspace
 
 Term = tuple[int, int, int]  # (E power, F power, Cartan power)
 
@@ -54,7 +55,6 @@ class QuantumAlgebra:
         self._core: dict[tuple[int, int], dict[Term, CycNum]] = {}
         self._delta_cache: dict[Term, dict] = {}
         self._antipode_cache: dict[Term, dict] = {}
-        self.dimension = 2 * p * p * self.cartan_order // (2 * p) * p  # = p*p*cartan_order
         self.dimension = p * p * self.cartan_order
 
     # -- scalars ----------------------------------------------------------
@@ -124,47 +124,30 @@ class QuantumAlgebra:
         if j == 0:
             out = {(r, 0, 0): self.field.one}
         else:
-            prev = self.core_fe(j - 1, r)
-            out: dict[Term, CycNum] = {}
-
-            def add(t, c):
-                cur = out.get(t)
-                tot = c if cur is None else cur + c
-                if tot:
-                    out[t] = tot
-                elif cur is not None:
-                    del out[t]
-
             kk, co = self.kk, self.cartan_order
-            for (e, f, m), c in prev.items():
-                add((e, f + 1, m), c)
-                if e:
-                    coef = c * self.qint(e) * self._qdiff_inv
-                    add((e - 1, f, (m + kk) % co), -coef * self.qpow(e - 1 - 2 * f))
-                    add((e - 1, f, (m - kk) % co), coef * self.qpow(1 - e + 2 * f))
+
+            def terms():
+                for (e, f, m), c in self.core_fe(j - 1, r).items():
+                    yield (e, f + 1, m), c
+                    if e:
+                        coef = c * self.qint(e) * self._qdiff_inv
+                        yield (e - 1, f, (m + kk) % co), -coef * self.qpow(e - 1 - 2 * f)
+                        yield (e - 1, f, (m - kk) % co), coef * self.qpow(1 - e + 2 * f)
+
+            out = accumulate(terms())
         self._core[key] = out
         return out
 
     def mul_terms(self, t1: Term, t2: Term) -> dict[Term, CycNum]:
         (i, j, l), (r, t, u) = t1, t2
         p, w, co = self.p, self.w, self.cartan_order
-        out: dict[Term, CycNum] = {}
         base = self.qpow(w * l * (r - t))
-        for (e, f, m), c in self.core_fe(j, r).items():
-            ei, fi = i + e, f + t
-            if ei >= p or fi >= p:
-                continue
-            coeff = c * base
-            if m and t:
-                coeff = coeff * self.qpow(-w * m * t)
-            key = (ei, fi, (m + l + u) % co)
-            cur = out.get(key)
-            tot = coeff if cur is None else cur + coeff
-            if tot:
-                out[key] = tot
-            elif cur is not None:
-                del out[key]
-        return out
+        # distinct terms of F^j E^r stay distinct after the shift, so nothing cancels
+        return {
+            (i + e, f + t, (m + l + u) % co): c * base * self.qpow(-w * m * t) if m and t else c * base
+            for (e, f, m), c in self.core_fe(j, r).items()
+            if i + e < p and f + t < p
+        }
 
     # -- Hopf structure on monomials -----------------------------------------
 
@@ -176,19 +159,9 @@ class QuantumAlgebra:
 
     def delta_mono(self, term: Term) -> dict:
         cached = self._delta_cache.get(term)
-        if cached is not None:
-            return cached
-        i, j, l = term
-        dE, dF = self.delta_gens()
-        acc = _tensor_power(self, dE, i)
-        accF = _tensor_power(self, dF, j)
-        out = _tensor_mul(self, acc, accF)
-        if l:
-            out = {((t1[0], t1[1], (t1[2] + l) % self.cartan_order),
-                    (t2[0], t2[1], (t2[2] + l) % self.cartan_order)): c
-                   for (t1, t2), c in out.items()}
-        self._delta_cache[term] = out
-        return out
+        if cached is None:
+            cached = self._delta_cache[term] = _delta_monomial(self, term, *self.delta_gens())
+        return cached
 
     def antipode_mono(self, term: Term) -> dict[Term, CycNum]:
         cached = self._antipode_cache.get(term)
@@ -213,41 +186,33 @@ class QuantumAlgebra:
 
 
 def _dict_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
-    out: dict[Term, CycNum] = {}
-    for t1, c1 in a.items():
-        for t2, c2 in b.items():
-            c = c1 * c2
-            for t, k in alg.mul_terms(t1, t2).items():
-                v = c * k
-                cur = out.get(t)
-                tot = v if cur is None else cur + v
-                if tot:
-                    out[t] = tot
-                elif cur is not None:
-                    del out[t]
-    return out
+    return accumulate(
+        (t, c * k)
+        for t1, c1 in a.items()
+        for t2, c2 in b.items()
+        for c in (c1 * c2,)
+        for t, k in alg.mul_terms(t1, t2).items()
+    )
 
 
 def _tensor_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
+    """Product of tensor elements given as dicts on tuples of monomials,
+    multiplied leg by leg."""
+
     out: dict = {}
-    for (s1, s2), c1 in a.items():
-        for (t1, t2), c2 in b.items():
-            c = c1 * c2
-            d1 = alg.mul_terms(s1, t1)
-            if not d1:
-                continue
-            d2 = alg.mul_terms(s2, t2)
-            for u1, k1 in d1.items():
-                ck = c * k1
-                for u2, k2 in d2.items():
-                    v = ck * k2
-                    key = (u1, u2)
-                    cur = out.get(key)
-                    tot = v if cur is None else cur + v
-                    if tot:
-                        out[key] = tot
-                    elif cur is not None:
-                        del out[key]
+    for s, c1 in a.items():
+        for t, c2 in b.items():
+            legs = []
+            for s_leg, t_leg in zip(s, t):
+                d = alg.mul_terms(s_leg, t_leg)
+                if not d:
+                    break
+                legs.append(d)
+            else:
+                partial = [((), c1 * c2)]
+                for d in legs:
+                    partial = [(key + (u,), c * k) for key, c in partial for u, k in d.items()]
+                accumulate(partial, out)
     return out
 
 
@@ -255,6 +220,18 @@ def _tensor_power(alg: QuantumAlgebra, d: dict, n: int) -> dict:
     out = {((0, 0, 0), (0, 0, 0)): alg.field.one}
     for _ in range(n):
         out = _tensor_mul(alg, out, d)
+    return out
+
+
+def _delta_monomial(alg: QuantumAlgebra, term: Term, dE: dict, dF: dict) -> dict:
+    """Delta(E^i F^j C^l) = Delta(E)^i Delta(F)^j (C^l (x) C^l), built from
+    the given coproducts of E and F."""
+    i, j, l = term
+    out = _tensor_mul(alg, _tensor_power(alg, dE, i), _tensor_power(alg, dF, j))
+    if l:
+        co = alg.cartan_order
+        out = {((e1, f1, (m1 + l) % co), (e2, f2, (m2 + l) % co)): c
+               for ((e1, f1, m1), (e2, f2, m2)), c in out.items()}
     return out
 
 
@@ -288,15 +265,7 @@ class AlgElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for t, c in o.terms.items():
-            cur = out.get(t)
-            tot = c if cur is None else cur + c
-            if tot:
-                out[t] = tot
-            elif cur is not None:
-                del out[t]
-        return AlgElem(self.alg, out)
+        return AlgElem(self.alg, accumulate(o.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -408,15 +377,7 @@ class TensorElem:
 
     def __add__(self, other):
         assert self.legs == other.legs and self.alg is other.alg
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            cur = out.get(t)
-            tot = c if cur is None else cur + c
-            if tot:
-                out[t] = tot
-            elif cur is not None:
-                del out[t]
-        return TensorElem(self.alg, self.legs, out)
+        return TensorElem(self.alg, self.legs, accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
         return TensorElem(self.alg, self.legs, {t: -c for t, c in self.terms.items()})
@@ -432,36 +393,7 @@ class TensorElem:
 
     def __mul__(self, other):
         assert self.legs == other.legs and self.alg is other.alg
-        alg = self.alg
-        out: dict = {}
-        for s, c1 in self.terms.items():
-            for t, c2 in other.terms.items():
-                c = c1 * c2
-                legs_products = []
-                dead = False
-                for leg in range(self.legs):
-                    d = alg.mul_terms(s[leg], t[leg])
-                    if not d:
-                        dead = True
-                        break
-                    legs_products.append(d)
-                if dead:
-                    continue
-                partial = [((), c)]
-                for d in legs_products:
-                    partial = [
-                        (key + (u,), cc * k)
-                        for key, cc in partial
-                        for u, k in d.items()
-                    ]
-                for key, v in partial:
-                    cur = out.get(key)
-                    tot = v if cur is None else cur + v
-                    if tot:
-                        out[key] = tot
-                    elif cur is not None:
-                        del out[key]
-        return TensorElem(self.alg, self.legs, out)
+        return TensorElem(self.alg, self.legs, _tensor_mul(self.alg, self.terms, other.terms))
 
     def __eq__(self, other):
         return (
@@ -496,33 +428,19 @@ class TensorElem:
 
     def apply_delta(self, leg: int, delta_mono=None) -> "TensorElem":
         """Replace one leg by its coproduct, producing legs+1."""
-        alg = self.alg
-        dm = delta_mono or alg.delta_mono
-        out: dict = {}
-        for t, c in self.terms.items():
-            for (u1, u2), k in dm(t[leg]).items():
-                key = t[:leg] + (u1, u2) + t[leg + 1:]
-                v = c * k
-                cur = out.get(key)
-                tot = v if cur is None else cur + v
-                if tot:
-                    out[key] = tot
-                elif cur is not None:
-                    del out[key]
-        return TensorElem(alg, self.legs + 1, out)
+        dm = delta_mono or self.alg.delta_mono
+        return TensorElem(self.alg, self.legs + 1, accumulate(
+            (t[:leg] + u + t[leg + 1:], c * k)
+            for t, c in self.terms.items()
+            for u, k in dm(t[leg]).items()
+        ))
 
     def apply_counit(self, leg: int):
-        out: dict = {}
-        for t, c in self.terms.items():
-            if not QuantumAlgebra.counit_mono(t[leg]):
-                continue
-            key = t[:leg] + t[leg + 1:]
-            cur = out.get(key)
-            tot = c if cur is None else cur + c
-            if tot:
-                out[key] = tot
-            elif cur is not None:
-                del out[key]
+        out = accumulate(
+            (t[:leg] + t[leg + 1:], c)
+            for t, c in self.terms.items()
+            if QuantumAlgebra.counit_mono(t[leg])
+        )
         if self.legs == 2:
             return AlgElem(self.alg, {k[0]: v for k, v in out.items()})
         return TensorElem(self.alg, self.legs - 1, out)
@@ -554,55 +472,27 @@ class TensorElem:
 
     def multiply_legs_with_antipode(self, apply_s_to: int) -> AlgElem:
         """m(S (x) id) or m(id (x) S) on a two-leg element."""
-        alg = self.alg
-        acc: dict[Term, CycNum] = {}
-        for (t1, t2), c in self.terms.items():
-            if apply_s_to == 0:
-                d = _dict_mul(alg, alg.antipode_mono(t1), {t2: alg.field.one})
-            else:
-                d = _dict_mul(alg, {t1: alg.field.one}, alg.antipode_mono(t2))
-            for t, k in d.items():
-                v = c * k
-                cur = acc.get(t)
-                tot = v if cur is None else cur + v
-                if tot:
-                    acc[t] = tot
-                elif cur is not None:
-                    del acc[t]
-        return AlgElem(alg, acc)
+        alg, one = self.alg, self.alg.field.one
+        return AlgElem(alg, accumulate(
+            (t, c * k)
+            for (t1, t2), c in self.terms.items()
+            for t, k in (_dict_mul(alg, alg.antipode_mono(t1), {t2: one}) if apply_s_to == 0
+                         else _dict_mul(alg, {t1: one}, alg.antipode_mono(t2))).items()
+        ))
 
 
 # -- Hopf operations on elements ------------------------------------------------
 
 
 def coproduct(a: AlgElem) -> TensorElem:
-    alg = a.alg
-    out: dict = {}
-    for t, c in a.terms.items():
-        for key, k in alg.delta_mono(t).items():
-            v = c * k
-            cur = out.get(key)
-            tot = v if cur is None else cur + v
-            if tot:
-                out[key] = tot
-            elif cur is not None:
-                del out[key]
-    return TensorElem(alg, 2, out)
+    return TensorElem(a.alg, 1, {(t,): c for t, c in a.terms.items()}).apply_delta(0)
 
 
 def antipode(a: AlgElem) -> AlgElem:
     alg = a.alg
-    acc: dict[Term, CycNum] = {}
-    for t, c in a.terms.items():
-        for u, k in alg.antipode_mono(t).items():
-            v = c * k
-            cur = acc.get(u)
-            tot = v if cur is None else cur + v
-            if tot:
-                acc[u] = tot
-            elif cur is not None:
-                del acc[u]
-    return AlgElem(alg, acc)
+    return AlgElem(alg, accumulate(
+        (u, c * k) for t, c in a.terms.items() for u, k in alg.antipode_mono(t).items()
+    ))
 
 
 def counit(a: AlgElem) -> CycNum:
@@ -634,41 +524,17 @@ def verify_hopf(p: int, *, break_delta_e: bool = False, alg: QuantumAlgebra | No
     ``break_delta_e`` switch drops the E-tensor-Cartan term of the
     coproduct of E as a negative control."""
     alg = alg or base_algebra(p)
+    delta_mono = alg.delta_mono
     if break_delta_e:
-        cache: dict[Term, dict] = {}
         dE_broken = {((0, 0, 0), (1, 0, 0)): alg.field.one}
-
-        def delta_mono(term: Term) -> dict:
-            got = cache.get(term)
-            if got is not None:
-                return got
-            i, j, l = term
-            acc = _tensor_power(alg, dE_broken, i)
-            acc = _tensor_mul(alg, acc, _tensor_power(alg, alg.delta_gens()[1], j))
-            if l:
-                acc = {((t1[0], t1[1], (t1[2] + l) % alg.cartan_order),
-                        (t2[0], t2[1], (t2[2] + l) % alg.cartan_order)): c
-                       for (t1, t2), c in acc.items()}
-            cache[term] = acc
-            return acc
-    else:
-        delta_mono = alg.delta_mono
+        dF = alg.delta_gens()[1]
+        delta_mono = lru_cache(maxsize=None)(lambda term: _delta_monomial(alg, term, dE_broken, dF))
 
     failures: list[str] = []
     axioms = {}
 
     def delta_of(elem: AlgElem) -> TensorElem:
-        out: dict = {}
-        for t, c in elem.terms.items():
-            for key, k in delta_mono(t).items():
-                v = c * k
-                cur = out.get(key)
-                tot = v if cur is None else cur + v
-                if tot:
-                    out[key] = tot
-                elif cur is not None:
-                    del out[key]
-        return TensorElem(alg, 2, out)
+        return TensorElem(alg, 1, {(t,): c for t, c in elem.terms.items()}).apply_delta(0, delta_mono)
 
     basis = list(alg.basis_terms())
 
@@ -797,8 +663,6 @@ def center_basis(p: int, alg: QuantumAlgebra | None = None) -> list[AlgElem]:
     """Exact basis of the center, as the null space of the commutator
     action.  Commuting with K already forces equal E and F exponents, so
     the system is solved on the monomials E^i F^i C^l."""
-    from . import linalg
-
     alg = alg or base_algebra(p)
     candidates = [
         (i, i, l) for i in range(p) for l in range(alg.cartan_order)
@@ -820,7 +684,7 @@ def center_basis(p: int, alg: QuantumAlgebra | None = None) -> list[AlgElem]:
         for k in rows_keys
     ]
     basis = []
-    for vec in linalg.nullspace(mat):
+    for vec in nullspace(mat):
         terms = {t: c for t, c in zip(candidates, vec) if c}
         basis.append(AlgElem(alg, terms))
     return basis

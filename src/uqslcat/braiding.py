@@ -155,17 +155,7 @@ def verify_ribbon(p: int = 2) -> dict[str, bool]:
     r = r_matrix(2)
     monodromy = r.flip() * r
     dv = coproduct(v)
-    vv_terms = {}
-    for t1, c1 in v.terms.items():
-        for t2, c2 in v.terms.items():
-            key = (t1, t2)
-            cur = vv_terms.get(key)
-            tot = c1 * c2 if cur is None else cur + c1 * c2
-            if tot:
-                vv_terms[key] = tot
-            elif cur is not None:
-                del vv_terms[key]
-    vv = TensorElem(alg, 2, vv_terms)
+    vv = TensorElem(alg, 2, {(t1, t2): c1 * c2 for t1, c1 in v.terms.items() for t2, c2 in v.terms.items()})
     report["ribbon_axiom"] = (monodromy * dv == vv)
     report["trivial_module_scalar_one"] = counit(v) == alg.field.one
     return report

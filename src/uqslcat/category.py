@@ -24,11 +24,11 @@ from . import linalg
 from .algebra import casimir
 from .cyclotomic import CycField, CycNum
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
-                        QuiverRep, canonical_rep, classify, functor_F, functor_G)
-from .qmodules import (CP1, QMod, action_matrix, build_m2, build_o1, build_p,
-                       direct_sum, intertwiner_basis, irreducible,
-                       irreducible_weights, quotient, radical_columns,
-                       socle_columns, submodule, generated_submodule)
+                        canonical_rep, classify, functor_F, functor_G)
+from .qmodules import (CP1, QMod, action_matrix, build_o1, build_p, direct_sum,
+                       intertwiner_basis, irreducible, quotient, radical_columns,
+                       socle_columns, submodule)
+from .qmodules import semisimple_length_of as semisimple_length
 
 
 # -- Hom spaces -------------------------------------------------------------------
@@ -50,48 +50,23 @@ def hom_space(a: QMod, b: QMod) -> HomBasis:
     return HomBasis(a, b, intertwiner_basis(a, b))
 
 
-def find_isomorphism(a: QMod, b: QMod, max_terms: int = 4):
-    """An explicit invertible intertwiner a -> b, or None.  Searches the
-    Hom space deterministically: single basis maps first, then small
-    integer-grid combinations (enough points to certify a vanishing
-    determinant polynomial when used with a full grid)."""
+def find_isomorphism(a: QMod, b: QMod):
+    """An invertible intertwiner a -> b, or None when a and b are not
+    isomorphic.  Decisive by Krull-Schmidt: both modules are decomposed,
+    they are isomorphic exactly when their indecomposable summands agree
+    with multiplicities, and the map is then cert_b cert_a^-1.  Raises
+    EigenvalueOutsideField, instead of guessing, when ``decompose`` meets
+    a pencil eigenvalue outside the field of the modules."""
+    if a.p != b.p:
+        raise ValueError("isomorphisms need the same p")
     if a.dim != b.dim:
         return None
     if a.dim == 0:
         return []
-    homs = intertwiner_basis(a, b)
-    if not homs:
+    ra, rb = decompose(a), decompose(b)
+    if ra.entries != rb.entries:
         return None
-    for phi in homs:
-        if linalg.rank(phi) == a.dim:
-            return phi
-    k = len(homs)
-    if k == 1:
-        return None
-    grid = [a.field.from_fraction(v) for v in range(a.dim + 1)]
-    if k <= max_terms:
-        import itertools
-
-        for coeffs in itertools.product(grid, repeat=k):
-            if not any(coeffs):
-                continue
-            phi = linalg.zeros(a.field, b.dim, a.dim)
-            for c, h in zip(coeffs, homs):
-                if c:
-                    phi = linalg.mat_add(phi, linalg.mat_scale(c, h))
-            if linalg.rank(phi) == a.dim:
-                return phi
-        return None
-    import random
-
-    rng = random.Random(1729)
-    for _ in range(200):
-        phi = linalg.zeros(a.field, b.dim, a.dim)
-        for h in homs:
-            phi = linalg.mat_add(phi, linalg.mat_scale(a.field.from_fraction(rng.randint(-3, 3)), h))
-        if linalg.rank(phi) == a.dim:
-            return phi
-    return None
+    return linalg.mat_mul(rb.certificate, linalg.inverse(ra.certificate))
 
 
 # -- blocks, socle, radical --------------------------------------------------------
@@ -154,10 +129,6 @@ def radical_series(m: QMod) -> list[tuple[QMod, list]]:
     if m.dim == 0:
         return []
     return series
-
-
-def semisimple_length(m: QMod) -> int:
-    return len(radical_series(m)) if m.dim else 0
 
 
 def top_of(m: QMod) -> tuple[QMod, list]:
@@ -329,7 +300,9 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
             for phi in homs:
                 if not any(phi[i][j] for i in range(current.dim) for j in range(s2)):
                     continue  # kills the socle, not an embedding
-                retraction = _solve_retraction(current, proj, phi)
+                # a retraction rho with rho phi = id exists since proj is injective
+                retraction = _solve_in_hom(current, proj, lambda h: linalg.mat_mul(h, phi),
+                                           linalg.identity(m.field, proj.dim))
                 if retraction is None:
                     raise ClassificationError("projective embedding without retraction")
                 out.append((IndecLabel("P", a2, s2), linalg.mat_mul(cur_emb, phi)))
@@ -346,33 +319,6 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
         return out
     out.extend(_decompose_length_two(current, cur_emb, bp.s))
     return out
-
-
-def _solve_retraction(m: QMod, proj: QMod, phi):
-    """rho: m -> proj with rho phi = id; exists whenever phi embeds the
-    (injective) projective module."""
-    homs = intertwiner_basis(m, proj)
-    if not homs:
-        return None
-    field = m.field
-    sys = linalg.BlockSystem(field)
-    sys.add_block("c", len(homs), 1)
-    comps = [linalg.mat_mul(h, phi) for h in homs]
-    for i in range(proj.dim):
-        for j in range(proj.dim):
-            sys.equation(
-                [(comps[k][i][j], "c", k, 0) for k in range(len(homs))],
-                field.one if i == j else field.zero,
-            )
-    sol = sys.solve()
-    if sol is None:
-        return None
-    rho = linalg.zeros(field, proj.dim, m.dim)
-    for k, h in enumerate(homs):
-        c = sol["c"][k][0]
-        if c:
-            rho = linalg.mat_add(rho, linalg.mat_scale(c, h))
-    return rho
 
 
 def _decompose_length_two(m: QMod, emb, s_block: int) -> list[tuple[IndecLabel, list]]:
@@ -660,30 +606,13 @@ def extension_class_of_middle(p: int, a: int, s: int, middle: QMod) -> ExtClass:
     """Degree-one class of a short exact sequence X_(-a, p-s) >-> middle ->> X_(a, s),
     where the middle is given on the glued basis (top block then socle
     block, both in standard coordinates)."""
-    field = CycField(2 * p)
     res = resolution_of_irreducible(p, a, s, 1)
-    p0, p1 = res.terms[0], res.terms[1]
+    p0 = res.terms[0]
     t = p - s
-    # projection of the middle onto its top and inclusion of its socle
-    proj = [[field.one if i == j else field.zero for j in range(middle.dim)] for i in range(s)]
-    homs = intertwiner_basis(p0, middle)
-    sys = linalg.BlockSystem(field)
-    sys.add_block("c", len(homs), 1)
-    comps = [linalg.mat_mul(proj, h) for h in homs]
-    for i in range(s):
-        for j in range(p0.dim):
-            sys.equation(
-                [(comps[k][i][j], "c", k, 0) for k in range(len(homs))],
-                res.augmentation[i][j],
-            )
-    sol = sys.solve()
-    if sol is None:
+    # lift the augmentation through the projection of the middle onto its top
+    lift = _solve_in_hom(p0, middle, lambda h: h[:s], res.augmentation)
+    if lift is None:
         raise ClassificationError("projective term does not lift over the extension")
-    lift = linalg.zeros(field, middle.dim, p0.dim)
-    for k, h in enumerate(homs):
-        c = sol["c"][k][0]
-        if c:
-            lift = linalg.mat_add(lift, linalg.mat_scale(c, h))
     raw = linalg.mat_mul(lift, res.boundaries[0])
     for i in range(s):
         if any(raw[i]):
@@ -733,27 +662,21 @@ def yoneda(u: ExtClass, v: ExtClass) -> ExtClass:
 
 def _lift_through_map(src: QMod, dst: QMod, through, rhs):
     """Solve for a module map L: src -> dst with through @ L = rhs."""
-    field = src.field
-    homs = intertwiner_basis(src, dst)
-    if not homs:
-        if linalg.is_zero_mat(rhs):
-            return linalg.zeros(field, dst.dim, src.dim)
+    lift = _solve_in_hom(src, dst, lambda h: linalg.mat_mul(through, h), rhs)
+    if lift is None:
         raise ClassificationError("chain lift does not exist")
-    sys = linalg.BlockSystem(field)
-    sys.add_block("c", len(homs), 1)
-    comps = [linalg.mat_mul(through, h) for h in homs]
-    for i in range(len(rhs)):
-        for j in range(src.dim):
-            sys.equation(
-                [(comps[k][i][j], "c", k, 0) for k in range(len(homs))],
-                rhs[i][j],
-            )
-    sol = sys.solve()
-    if sol is None:
-        raise ClassificationError("chain lift system inconsistent")
-    lift = linalg.zeros(field, dst.dim, src.dim)
-    for k, h in enumerate(homs):
-        c = sol["c"][k][0]
-        if c:
-            lift = linalg.mat_add(lift, linalg.mat_scale(c, h))
     return lift
+
+
+def _solve_in_hom(src: QMod, dst: QMod, image_of, rhs):
+    """The map L in Hom(src, dst) with image_of(L) = rhs, for a linear
+    image_of, or None when there is none."""
+    homs = intertwiner_basis(src, dst)
+    coeffs = linalg.solve_combination([image_of(h) for h in homs], rhs)
+    if coeffs is None:
+        return None
+    out = linalg.zeros(src.field, dst.dim, src.dim)
+    for c, h in zip(coeffs, homs):
+        if c:
+            out = linalg.mat_add(out, linalg.mat_scale(c, h))
+    return out

@@ -17,7 +17,7 @@ import sys
 from . import braiding, category, kronecker, qmodules
 from .algebra import center_basis, verify_hopf
 from .category import ClassificationError, IndecLabel
-from .cyclotomic import parse_cyc
+from .cyclotomic import json_field, parse_cyc
 from .qmodules import CP1, QMod, regular_module, verify_module
 
 DEFAULT_MAX_P = 6
@@ -99,11 +99,12 @@ def build_module(args) -> QMod:
 def load_module(args) -> QMod:
     if getattr(args, "input", None):
         with open(args.input) as fh:
-            m = QMod.from_json(json.load(fh))
-        if getattr(args, "p", None) and args.p != m.p:
-            raise ValueError(f"file has p={m.p}, flag has p={args.p}")
-        _check_p(m.p, args)
-        return m
+            data = json.load(fh)
+        p = json_field(data, "p", int, 2)
+        if getattr(args, "p", None) and args.p != p:
+            raise ValueError(f"file has p={p}, flag has p={args.p}")
+        _check_p(p, args)  # before the field of order 2p is built
+        return QMod.from_json(data)
     if getattr(args, "family", None):
         return build_module(args)
     raise ValueError("give a module with --family or --input")

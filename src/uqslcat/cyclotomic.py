@@ -368,11 +368,36 @@ class CycNum:
 
     @staticmethod
     def from_json(data: dict) -> "CycNum":
-        field = CycField(int(data["order"]))
-        return field.from_coeffs([Fraction(c) for c in data["coeffs"]])
+        order = json_field(data, "order", int, 1)
+        coeffs = json_field(data, "coeffs", list)
+        # phi(N) >= sqrt(N/2) bounds the order by the coefficient count before
+        # the field, whose set-up cost grows with N, is built
+        if order > 2 * len(coeffs) ** 2 or _euler_phi(order) != len(coeffs):
+            raise ValueError(f"field 'coeffs' needs phi(order) entries for order {order}, got {len(coeffs)}")
+        field = CycField(order)
+        try:
+            return field.from_coeffs([Fraction(c) for c in coeffs])
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"field 'coeffs' has a non-rational entry: {coeffs!r:.80}") from None
 
 
-@lru_cache(maxsize=None)
+def json_field(data, key: str, kind: type, lo: int = 0):
+    """data[key] of a parsed JSON object, checked with json_value."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return json_value(data[key], f"field {key!r}", kind, lo)
+
+
+def json_value(value, what: str, kind: type, lo: int = 0, hi: float = math.inf):
+    """A value read from JSON, of type ``kind`` and, for an int, in
+    [lo, hi); otherwise a ValueError names it as ``what``."""
+    if type(value) is not kind or kind is int and not lo <= value < hi:
+        bounds = f" in [{lo}, {hi})" if kind is int else ""
+        raise ValueError(f"{what} must be a JSON {kind.__name__}{bounds}, got {value!r:.80}")
+    return value
+
+
+@lru_cache(maxsize=16384)
 def _inv_core(field: CycField, num: tuple[int, ...]) -> CycNum:
     # extended Euclid in Q[x] against Phi_N; returns the inverse of the
     # integer-vector element `num`.

@@ -23,13 +23,12 @@ base change is verified before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, json_field, json_value
 from .polys import roots_in_field
 from .qmodules import CP1, QMod, build_glued, block_index, intertwiner_basis, \
-    irreducible, radical_columns, semisimple_length_of
+    irreducible, semisimple_length_of
 
 
 class ClassificationError(RuntimeError):
@@ -102,16 +101,21 @@ class QuiverRep:
 
     @staticmethod
     def from_json(data: dict, order: int | None = None) -> "QuiverRep":
-        d0, d1 = int(data["d0"]), int(data["d1"])
-        rows = data["r"] + data["rbar"]
-        if rows:
-            field = CycField(int(rows[0][0]["order"]))
-        elif order:
-            field = CycField(order)
-        else:
+        d0, d1 = json_field(data, "d0", int), json_field(data, "d1", int)
+        mats = []
+        for key in ("r", "rbar"):
+            rows = json_field(data, key, list)
+            if len(rows) != d1 or any(len(json_value(row, f"a row of field {key!r}", list)) != d0
+                                      for row in rows):
+                raise ValueError(f"field {key!r} must be a {d1} x {d0} matrix (no ragged or empty rows)")
+            mats.append([[CycNum.from_json(x) for x in row] for row in rows])
+        entries = [x for mat in mats for row in mat for x in row]
+        if not entries and not order:
             raise ValueError("cannot infer the field of an empty representation")
-        conv = lambda mat: [[CycNum.from_json(x) for x in row] for row in mat]
-        return QuiverRep(d0, d1, conv(data["r"]), conv(data["rbar"]), field)
+        field = entries[0].field if entries else CycField(order)
+        if any(x.field is not field for x in entries):
+            raise ValueError("fields 'r' and 'rbar' mix cyclotomic orders")
+        return QuiverRep(d0, d1, mats[0], mats[1], field)
 
 
 def canonical_rep(field: CycField, kind: str, n: int, z: CP1 | None = None) -> QuiverRep:
@@ -322,22 +326,17 @@ def _extract_singular(rep: QuiverRep, chain, transposed: bool) -> list[PencilBlo
         raise ClassificationError("chain boundary conditions violated")
     proj = _split_projector(work, u0, u1)
     if transposed:
-        pi0 = linalg.transpose(proj["pi1"])
-        pi1 = linalg.transpose(proj["pi0"])
-        sub0 = _image_columns(pi0)
-        sub1 = _image_columns(pi1)
-        comp0 = _kernel_columns(pi0)
-        comp1 = _kernel_columns(pi1)
-        kind, idx = "preinjective", n
+        pi0, pi1 = linalg.transpose(proj["pi1"]), linalg.transpose(proj["pi0"])
+        # the summand is the image of each pi, spanned by the rows of its transpose
+        (red0, piv0), (red1, piv1) = linalg.rref(proj["pi1"]), linalg.rref(proj["pi0"])
+        sub0, sub1 = red0[:len(piv0)], red1[:len(piv1)]
+        kind = "preinjective"
     else:
         pi0, pi1 = proj["pi0"], proj["pi1"]
         sub0, sub1 = u0, u1
-        comp0 = _kernel_columns(pi0)
-        comp1 = _kernel_columns(pi1)
-        kind, idx = "preprojective", n
-    block = _canonical_block(rep, kind, idx, None, sub0, sub1)
-    rest_blocks = _recurse_on(rep, comp0, comp1)
-    return [block] + rest_blocks
+        kind = "preprojective"
+    block = _canonical_block(rep, kind, n, None, sub0, sub1)
+    return [block] + _decompose_on(rep, linalg.nullspace(pi0), linalg.nullspace(pi1))
 
 
 def _split_projector(rep: QuiverRep, u0, u1):
@@ -388,49 +387,40 @@ def _split_projector(rep: QuiverRep, u0, u1):
     return {"pi0": pi0, "pi1": pi1, "A": A, "B": B}
 
 
-def _kernel_columns(projector):
-    return linalg.nullspace(projector)
-
-
-def _image_columns(projector):
-    if not projector:
-        return []
-    red, pivots = linalg.rref(linalg.transpose(projector))
-    return [list(red[i]) for i in range(len(pivots))]
-
-
-def _recurse_on(rep: QuiverRep, comp0, comp1) -> list[PencilBlock]:
+def _restrict(rep: QuiverRep, u0, u1):
+    """The subrepresentation on the spans of the columns u0 (in V0) and u1
+    (in V1), in those bases, with the column matrices (U0, U1)."""
     field = rep.field
-    C0 = _columns_matrix(field, rep.d0, comp0)
-    C1 = _columns_matrix(field, rep.d1, comp1)
-    r_c = linalg.solve(C1, _safe_mul(rep.r, C0)) if comp0 and comp1 else \
-        linalg.zeros(field, len(comp1), len(comp0))
-    rb_c = linalg.solve(C1, _safe_mul(rep.rbar, C0)) if comp0 and comp1 else \
-        linalg.zeros(field, len(comp1), len(comp0))
-    if r_c is None or rb_c is None:
-        raise ClassificationError("complement is not arrow-stable")
-    sub = QuiverRep(len(comp0), len(comp1), r_c, rb_c, field)
-    blocks = _decompose(sub)
-    lifted = []
-    for blk in blocks:
-        lu0 = [linalg.mat_vec(C0, col) for col in blk.u0] if comp0 else []
-        lu1 = [linalg.mat_vec(C1, col) for col in blk.u1] if comp1 else []
-        lifted.append(PencilBlock(blk.kind, blk.n, blk.z, lu0, lu1))
-    return lifted
+    k0, k1 = len(u0), len(u1)
+    U0 = _columns_matrix(field, rep.d0, u0)
+    U1 = _columns_matrix(field, rep.d1, u1)
+    if k0 and k1:
+        r_s = linalg.solve(U1, _safe_mul(rep.r, U0))
+        rb_s = linalg.solve(U1, _safe_mul(rep.rbar, U0))
+        if r_s is None or rb_s is None:
+            raise ClassificationError("the columns do not span an arrow-stable subrepresentation")
+    else:
+        r_s = rb_s = linalg.zeros(field, k1, k0)
+    return QuiverRep(k0, k1, r_s, rb_s, field), U0, U1
+
+
+def _decompose_on(rep: QuiverRep, u0, u1) -> list[PencilBlock]:
+    """Blocks of the subrepresentation on the given columns, with their
+    columns carried back to the coordinates of rep."""
+    sub, U0, U1 = _restrict(rep, u0, u1)
+    return [
+        PencilBlock(blk.kind, blk.n, blk.z, [linalg.mat_vec(U0, col) for col in blk.u0],
+                    [linalg.mat_vec(U1, col) for col in blk.u1])
+        for blk in _decompose(sub)
+    ]
 
 
 def _canonical_block(rep: QuiverRep, kind, n, z, u0, u1) -> PencilBlock:
     """Adjust the bases of an identified indecomposable summand so the
     restricted arrows take the literal canonical matrix form."""
     field = rep.field
-    k0, k1 = len(u0), len(u1)
-    U0 = _columns_matrix(field, rep.d0, u0)
-    U1 = _columns_matrix(field, rep.d1, u1)
-    r_s = linalg.solve(U1, _safe_mul(rep.r, U0)) if k0 and k1 else linalg.zeros(field, k1, k0)
-    rb_s = linalg.solve(U1, _safe_mul(rep.rbar, U0)) if k0 and k1 else linalg.zeros(field, k1, k0)
-    if r_s is None or rb_s is None:
-        raise ClassificationError("summand is not arrow-stable")
-    sub = QuiverRep(k0, k1, r_s, rb_s, field)
+    sub, U0, U1 = _restrict(rep, u0, u1)
+    k0, k1 = sub.d0, sub.d1
     canon = canonical_rep(field, kind, n, z)
     homs = rep_hom_basis(canon, sub)
     iso = None
@@ -471,14 +461,11 @@ def _regular_split(rep: QuiverRep) -> list[PencilBlock]:
     nmat = [[b[i][j] - (mu if i == j else field.zero) for j in range(d)] for i in range(d)]
     if mult < d:
         # split the generalized eigenspace off and recurse on both halves
-        gen_kernel = linalg.nullspace(linalg.mat_pow(nmat, mult))
-        u0 = gen_kernel
+        u0 = linalg.nullspace(linalg.mat_pow(nmat, mult))
         u1 = [linalg.mat_vec(amat, v) for v in u0]
         proj = _split_projector(rep, u0, u1)
-        comp0, comp1 = _kernel_columns(proj["pi0"]), _kernel_columns(proj["pi1"])
-        eigen_blocks = _lift_through(rep, u0, u1)
-        rest = _recurse_on(rep, comp0, comp1)
-        return eigen_blocks + rest
+        return _decompose_on(rep, u0, u1) + \
+            _decompose_on(rep, linalg.nullspace(proj["pi0"]), linalg.nullspace(proj["pi1"]))
     # single eigenvalue: peel one maximal Jordan chain
     powers = [linalg.identity(field, d)]
     while not linalg.is_zero_mat(powers[-1]):
@@ -500,26 +487,7 @@ def _regular_split(rep: QuiverRep) -> list[PencilBlock]:
     z = _eigenvalue_to_z(field, shift, mu)
     proj = _split_projector(rep, u0, u1)
     block = _canonical_block(rep, "regular", height, z, u0, u1)
-    rest = _recurse_on(rep, _kernel_columns(proj["pi0"]), _kernel_columns(proj["pi1"]))
-    return [block] + rest
-
-
-def _lift_through(rep: QuiverRep, u0, u1) -> list[PencilBlock]:
-    field = rep.field
-    U0 = _columns_matrix(field, rep.d0, u0)
-    U1 = _columns_matrix(field, rep.d1, u1)
-    r_s = linalg.solve(U1, _safe_mul(rep.r, U0))
-    rb_s = linalg.solve(U1, _safe_mul(rep.rbar, U0))
-    if r_s is None or rb_s is None:
-        raise ClassificationError("generalized eigenspace is not arrow-stable")
-    sub = QuiverRep(len(u0), len(u1), r_s, rb_s, field)
-    blocks = _decompose(sub)
-    out = []
-    for blk in blocks:
-        lu0 = [linalg.mat_vec(U0, col) for col in blk.u0]
-        lu1 = [linalg.mat_vec(U1, col) for col in blk.u1]
-        out.append(PencilBlock(blk.kind, blk.n, blk.z, lu0, lu1))
-    return out
+    return [block] + _decompose_on(rep, linalg.nullspace(proj["pi0"]), linalg.nullspace(proj["pi1"]))
 
 
 def _eigenvalue_to_z(field, shift: CycNum, mu: CycNum) -> CP1:
@@ -569,14 +537,12 @@ def functor_F(m: QMod, sign, with_data: bool = False):
     v1 = intertwiner_basis(x_soc, m)
     field = m.field
     d0, d1 = len(v0), len(v1)
-    stacked = [[psi[i][j] for psi in v1] for i in range(m.dim) for j in range(x_soc.dim)]
 
     def coords(phi_eps):
-        flat = [[phi_eps[i][j]] for i in range(m.dim) for j in range(x_soc.dim)]
-        sol = linalg.solve(stacked, flat) if d1 else ([] if linalg.is_zero_mat(flat) else None)
-        if sol is None:
+        c = linalg.solve_combination(v1, phi_eps)
+        if c is None:
             raise ClassificationError("socle composition left the socle Hom space")
-        return [sol[t][0] for t in range(d1)]
+        return c
 
     r = linalg.zeros(field, d1, d0)
     rbar = linalg.zeros(field, d1, d0)

@@ -11,6 +11,21 @@ from fractions import Fraction
 from .cyclotomic import CycField, CycNum
 
 
+def accumulate(pairs, out: dict | None = None) -> dict:
+    """Add (key, value) pairs into a sparse dict, dropping every key whose
+    sum cancels; returns the dict (a new one unless ``out`` is given)."""
+    if out is None:
+        out = {}
+    for key, value in pairs:
+        cur = out.get(key)
+        tot = value if cur is None else cur + value
+        if tot:
+            out[key] = tot
+        elif cur is not None:
+            del out[key]
+    return out
+
+
 def zeros(field: CycField, m: int, n: int) -> list[list[CycNum]]:
     z = field.zero
     return [[z] * n for _ in range(m)]
@@ -106,10 +121,6 @@ def hstack(a, b):
     if not b:
         return mat_copy(a)
     return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vstack(a, b):
-    return mat_copy(a) + mat_copy(b)
 
 
 def kron(a, b):
@@ -211,8 +222,15 @@ def solve(a, b):
     return x
 
 
-def solve_vec(a, v):
-    sol = solve(a, [[x] for x in v])
+def solve_combination(images, rhs):
+    """Coefficients c with sum_k c_k * images[k] = rhs, every image having
+    the shape of rhs, from one solve over the stacked entries; None when rhs
+    lies outside the span of the images."""
+    flat = [[x] for row in rhs for x in row]
+    if not images:
+        return [] if is_zero_mat(flat) else None
+    stacked = [[img[i][j] for img in images] for i, row in enumerate(rhs) for j in range(len(row))]
+    sol = solve(stacked, flat)
     return None if sol is None else [row[0] for row in sol]
 
 
@@ -267,18 +285,7 @@ class BlockSystem:
 
     def equation(self, terms, rhs=None) -> None:
         """terms: iterable of (coeff, block_name, i, j)."""
-        row: dict[int, CycNum] = {}
-        for coeff, name, i, j in terms:
-            if not coeff:
-                continue
-            k = self.index(name, i, j)
-            cur = row.get(k)
-            tot = coeff if cur is None else cur + coeff
-            if tot:
-                row[k] = tot
-            elif cur is not None:
-                del row[k]
-        self.rows.append(row)
+        self.rows.append(accumulate((self.index(name, i, j), coeff) for coeff, name, i, j in terms))
         self.rhs.append(rhs if rhs is not None else self.field.zero)
 
     def _matrices(self):

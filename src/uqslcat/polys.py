@@ -28,20 +28,6 @@ def pdeg(p) -> int:
     return len(p) - 1
 
 
-def padd(p, q):
-    field = p[0].field
-    n = max(len(p), len(q))
-    z = field.zero
-    return ptrim([(p[i] if i < len(p) else z) + (q[i] if i < len(q) else z) for i in range(n)])
-
-
-def psub(p, q):
-    field = p[0].field
-    n = max(len(p), len(q))
-    z = field.zero
-    return ptrim([(p[i] if i < len(p) else z) - (q[i] if i < len(q) else z) for i in range(n)])
-
-
 def pmul(p, q):
     field = p[0].field
     if (len(p) == 1 and not p[0]) or (len(q) == 1 and not q[0]):
@@ -53,10 +39,6 @@ def pmul(p, q):
                 if b:
                     out[i + j] = out[i + j] + a * b
     return ptrim(out)
-
-
-def pscale(c, p):
-    return ptrim([c * a for a in p])
 
 
 def pdivmod(p, q):
@@ -144,46 +126,6 @@ def galois_norm(p) -> list[Fraction]:
     return out
 
 
-def _qtrim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _qderiv(p):
-    if len(p) == 1:
-        return [Fraction(0)]
-    return _qtrim([p[i] * i for i in range(1, len(p))])
-
-
-def _qdivmod(p, q):
-    p = list(p)
-    q = _qtrim(q)
-    dq = len(q) - 1
-    out = [Fraction(0)] * max(len(p) - dq, 1)
-    lead = q[-1]
-    for k in range(len(p) - dq - 1, -1, -1):
-        c = p[k + dq] / lead
-        if c:
-            out[k] = c
-            for i in range(dq + 1):
-                p[k + i] -= c * q[i]
-    return _qtrim(out), _qtrim(p)
-
-
-def _qgcd(p, q):
-    a, b = _qtrim(p), _qtrim(q)
-    while not (len(b) == 1 and not b[0]):
-        a, b = b, _qdivmod(a, b)[1]
-    return a
-
-
-def rational_is_squarefree(p: list[Fraction]) -> bool:
-    g = _qgcd(p, _qderiv(p))
-    return len(g) == 1
-
-
 def factor_rational(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     """Irreducible factorization over Q (monic factors), via sympy."""
     import sympy
@@ -216,16 +158,15 @@ def factor_squarefree(p) -> list[list[CycNum]]:
         return [p]
     zeta = field.gen()
     for s in range(0, 50):
-        shift = zeta * (-s)
-        shifted = pshift(p, shift)
-        norm = galois_norm(shifted)
-        if rational_is_squarefree(norm):
+        shifted = pshift(p, zeta * (-s))
+        norm_factors = factor_rational(galois_norm(shifted))
+        if all(mult == 1 for _, mult in norm_factors):  # the norm is squarefree
             break
     else:  # pragma: no cover - theory guarantees a good shift exists
         raise AssertionError("no squarefree Galois norm found")
     factors = []
     remaining = shifted
-    for fac_q, _ in factor_rational(norm):
+    for fac_q, _ in norm_factors:
         fac_k = [field.from_fraction(c) for c in fac_q]
         h = pgcd(remaining, fac_k)
         if pdeg(h) > 0:

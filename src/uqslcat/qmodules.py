@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgElem, base_algebra
-from .cyclotomic import CycField, CycNum, qint
+from .cyclotomic import CycField, CycNum, json_field, json_value, qint
 
 
 def _sign(a) -> int:
@@ -127,26 +127,38 @@ class QMod:
 
     @staticmethod
     def from_json(data: dict) -> "QMod":
-        p = int(data["p"])
-        dim = int(data["dim"])
+        p = json_field(data, "p", int, 2)
+        dim = json_field(data, "dim", int)
         field = CycField(2 * p)
-        weights = [CycNum.from_json(w) for w in data["weights"]]
-        if len(weights) != dim:
-            raise ValueError("weight list does not match the stated dimension")
 
-        def dense(entries):
+        def number(c, key):
+            x = CycNum.from_json(c)
+            if x.field is not field:
+                raise ValueError(f"field {key!r} has an entry of order {x.order}, not {field.order}")
+            return x
+
+        weights = [number(w, "weights") for w in json_field(data, "weights", list)]
+        if len(weights) != dim:
+            raise ValueError("field 'weights' does not match the stated dimension")
+        if not all(weights):
+            raise ValueError("field 'weights' has a zero entry, but K is invertible")
+
+        def dense(key):
             mat = linalg.zeros(field, dim, dim)
-            for i, j, c in entries:
-                mat[int(i)][int(j)] = CycNum.from_json(c)
+            seen = set()
+            for entry in json_field(data, key, list):
+                if len(json_value(entry, f"an entry of field {key!r}", list)) != 3:
+                    raise ValueError(f"entries of field {key!r} must be [i, j, coeff]")
+                i, j = (json_value(x, f"an index in field {key!r}", int, 0, dim) for x in entry[:2])
+                if (i, j) in seen:
+                    raise ValueError(f"field {key!r} has two entries at [{i}, {j}]")
+                seen.add((i, j))
+                mat[i][j] = number(entry[2], key)
             return mat
 
-        m = QMod(p, dense(data["E"]), dense(data["F"]), weights, data.get("label"), field)
-        kmat = dense(data.get("K", []))
-        for i in range(dim):
-            for j in range(dim):
-                expect = weights[i] if i == j else field.zero
-                if data.get("K") and kmat[i][j] != expect:
-                    raise ValueError("K entries disagree with the weight list")
+        m = QMod(p, dense("E"), dense("F"), weights, data.get("label"), field)
+        if data.get("K") and not linalg.mat_eq(dense("K"), m.mat_k):  # optional, redundant
+            raise ValueError("field 'K' disagrees with the weight list")
         return m
 
 
@@ -273,42 +285,37 @@ def build_glued(p: int, a, s: int, rep) -> QMod:
     return QMod(p, mat_e, mat_f, weights, field=field)
 
 
-class _RawRep:
-    def __init__(self, field, r, rbar):
-        self.r = r
-        self.rbar = rbar
-        self.d1 = len(r)
-        self.d0 = len(r[0]) if r else 0
-
-
 def build_w2(p: int, a, s: int) -> QMod:
     """Two copies on top, one in the socle: E glues the first top copy,
     F glues the second."""
+    from .kronecker import QuiverRep
+
     a = _sign(a)
     field = CycField(2 * p)
     one, zero = field.one, field.zero
-    rep = _RawRep(field, [[zero, one]], [[one, zero]])
-    m = build_glued(p, a, s, rep)
+    m = build_glued(p, a, s, QuiverRep(2, 1, [[zero, one]], [[one, zero]], field))
     return m.relabel(f"W{'+' if a > 0 else '-'}_{s}(2)")
 
 
 def build_m2(p: int, a, s: int) -> QMod:
     """One copy on top, two in the socle: E glues into the first socle
     copy, F into the second."""
+    from .kronecker import QuiverRep
+
     a = _sign(a)
     field = CycField(2 * p)
     one, zero = field.one, field.zero
-    rep = _RawRep(field, [[zero], [one]], [[one], [zero]])
-    m = build_glued(p, a, s, rep)
+    m = build_glued(p, a, s, QuiverRep(1, 2, [[zero], [one]], [[one], [zero]], field))
     return m.relabel(f"M{'+' if a > 0 else '-'}_{s}(2)")
 
 
 def build_o1(p: int, a, s: int, z: CP1) -> QMod:
     """The CP1 family with one top and one socle copy; z = 1:0 is the
     Verma module, z = 0:1 its contragredient."""
+    from .kronecker import QuiverRep
+
     a = _sign(a)
-    rep = _RawRep(z.z1.field, [[z.z1]], [[z.z2]])
-    m = build_glued(p, a, s, rep)
+    m = build_glued(p, a, s, QuiverRep(1, 1, [[z.z1]], [[z.z2]], z.z1.field))
     return m.relabel(f"O{'+' if a > 0 else '-'}_{s}(1,{z!r})")
 
 
@@ -360,12 +367,7 @@ def build_p(p: int, a, s: int) -> QMod:
                 label=f"P{'+' if a > 0 else '-'}_{s}", field=field)
 
 
-def steinberg(p: int, a) -> QMod:
-    return irreducible(p, a, p)
-
-
 def direct_sum(*mods: QMod) -> QMod:
-    mods = [m for m in mods if m.dim or True]
     if not mods:
         raise ValueError("direct sum of nothing")
     p, field = mods[0].p, mods[0].field
@@ -510,30 +512,24 @@ def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
     if not pairs:
         return []
     unk = {rc: k for k, rc in enumerate(pairs)}
-    eqs: dict[tuple, dict[int, CycNum]] = {}
 
-    def add(eq_key, col, coeff):
-        row = eqs.setdefault(eq_key, {})
-        cur = row.get(col)
-        tot = coeff if cur is None else cur + coeff
-        if tot:
-            row[col] = tot
-        elif cur is not None:
-            del row[col]
+    def entries():  # ((equation, unknown), coefficient) of g_dst Phi - Phi g_src = 0
+        for gname, g_dst, g_src in (("E", dst.mat_e, src.mat_e), ("F", dst.mat_f, src.mat_f)):
+            for (k, c), col in unk.items():
+                for r in range(dst.dim):
+                    if g_dst[r][k]:
+                        yield ((gname, r, c), col), g_dst[r][k]
+            for (r, k), col in unk.items():
+                for c in range(src.dim):
+                    if g_src[k][c]:
+                        yield ((gname, r, c), col), -g_src[k][c]
 
-    for gname, g_dst, g_src in (("E", dst.mat_e, src.mat_e), ("F", dst.mat_f, src.mat_f)):
-        for (k, c), col in unk.items():
-            for r in range(dst.dim):
-                x = g_dst[r][k]
-                if x:
-                    add((gname, r, c), col, x)
-        for (r, k), col in unk.items():
-            for c in range(src.dim):
-                x = g_src[k][c]
-                if x:
-                    add((gname, r, c), col, -x)
-    keys = sorted(eqs.keys(), key=repr)
-    mat = [[eqs[k].get(col, field.zero) for col in range(len(pairs))] for k in keys]
+    eqs = linalg.accumulate(entries())
+    keys = sorted({key for key, _ in eqs}, key=repr)
+    row_of = {key: i for i, key in enumerate(keys)}
+    mat = linalg.zeros(field, len(keys), len(pairs))
+    for (key, col), x in eqs.items():
+        mat[row_of[key]][col] = x
     if not mat:
         vectors = [[field.one if i == k else field.zero for i in range(len(pairs))] for k in range(len(pairs))]
     else:
@@ -597,44 +593,6 @@ def _basis_vec(field, n, i):
     v = [field.zero] * n
     v[i] = field.one
     return v
-
-
-def generated_submodule(m: QMod, columns: list[list[CycNum]]) -> list[list[CycNum]]:
-    """Closure of the span of the given vectors under E and F, as a list
-    of K-homogeneous basis columns."""
-    field = m.field
-    rs = linalg.RowSpace(field, m.dim)
-    frontier = []
-    for col in columns:
-        if rs.add(col):
-            frontier.append(col)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for mat in (m.mat_e, m.mat_f):
-                img = linalg.mat_vec(mat, v)
-                if any(img) and rs.add(img):
-                    nxt.append(img)
-        frontier = nxt
-    # split the row-space basis into K-homogeneous vectors: rows of the
-    # rref are already homogeneous because weights partition coordinates
-    cols = []
-    for row in rs.basis():
-        support_weights = {m.weights[i] for i, x in enumerate(row) if x}
-        if len(support_weights) > 1:
-            # re-split by weight
-            for w in support_weights:
-                piece = [x if m.weights[i] == w else field.zero for i, x in enumerate(row)]
-                cols.append(piece)
-        else:
-            cols.append(list(row))
-    # reduce again to an independent set
-    rs2 = linalg.RowSpace(field, m.dim)
-    out = []
-    for colv in cols:
-        if rs2.add(colv):
-            out.append(colv)
-    return out
 
 
 def radical_columns(m: QMod) -> list[list[CycNum]]:
