@@ -4,10 +4,7 @@
 import argparse
 
 from uqslcat.category import ext_dim
-
-
-def label(a, s):
-    return f"X{'+' if a > 0 else '-'}_{s}"
+from uqslcat.qmodules import family_label
 
 
 def main():
@@ -19,10 +16,10 @@ def main():
     irreps = [(a, s) for a in (1, -1) for s in range(1, p + 1)]
     for n in range(args.max_deg + 1):
         print(f"\nExt^{n} at p={p} (rows: source, cols: target)")
-        header = "        " + " ".join(f"{label(*t):>6}" for t in irreps)
+        header = "        " + " ".join(f"{family_label('X', *t):>6}" for t in irreps)
         print(header)
         for src in irreps:
-            row = [f"{label(*src):>7}"]
+            row = [f"{family_label('X', *src):>7}"]
             for dst in irreps:
                 row.append(f"{ext_dim(p, src, dst, n):>6}")
             print(" ".join(row))

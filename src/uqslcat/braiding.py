@@ -18,7 +18,7 @@ from .algebra import (AlgElem, QuantumAlgebra, TensorElem, base_algebra,
                       center_basis, coproduct, counit, extended_algebra,
                       verify_hopf)
 from .cyclotomic import CycNum
-from .qmodules import QMod, coerce_field
+from .qmodules import QMod, coerce_field, family_label
 
 
 def _require_p2(p: int) -> None:
@@ -296,5 +296,5 @@ def ribbon_scalars(p: int = 2) -> dict[str, CycNum]:
                     expect = scalar if i == j else m.field.zero
                     if act[i][j] != expect:
                         raise AssertionError("ribbon element acts non-scalar on an irreducible")
-            out[f"X{'+' if a > 0 else '-'}_{s}"] = scalar
+            out[family_label("X", a, s)] = scalar
     return out

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .algebra import casimir
 from .cyclotomic import CycField, CycNum
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
                         canonical_rep, classify, functor_F, functor_G)
-from .qmodules import (CP1, QMod, action_matrix, build_o1, build_p, direct_sum,
+from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, direct_sum, family_label,
                        intertwiner_basis, irreducible, quotient, radical_columns,
                        socle_columns, submodule)
 from .qmodules import semisimple_length_of as semisimple_length
@@ -84,17 +83,10 @@ def block_decompose(m: QMod) -> list[BlockPiece]:
     piece at index s is the part where C - beta_s acts nilpotently."""
     if m.dim == 0:
         return []
-    cd = casimir(m.p)
-    act = action_matrix(m, cd.element)
     pieces = []
     total = 0
-    for s, beta in enumerate(cd.roots):
-        power = 1 if s in (0, m.p) else 2
-        shifted = [
-            [act[i][j] - (beta if i == j else m.field.zero) for j in range(m.dim)]
-            for i in range(m.dim)
-        ]
-        cols = linalg.nullspace(linalg.mat_pow(shifted, power))
+    for s, nil in casimir_blocks(m):
+        cols = linalg.nullspace(nil)
         if not cols:
             continue
         piece, emb = submodule(m, cols)
@@ -148,8 +140,7 @@ class IndecLabel:
     z: CP1 | None = None
 
     def __str__(self):
-        sign = "+" if self.a > 0 else "-"
-        base = f"{self.family}{sign}_{self.s}"
+        base = family_label(self.family, self.a, self.s)
         if self.family in ("W", "M"):
             return f"{base}({self.n})"
         if self.family == "O":
@@ -187,8 +178,7 @@ class IndecLabel:
         return functor_G(rep, p, self.a, self.s).relabel(str(self))
 
     def to_json(self) -> dict:
-        sign = "+" if self.a > 0 else "-"
-        out = {"label": f"{self.family}{sign}_{self.s}"}
+        out = {"label": family_label(self.family, self.a, self.s)}
         if self.family in ("W", "M", "O"):
             out["n"] = self.n
         if self.family == "O":

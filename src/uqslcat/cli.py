@@ -18,7 +18,7 @@ from . import braiding, category, kronecker, qmodules
 from .algebra import center_basis, verify_hopf
 from .category import ClassificationError, IndecLabel
 from .cyclotomic import json_field, parse_cyc
-from .qmodules import CP1, QMod, regular_module, verify_module
+from .qmodules import CP1, QMod, family_label, regular_module, verify_module
 
 DEFAULT_MAX_P = 6
 
@@ -211,7 +211,7 @@ def cmd_resolve(args) -> int:
             {
                 "dim": t.dim,
                 "content": [
-                    {"top": f"X{'+' if a > 0 else '-'}_{s}", "mult": mult}
+                    {"top": family_label("X", a, s), "mult": mult}
                     for ((a, s), mult) in content
                 ],
             }
@@ -249,8 +249,8 @@ def cmd_yoneda(args) -> int:
         "s": s,
         "word": tokens,
         "degree": result.degree,
-        "source": f"X{'+' if result.source[0] > 0 else '-'}_{result.source[1]}",
-        "target": f"X{'+' if result.target[0] > 0 else '-'}_{result.target[1]}",
+        "source": family_label("X", *result.source),
+        "target": family_label("X", *result.target),
         "zero": result.is_zero(),
     }
     emit(payload, args, [

@@ -374,11 +374,12 @@ class CycNum:
         # the field, whose set-up cost grows with N, is built
         if order > 2 * len(coeffs) ** 2 or _euler_phi(order) != len(coeffs):
             raise ValueError(f"field 'coeffs' needs phi(order) entries for order {order}, got {len(coeffs)}")
-        field = CycField(order)
         try:
-            return field.from_coeffs([Fraction(c) for c in coeffs])
+            if not all(_RATIONAL.fullmatch(c) for c in coeffs):
+                raise ValueError
+            return CycField(order).from_coeffs([Fraction(c) for c in coeffs])
         except (TypeError, ValueError, ArithmeticError):
-            raise ValueError(f"field 'coeffs' has a non-rational entry: {coeffs!r:.80}") from None
+            raise ValueError(f"field 'coeffs' takes integer or a/b strings, got {coeffs!r:.80}") from None
 
 
 def json_field(data, key: str, kind: type, lo: int = 0):
@@ -476,13 +477,17 @@ def qint(p: int, n: int) -> CycNum:
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*([0-9]+|[qz]|\^|\*|\+|\-|/|\(|\))")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+MAX_EXPONENT = 1000
 
 
 def parse_cyc(text: str, order: int) -> CycNum:
     """Parse an exact field-element expression such as ``1``, ``-1/2``,
     ``q^2``, ``2*q-1`` or ``(1+q)^2``.  ``q`` (or ``z``) denotes the
-    canonical generator of Q(zeta_order)."""
+    canonical generator of Q(zeta_order).  The exponent of a power, times
+    those of the powers around it, is at most MAX_EXPONENT."""
     field = CycField(order)
+    nested = 1  # largest exponent product among the powers parsed so far
     tokens = []
     pos = 0
     while pos < len(text):
@@ -534,6 +539,8 @@ def parse_cyc(text: str, order: int) -> CycNum:
                 return acc
 
     def parse_power():
+        nonlocal nested
+        outer, nested = nested, 1
         base = parse_atom()
         if peek() == "^":
             take()
@@ -544,7 +551,12 @@ def parse_cyc(text: str, order: int) -> CycNum:
             t = take()
             if t is None or not t.isdigit():
                 raise ValueError("expected integer exponent")
-            return base ** (sign * int(t))
+            nested *= int(t)
+            if nested > MAX_EXPONENT:
+                raise ValueError(f"exponent {nested} exceeds the bound {MAX_EXPONENT} "
+                                 "(the exponents of nested powers multiply)")
+            base = base ** (sign * int(t))
+        nested = max(outer, nested)
         return base
 
     def parse_atom():

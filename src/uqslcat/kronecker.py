@@ -4,20 +4,24 @@ preprojectives, preinjectives and CP1-parameterized regular tubes, and
 the pair of functors translating between such representations and
 quantum-group modules of semisimple length two.
 
-The classification peels off indecomposable summands one at a time:
+The classification finds each kind of summand in one pass:
 
-* a minimal-degree polynomial solution v(x) of (r + x rbar) v(x) = 0
-  spans a preprojective summand;
-* the same on the transposed representation yields a preinjective one;
+* all preprojective summands at once, from a minimal polynomial basis of
+  ker(r + x rbar), whose coefficient vectors span them in canonical form;
+  one generalized Sylvester solve then gives a complementary
+  subrepresentation (the complement is not canonical, as Hom(regular,
+  preprojective) is nonzero);
+* the preinjective summands by duality, from the transposed
+  representation;
 * what remains is a regular pencil, split along the exact Jordan
   structure of (r + t rbar)^-1 rbar for a shift t making the first
   factor invertible; eigenvalues are Moebius-transported to points of
   CP1, and an eigenvalue whose minimal polynomial does not split over
   the field is reported as an error, never approximated.
 
-Every summand is put into its literal canonical matrix form by solving
-for an isomorphism from the canonical representation, and the assembled
-base change is verified before returning.
+Each Jordan block is put into its literal canonical matrix form by
+solving for an isomorphism from the canonical representation, and the
+assembled base change is verified before returning.
 """
 
 from __future__ import annotations
@@ -211,12 +215,9 @@ def classify(rep: QuiverRep) -> QuiverDecomp:
     blocks = _decompose(rep)
     blocks.sort(key=lambda blk: blk.sort_key())
     field = rep.field
-    canon: QuiverRep | None = None
+    canon = QuiverRep(0, 0, [], [], field)
     for blk in blocks:
-        piece = blk.canonical(field)
-        canon = piece if canon is None else canon.direct_sum(piece)
-    if canon is None:
-        canon = QuiverRep(0, 0, [], [], field)
+        canon = canon.direct_sum(blk.canonical(field))
     s0 = _columns_matrix(field, rep.d0, [col for blk in blocks for col in blk.u0])
     s1 = _columns_matrix(field, rep.d1, [col for blk in blocks for col in blk.u1])
     if rep.d0 and linalg.rank(s0) != rep.d0:
@@ -227,16 +228,10 @@ def classify(rep: QuiverRep) -> QuiverDecomp:
         raise ClassificationError("certificate fails to intertwine r")
     if not linalg.mat_eq(_safe_mul(rep.rbar, s0), _safe_mul(s1, canon.rbar)):
         raise ClassificationError("certificate fails to intertwine rbar")
-    counted: dict[tuple, int] = {}
-    order: list[tuple] = []
+    counted: dict[tuple, int] = {}  # in first-seen order
     for blk in blocks:
-        lbl = blk.label()
-        if lbl not in counted:
-            counted[lbl] = 0
-            order.append(lbl)
-        counted[lbl] += 1
-    entries = [(lbl, counted[lbl]) for lbl in order]
-    return QuiverDecomp(entries, blocks, s0, s1, canon)
+        counted[blk.label()] = counted.get(blk.label(), 0) + 1
+    return QuiverDecomp(list(counted.items()), blocks, s0, s1, canon)
 
 
 def _safe_mul(a, b):
@@ -253,27 +248,17 @@ def _columns_matrix(field, nrows, cols):
 
 def _decompose(rep: QuiverRep) -> list[PencilBlock]:
     field = rep.field
-    if rep.d0 == 0 and rep.d1 == 0:
-        return []
-    if rep.d0 == 0:
-        return [
-            PencilBlock("preinjective", 0, None, [], [_unit(field, rep.d1, i)])
-            for i in range(rep.d1)
-        ]
-    if rep.d1 == 0:
-        return [
-            PencilBlock("preprojective", 0, None, [_unit(field, rep.d0, i)], [])
-            for i in range(rep.d0)
-        ]
-    chain = _min_right_chain(rep)
-    if chain is not None:
-        return _extract_singular(rep, chain, transposed=False)
-    chain_t = _min_right_chain(rep.transposed())
-    if chain_t is not None:
-        return _extract_singular(rep, chain_t, transposed=True)
-    if rep.d0 != rep.d1:
-        raise ClassificationError("regular pencil with unequal dimensions")
-    return _regular_split(rep)
+    if rep.d0 == 0 or rep.d1 == 0:
+        return [PencilBlock("preinjective", 0, None, [], [_unit(field, rep.d1, i)])
+                for i in range(rep.d1)] + \
+            [PencilBlock("preprojective", 0, None, [_unit(field, rep.d0, i)], [])
+             for i in range(rep.d0)]
+    t, amat, rank = _generic_member(rep)
+    if rank < rep.d0:
+        return _preprojective_split(rep, rep.d0 - rank)
+    if rank < rep.d1:
+        return _from_transpose(rep)
+    return _regular_blocks(rep, t, amat)
 
 
 def _unit(field, n, i):
@@ -282,109 +267,127 @@ def _unit(field, n, i):
     return v
 
 
-def _min_right_chain(rep: QuiverRep):
-    """Minimal-degree nonzero solution (v_0, ..., v_n) of
-    r v_0 = 0, r v_i = -rbar v_(i-1), rbar v_n = 0."""
-    field = rep.field
-    for n in range(rep.d0):
-        sys = linalg.BlockSystem(field)
+def _generic_member(rep: QuiverRep):
+    """(t, r + t rbar, rank) for the first t = 0, 1, ... where the rank is
+    the rank rho over F(x): a nonzero rho x rho minor of r + x rbar has at
+    most rho roots, so one of t = 0..rho attains it."""
+    field, best = rep.field, None
+    for cand in range(min(rep.d0, rep.d1) + 1):
+        t = field.from_fraction(cand)
+        amat = linalg.mat_add(rep.r, linalg.mat_scale(t, rep.rbar))
+        rank = linalg.rank(amat)
+        if best is None or rank > best[2]:
+            best = (t, amat, rank)
+        if rank == min(rep.d0, rep.d1):
+            break
+    return best
+
+
+def _minimal_basis(rep: QuiverRep, count: int):
+    """The coefficient lists (v_0, ..., v_n) of a minimal polynomial basis
+    of ker(r + x rbar), which has count members, found degree by degree:
+    the solutions of degree <= n are the kernel of a block-Toeplitz matrix,
+    and those outside the span of the x-shifts of the lower-degree members
+    are new members of degree n."""
+    field, d0, d1 = rep.field, rep.d0, rep.d1
+    chains: list[list[list[CycNum]]] = []
+    for n in range(d0):
+        width = (n + 1) * d0
+        toeplitz = linalg.zeros(field, (n + 2) * d1, width)
         for i in range(n + 1):
-            sys.add_block(f"v{i}", rep.d0, 1)
-        for i in range(n + 2):
-            for row in range(rep.d1):
-                terms = []
-                if i <= n:
-                    terms += [(rep.r[row][k], f"v{i}", k, 0) for k in range(rep.d0)]
-                if i >= 1:
-                    terms += [(rep.rbar[row][k], f"v{i-1}", k, 0) for k in range(rep.d0)]
-                sys.equation(terms)
-        sols = sys.kernel()
-        if sols:
-            sol = sols[0]
-            chain = [[sol[f"v{i}"][k][0] for k in range(rep.d0)] for i in range(n + 1)]
-            if not any(chain[0]):
-                raise ClassificationError("minimal chain must have nonzero constant term")
-            return chain
-    return None
+            for row in range(d1):
+                toeplitz[i * d1 + row][i * d0:(i + 1) * d0] = rep.r[row]
+                toeplitz[(i + 1) * d1 + row][i * d0:(i + 1) * d0] = rep.rbar[row]
+        shifts = linalg.RowSpace(field, width)
+        for chain in chains:
+            flat = [x for v in chain for x in v]
+            for j in range(n + 2 - len(chain)):
+                shifts.add([field.zero] * (j * d0) + flat + [field.zero] * (width - j * d0 - len(flat)))
+        for sol in linalg.nullspace(toeplitz):
+            if shifts.add(sol):
+                chains.append([sol[i * d0:(i + 1) * d0] for i in range(n + 1)])
+        if len(chains) == count:
+            return chains
+    raise ClassificationError("minimal polynomial basis is incomplete")
 
 
-def _extract_singular(rep: QuiverRep, chain, transposed: bool) -> list[PencilBlock]:
+def _preprojective_split(rep: QuiverRep, count: int) -> list[PencilBlock]:
+    """All preprojective blocks from one minimal basis, then the blocks of
+    one complementary subrepresentation."""
     field = rep.field
-    work = rep.transposed() if transposed else rep
-    n = len(chain) - 1
-    # basis e_j = (-1)^j v_(n+1-j) satisfies r e_j = rbar e_(j+1)
-    u0 = []
-    for j in range(1, n + 2):
-        sign = field.one if j % 2 == 0 else -field.one
-        u0.append([sign * x for x in chain[n + 1 - j]])
-    u1 = [linalg.mat_vec(work.r, u0[j]) for j in range(n)]
-    rs = linalg.RowSpace(field, work.d1)
-    for col in u1:
-        if not rs.add(col):
-            raise ClassificationError("chain image vectors are dependent")
-    if any(linalg.mat_vec(work.rbar, u0[0])) or any(linalg.mat_vec(work.r, u0[n])):
-        raise ClassificationError("chain boundary conditions violated")
-    proj = _split_projector(work, u0, u1)
-    if transposed:
-        pi0, pi1 = linalg.transpose(proj["pi1"]), linalg.transpose(proj["pi0"])
-        # the summand is the image of each pi, spanned by the rows of its transpose
-        (red0, piv0), (red1, piv1) = linalg.rref(proj["pi1"]), linalg.rref(proj["pi0"])
-        sub0, sub1 = red0[:len(piv0)], red1[:len(piv1)]
-        kind = "preinjective"
-    else:
-        pi0, pi1 = proj["pi0"], proj["pi1"]
-        sub0, sub1 = u0, u1
-        kind = "preprojective"
-    block = _canonical_block(rep, kind, n, None, sub0, sub1)
-    return [block] + _decompose_on(rep, linalg.nullspace(pi0), linalg.nullspace(pi1))
+    rs0, rs1 = linalg.RowSpace(field, rep.d0), linalg.RowSpace(field, rep.d1)
+    blocks = []
+    for chain in _minimal_basis(rep, count):
+        n = len(chain) - 1
+        # e_i = (-1)^i v_(n-i) satisfies r e_i = rbar e_(i+1), rbar e_0 = 0 = r e_n
+        u0 = [[-x for x in chain[n - i]] if i % 2 else chain[n - i] for i in range(n + 1)]
+        u1 = [linalg.mat_vec(rep.r, u0[i]) for i in range(n)]
+        if not all(rs0.add(v) for v in u0) or not all(rs1.add(v) for v in u1):
+            raise ClassificationError("minimal basis coefficients are dependent")
+        blocks.append(PencilBlock("preprojective", n, None, u0, u1))
+    comp0, comp1 = _complement(rep, rs0, rs1)
+    return blocks + _decompose_on(rep, comp0, comp1)
 
 
-def _split_projector(rep: QuiverRep, u0, u1):
-    """Projectors (pi0, pi1) = (U0 A, U1 B) onto the subrepresentation
-    spanned by the given columns, commuting with both arrows."""
+def _complement(rep: QuiverRep, rs0, rs1):
+    """Columns of a subrepresentation complementary to the one held by the
+    row spaces rs0, rs1 (in reduced echelon form).
+
+    In the bases (rows of rs_i, unit vectors off their pivots) both arrows
+    are block upper triangular; the graph of (X0, X1) over the unit vectors
+    is arrow-stable exactly when M_AA X0 - X1 M_CC = -M_AC for M = r, rbar."""
     field = rep.field
-    k0, k1 = len(u0), len(u1)
-    U0 = _columns_matrix(field, rep.d0, u0)
-    U1 = _columns_matrix(field, rep.d1, u1)
-    sys = linalg.BlockSystem(field)
-    sys.add_block("A", k0, rep.d0)
-    sys.add_block("B", k1, rep.d1)
-    one, zero = field.one, field.zero
-    for i in range(k0):
-        for j in range(k0):
-            sys.equation(
-                [(U0[t][j], "A", i, t) for t in range(rep.d0)],
-                one if i == j else zero,
-            )
-    for i in range(k1):
-        for j in range(k1):
-            sys.equation(
-                [(U1[t][j], "B", i, t) for t in range(rep.d1)],
-                one if i == j else zero,
-            )
-    for mat in ("r", "rbar"):
-        M = getattr(rep, mat)
-        MU0 = _safe_mul(M, U0) if k0 else [[] for _ in range(rep.d1)]
-        # U1 B M = M U0 A  entrywise
-        for i in range(rep.d1):
-            for j in range(rep.d0):
-                terms = []
-                for t in range(k1):
-                    if U1[i][t]:
-                        for l in range(rep.d1):
-                            if M[l][j]:
-                                terms.append((U1[i][t] * M[l][j], "B", t, l))
-                for t in range(k0):
-                    if MU0[i][t]:
-                        terms.append((-MU0[i][t], "A", t, j))
-                sys.equation(terms)
-    sol = sys.solve()
-    if sol is None:
-        raise ClassificationError("summand projector system is inconsistent")
-    A, B = sol["A"], sol["B"]
-    pi0 = _safe_mul(U0, A) if k0 else linalg.zeros(field, rep.d0, rep.d0)
-    pi1 = _safe_mul(U1, B) if k1 else linalg.zeros(field, rep.d1, rep.d1)
-    return {"pi0": pi0, "pi1": pi1, "A": A, "B": B}
+    rows0, rows1 = rs0.basis(), rs1.basis()
+    free0 = [c for c in range(rep.d0) if c not in rs0.pivots]
+    free1 = [j for j in range(rep.d1) if j not in rs1.pivots]
+    k0, k1, m0, m1 = len(rows0), len(rows1), len(free0), len(free1)
+    x0, x1 = linalg.zeros(field, k0, m0), linalg.zeros(field, k1, m1)
+    if k1 and m0:
+        system, rhs = [], []
+        for mat in (rep.r, rep.rbar):
+            m_aa = linalg.transpose([[img[q] for q in rs1.pivots] for img in (linalg.mat_vec(mat, v) for v in rows0)])
+            m_cc_t = [[mat[j][c] - sum((mat[q][c] * row[j] for q, row in zip(rs1.pivots, rows1)), field.zero)
+                       for j in free1] for c in free0]
+            system += linalg.hstack(linalg.kron(m_aa, linalg.identity(field, m0)),
+                                    linalg.mat_neg(linalg.kron(linalg.identity(field, k1), m_cc_t)))
+            rhs += [[-mat[q][c]] for q in rs1.pivots for c in free0]
+        sol = linalg.solve(system, rhs)
+        if sol is None:
+            raise ClassificationError("the preprojective part has no complement")
+        x0 = [[sol[a * m0 + c][0] for c in range(m0)] for a in range(k0)]
+        x1 = [[sol[k0 * m0 + i * m1 + j][0] for j in range(m1)] for i in range(k1)]
+
+    def graph(n, free, rows, x):
+        cols = []
+        for c, unit in enumerate(free):
+            col = _unit(field, n, unit)
+            for a, row in enumerate(rows):
+                if x[a][c]:
+                    col = [y + x[a][c] * z for y, z in zip(col, row)]
+            cols.append(col)
+        return cols
+
+    return graph(rep.d0, free0, rows0, x0), graph(rep.d1, free1, rows1, x1)
+
+
+def _from_transpose(rep: QuiverRep) -> list[PencilBlock]:
+    """Blocks by duality: decompose the transpose and read its blocks back
+    through the rows of the inverse base changes; preprojective and
+    preinjective swap, and a regular block keeps its point with its basis
+    reversed (the transposed Jordan block is lower triangular)."""
+    field = rep.field
+    blocks = _decompose(rep.transposed())
+    inv1 = linalg.inverse(_columns_matrix(field, rep.d1, [c for b in blocks for c in b.u0]))
+    inv0 = linalg.inverse(_columns_matrix(field, rep.d0, [c for b in blocks for c in b.u1]))
+    swap = {"preprojective": "preinjective", "preinjective": "preprojective", "regular": "regular"}
+    out, at0, at1 = [], 0, 0
+    for blk in blocks:
+        u0, u1 = inv0[at1:at1 + len(blk.u1)], inv1[at0:at0 + len(blk.u0)]
+        at0, at1 = at0 + len(blk.u0), at1 + len(blk.u1)
+        if blk.kind == "regular":
+            u0, u1 = u0[::-1], u1[::-1]
+        out.append(PencilBlock(swap[blk.kind], blk.n, blk.z, u0, u1))
+    return out
 
 
 def _restrict(rep: QuiverRep, u0, u1):
@@ -422,14 +425,8 @@ def _canonical_block(rep: QuiverRep, kind, n, z, u0, u1) -> PencilBlock:
     sub, U0, U1 = _restrict(rep, u0, u1)
     k0, k1 = sub.d0, sub.d1
     canon = canonical_rep(field, kind, n, z)
-    homs = rep_hom_basis(canon, sub)
-    iso = None
-    for phi0, phi1 in homs:
-        ok0 = (k0 == 0) or linalg.rank(phi0) == k0
-        ok1 = (k1 == 0) or linalg.rank(phi1) == k1
-        if ok0 and ok1:
-            iso = (phi0, phi1)
-            break
+    iso = next(((phi0, phi1) for phi0, phi1 in rep_hom_basis(canon, sub)
+                if (not k0 or linalg.rank(phi0) == k0) and (not k1 or linalg.rank(phi1) == k1)), None)
     if iso is None:
         raise ClassificationError(f"no isomorphism to canonical {kind} block")
     phi0, phi1 = iso
@@ -438,56 +435,39 @@ def _canonical_block(rep: QuiverRep, kind, n, z, u0, u1) -> PencilBlock:
     return PencilBlock(kind, n, z, new_u0, new_u1)
 
 
-def _regular_split(rep: QuiverRep) -> list[PencilBlock]:
-    field = rep.field
-    d = rep.d0
-    shift = None
-    for cand in range(d + 1):
-        t = field.from_fraction(cand)
-        trial = linalg.mat_add(rep.r, linalg.mat_scale(t, rep.rbar))
-        if linalg.rank(trial) == d:
-            shift = t
-            amat = trial
-            break
-    if shift is None:
-        raise ClassificationError("regular pencil without invertible member")
+def _regular_blocks(rep: QuiverRep, t: CycNum, amat) -> list[PencilBlock]:
+    """Jordan blocks of a regular pencil with r + t rbar = amat invertible:
+    one Jordan basis of b = amat^-1 rbar per eigenvalue mu, built top-down
+    from the kernels of the powers of b - mu; V1 gets the images under amat."""
+    field, d = rep.field, rep.d0
     b = linalg.mat_mul(linalg.inverse(amat), rep.rbar)
-    cp = linalg.charpoly(b)
-    roots, nonlinear = roots_in_field(cp)
+    roots, nonlinear = roots_in_field(linalg.charpoly(b))
     if nonlinear:
         raise EigenvalueOutsideField(nonlinear)
-    mu, mult = roots[0]
-    one = field.one
-    nmat = [[b[i][j] - (mu if i == j else field.zero) for j in range(d)] for i in range(d)]
-    if mult < d:
-        # split the generalized eigenspace off and recurse on both halves
-        u0 = linalg.nullspace(linalg.mat_pow(nmat, mult))
-        u1 = [linalg.mat_vec(amat, v) for v in u0]
-        proj = _split_projector(rep, u0, u1)
-        return _decompose_on(rep, u0, u1) + \
-            _decompose_on(rep, linalg.nullspace(proj["pi0"]), linalg.nullspace(proj["pi1"]))
-    # single eigenvalue: peel one maximal Jordan chain
-    powers = [linalg.identity(field, d)]
-    while not linalg.is_zero_mat(powers[-1]):
-        powers.append(linalg.mat_mul(powers[-1], nmat))
-    height = len(powers) - 1  # nilpotency index
-    vec = None
-    for i in range(d):
-        cand = _unit(field, d, i)
-        if any(linalg.mat_vec(powers[height - 1], cand)):
-            vec = cand
-            break
-    if vec is None:
-        raise ClassificationError("no vector of maximal Jordan height")
-    chain_cols = []
-    for k in range(height - 1, -1, -1):
-        chain_cols.append(linalg.mat_vec(powers[k], vec))
-    u0 = chain_cols
-    u1 = [linalg.mat_vec(amat, v) for v in u0]
-    z = _eigenvalue_to_z(field, shift, mu)
-    proj = _split_projector(rep, u0, u1)
-    block = _canonical_block(rep, "regular", height, z, u0, u1)
-    return [block] + _decompose_on(rep, linalg.nullspace(proj["pi0"]), linalg.nullspace(proj["pi1"]))
+    blocks = []
+    for mu, mult in roots:
+        nmat = [[x - mu if i == j else x for j, x in enumerate(row)] for i, row in enumerate(b)]
+        kernels, power = [[]], nmat
+        while len(kernels[-1]) < mult:
+            kernels.append(linalg.nullspace(power))
+            if len(kernels[-1]) == len(kernels[-2]):
+                raise ClassificationError("generalized eigenspace smaller than the multiplicity")
+            power = linalg.mat_mul(power, nmat)
+        chains = []  # chain[i] = (b - mu)^(len - 1 - i) top, so chain[j - 1] sits at height j
+        for height in range(len(kernels) - 1, 0, -1):
+            seen = linalg.RowSpace(field, d)
+            for v in kernels[height - 1] + [ch[height - 1] for ch in chains]:
+                seen.add(v)
+            for top in kernels[height]:
+                if seen.add(top):
+                    chain = [top]
+                    for _ in range(height - 1):
+                        chain.insert(0, linalg.mat_vec(nmat, chain[0]))
+                    chains.append(chain)
+        z = _eigenvalue_to_z(field, t, mu)
+        blocks += [_canonical_block(rep, "regular", len(ch), z, ch, [linalg.mat_vec(amat, v) for v in ch])
+                   for ch in chains]
+    return blocks
 
 
 def _eigenvalue_to_z(field, shift: CycNum, mu: CycNum) -> CP1:

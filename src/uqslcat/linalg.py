@@ -266,7 +266,7 @@ def charpoly(a) -> list[CycNum]:
 
 class BlockSystem:
     """Linear system whose unknowns are the entries of several named
-    matrices; used for intertwiner and projector solves."""
+    matrices; used for intertwiner and Hom-space solves."""
 
     def __init__(self, field: CycField):
         self.field = field

@@ -30,6 +30,11 @@ def _sign(a) -> int:
     raise ValueError(f"bad sign {a!r}")
 
 
+def family_label(family: str, a: int, s: int) -> str:
+    """The label of the sign-a member at s of a module family, e.g. X+_1."""
+    return f"{family}{'+' if a > 0 else '-'}_{s}"
+
+
 class CP1:
     """A point z = z1 : z2 of the projective line over Q(zeta_2p),
     stored in the canonical form (1, z2/z1) or (0, 1)."""
@@ -239,7 +244,7 @@ def irreducible(p: int, a, s: int) -> QMod:
         if n + 1 < s:
             mat_f[n + 1][n] = field.one
     return QMod(p, mat_e, mat_f, irreducible_weights(p, a, s),
-                label=f"X{'+' if a > 0 else '-'}_{s}", field=field)
+                label=family_label("X", a, s), field=field)
 
 
 def build_glued(p: int, a, s: int, rep) -> QMod:
@@ -294,7 +299,7 @@ def build_w2(p: int, a, s: int) -> QMod:
     field = CycField(2 * p)
     one, zero = field.one, field.zero
     m = build_glued(p, a, s, QuiverRep(2, 1, [[zero, one]], [[one, zero]], field))
-    return m.relabel(f"W{'+' if a > 0 else '-'}_{s}(2)")
+    return m.relabel(family_label("W", a, s) + "(2)")
 
 
 def build_m2(p: int, a, s: int) -> QMod:
@@ -306,7 +311,7 @@ def build_m2(p: int, a, s: int) -> QMod:
     field = CycField(2 * p)
     one, zero = field.one, field.zero
     m = build_glued(p, a, s, QuiverRep(1, 2, [[zero], [one]], [[one], [zero]], field))
-    return m.relabel(f"M{'+' if a > 0 else '-'}_{s}(2)")
+    return m.relabel(family_label("M", a, s) + "(2)")
 
 
 def build_o1(p: int, a, s: int, z: CP1) -> QMod:
@@ -316,7 +321,7 @@ def build_o1(p: int, a, s: int, z: CP1) -> QMod:
 
     a = _sign(a)
     m = build_glued(p, a, s, QuiverRep(1, 1, [[z.z1]], [[z.z2]], z.z1.field))
-    return m.relabel(f"O{'+' if a > 0 else '-'}_{s}(1,{z!r})")
+    return m.relabel(family_label("O", a, s) + f"(1,{z!r})")
 
 
 def build_p(p: int, a, s: int) -> QMod:
@@ -364,7 +369,7 @@ def build_p(p: int, a, s: int) -> QMod:
     mat_f[A(0)][X(t - 1)] = one
     mat_f[Y(0)][B(s - 1)] = one
     return QMod(p, mat_e, mat_f, weights,
-                label=f"P{'+' if a > 0 else '-'}_{s}", field=field)
+                label=family_label("P", a, s), field=field)
 
 
 def direct_sum(*mods: QMod) -> QMod:
@@ -656,19 +661,24 @@ def semisimple_length_of(m: QMod) -> int:
     return length
 
 
-def block_index(m: QMod) -> int:
-    """The Casimir block s in 0..p the module lives in; raises when the
-    module mixes blocks."""
+def casimir_blocks(m: QMod):
+    """Yield (s, (C - beta_s)^k) over the Casimir roots beta_s, with k = 1
+    in the semisimple blocks s = 0, p and k = 2 otherwise: the block of m at
+    s is the kernel, and m lies in it alone when the matrix is zero."""
     from .algebra import casimir
 
     cd = casimir(m.p)
     act = action_matrix(m, cd.element)
     for s, beta in enumerate(cd.roots):
-        shifted = [
-            [act[i][j] - (beta if i == j else m.field.zero) for j in range(m.dim)]
-            for i in range(m.dim)
-        ]
-        if linalg.is_zero_mat(linalg.mat_mul(shifted, shifted)):
+        shifted = [[x - beta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(act)]
+        yield s, (shifted if s in (0, m.p) else linalg.mat_mul(shifted, shifted))
+
+
+def block_index(m: QMod) -> int:
+    """The Casimir block s in 0..p the module lives in; raises when the
+    module mixes blocks."""
+    for s, nil in casimir_blocks(m):
+        if linalg.is_zero_mat(nil):
             return s
     raise ValueError("module does not lie in a single Casimir block")
 

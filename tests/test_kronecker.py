@@ -246,3 +246,56 @@ def test_equal_multisets_yield_explicit_conjugation():
     c1 = linalg.mat_mul(db.s1, linalg.inverse(da.s1))
     assert linalg.mat_eq(linalg.mat_mul(b.r, c0), linalg.mat_mul(c1, a.r))
     assert linalg.mat_eq(linalg.mat_mul(b.rbar, c0), linalg.mat_mul(c1, a.rbar))
+
+
+MIXTURE_ENTRIES = [
+    ("preinjective", 2, None, 1),
+    ("preprojective", 0, None, 1), ("preprojective", 1, None, 2), ("preprojective", 3, None, 1),
+    ("regular", 1, "1:q", 1), ("regular", 2, "0:1", 1), ("regular", 2, "1:q", 1),
+]
+
+
+def _scrambled_mixture(f, rng):
+    # rho0 + rho1 + rho1 + rho3 + preinjective_2 + J2(1:q) + J1(1:q) + J2(0:1)
+    q = CP1(f.one, f.gen())
+    parts = [canonical_rep(f, "preprojective", n) for n in (0, 1, 1, 3)]
+    parts += [canonical_rep(f, "preinjective", 2), canonical_rep(f, "regular", 2, q),
+              canonical_rep(f, "regular", 1, q), canonical_rep(f, "regular", 2, CP1(f.zero, f.one))]
+    rep = parts[0]
+    for part in parts[1:]:
+        rep = rep.direct_sum(part)
+
+    def invertible(n):
+        while True:
+            g = [[f.from_fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
+            if linalg.rank(g) == n:
+                return g
+
+    g0, g1inv = invertible(rep.d0), invertible(rep.d1)
+    conj = lambda m: linalg.mat_mul(g1inv, linalg.mat_mul(m, g0))
+    return QuiverRep(rep.d0, rep.d1, conj(rep.r), conj(rep.rbar), f)
+
+
+def _assert_certified(rep, d):
+    assert linalg.mat_eq(linalg.mat_mul(rep.r, d.s0), linalg.mat_mul(d.s1, d.canonical.r))
+    assert linalg.mat_eq(linalg.mat_mul(rep.rbar, d.s0), linalg.mat_mul(d.s1, d.canonical.rbar))
+    assert linalg.rank(d.s0) == rep.d0 and linalg.rank(d.s1) == rep.d1
+
+
+def test_scrambled_mixture_of_every_kind(rng):
+    # several chains of one degree and shifts of lower-degree chains in the
+    # minimal basis, two Jordan chains at one point, a block at infinity
+    f = CycField(4)
+    rep = _scrambled_mixture(f, rng)
+    d = classify(rep)
+    _assert_certified(rep, d)
+    assert entry_set(d) == MIXTURE_ENTRIES
+
+
+def test_transpose_swaps_the_singular_kinds(rng):
+    f = CycField(4)
+    rep = _scrambled_mixture(f, rng)
+    swap = {"preprojective": "preinjective", "preinjective": "preprojective", "regular": "regular"}
+    dt = classify(rep.transposed())
+    _assert_certified(rep.transposed(), dt)
+    assert entry_set(dt) == sorted((swap[kind], n, z, m) for kind, n, z, m in MIXTURE_ENTRIES)

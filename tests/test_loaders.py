@@ -7,12 +7,13 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uqslcat.cli import run
-from uqslcat.cyclotomic import CycField, CycNum
+from uqslcat.cyclotomic import MAX_EXPONENT, CycField, CycNum
 from uqslcat.kronecker import QuiverRep, canonical_rep
 from uqslcat.qmodules import CP1, QMod, build_o1, irreducible
 
@@ -90,6 +91,22 @@ def test_quiver_loader_rejects(case):
 def test_number_loader_rejects(doc, field):
     with pytest.raises(ValueError, match=field):
         CycNum.from_json(doc)
+
+
+def test_number_loader_takes_only_integer_or_fraction_strings():
+    # exponent notation once loaded "1e99999" as a 332,190-bit integer
+    for coeff in ("1e99999", "0.5", " 1", "1_0", 1):
+        with pytest.raises(ValueError, match="'coeffs'"):
+            CycNum.from_json({"order": 4, "coeffs": [coeff, "0"]})
+    assert CycNum.from_json({"order": 4, "coeffs": ["-3/4", "2"]}) == CycField(4).from_coeffs([Fraction(-3, 4), 2])
+
+
+def test_label_exponent_above_the_bound_fails_cleanly(capsys):
+    for label in (f"O+:1:1:q^{MAX_EXPONENT + 1}/1", f"O+:1:1:(q^2)^{MAX_EXPONENT // 2 + 1}/1"):
+        code = run(["build", "--p", "2", "--family", label])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out and len(err.splitlines()) == 1 and str(MAX_EXPONENT) in err
+    assert run(["build", "--p", "2", "--family", f"O+:1:1:q^{MAX_EXPONENT}/1"]) == 0
 
 
 def test_valid_files_still_load():
