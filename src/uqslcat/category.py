@@ -1,12 +1,15 @@
 """Categorical analysis of the finite-dimensional module category.
 
-The decomposition algorithm follows the structure of the category:
-split into Casimir blocks, peel off projective summands using their
-injectivity (a retraction always exists once the socle maps in), and
-send the semisimple-length-two remainder through the Kronecker-quiver
-functor, where the pencil canonical form names every summand.  Each
-step keeps explicit bases, so the final report carries an exact
-isomorphism certificate from the direct sum of freshly rebuilt
+The decomposition algorithm follows the structure of the category and
+solves for no intertwiner: split into Casimir blocks; inside a block the
+projectives and the Steinberg module are cyclic on their top vector, so
+their Hom spaces into the block are weight spaces, and all projective
+summands come at once, with the annihilator of the projective part of
+the dual as complement; the semisimple-length-two remainder splits by
+the sign of its top and goes through the Kronecker-quiver functor, read
+off highest-weight vectors, where the pencil canonical form names every
+summand.  Each step keeps explicit bases, so the final report carries an
+exact isomorphism certificate from the direct sum of freshly rebuilt
 canonical modules onto the input.
 
 Minimal projective resolutions are built by iterating projective
@@ -23,10 +26,11 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .cyclotomic import CycField, CycNum
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
-                        canonical_rep, classify, functor_F, functor_G)
-from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, direct_sum, family_label,
-                       intertwiner_basis, irreducible, quotient, radical_columns,
-                       socle_columns, submodule)
+                        canonical_rep, classify, functor_G, glued_form)
+from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, direct_sum, dual, family_label,
+                       intertwiner_basis, irreducible, irreducible_weights, maps_from_generator,
+                       quotient, radical_columns, radical_series, socle_columns, submodule,
+                       weight_vectors)
 from .qmodules import semisimple_length_of as semisimple_length
 
 
@@ -101,26 +105,6 @@ def socle(m: QMod) -> tuple[QMod, list]:
     """The maximal semisimple submodule with its embedding."""
     cols = socle_columns(m)
     return submodule(m, cols)
-
-
-def radical_series(m: QMod) -> list[tuple[QMod, list]]:
-    """m = N_0 > N_1 > ... > N_l = 0 with semisimple quotients; each
-    entry is (N_k, embedding into m), starting at k = 1."""
-    series = []
-    cur, cur_emb = m, linalg.identity(m.field, m.dim)
-    while cur.dim:
-        cols = radical_columns(cur)
-        nxt, emb = submodule(cur, cols)
-        if nxt.dim == cur.dim:
-            raise ClassificationError("radical series stalls")
-        cur_emb = linalg.mat_mul(cur_emb, emb) if nxt.dim else []
-        cur = nxt
-        series.append((cur, cur_emb))
-        if cur.dim == 0:
-            break
-    if m.dim == 0:
-        return []
-    return series
 
 
 def top_of(m: QMod) -> tuple[QMod, list]:
@@ -267,140 +251,112 @@ def _verify_certificate(m: QMod, entries, cert) -> None:
 
 
 def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
-    m = bp.module
-    p = m.p
-    if m.dim == 0:
-        return []
+    """All summands of one Casimir block.  In a semisimple block every
+    highest-weight vector spans a copy of the Steinberg module.  Otherwise
+    the projective summands come at once: P = P^a_s is cyclic on its top
+    vector b_0, so Hom(P, m) is the weight space of b_0, and v generates an
+    embedded copy exactly when F E v, the image of the socle of P, is
+    nonzero; generators with independent F E v embed the whole projective
+    part.  A projective part of dual(m) picked the same way pairs perfectly
+    with it, since the rest of m has no projective summand, so its
+    annihilator is a complement."""
+    m, p = bp.module, bp.module.p
     if bp.s in (0, p):
         a = 1 if bp.s == p else -1
         x = irreducible(p, a, p)
-        homs = intertwiner_basis(x, m)
+        homs = maps_from_generator(x, 0, m, weight_vectors(m, x.weights[0]))
         if len(homs) * p != m.dim:
             raise ClassificationError("semisimple block of unexpected size")
-        label = IndecLabel("X", a, p)
-        return [(label, linalg.mat_mul(bp.embedding, phi)) for phi in homs]
+        return [(IndecLabel("X", a, p), linalg.mat_mul(bp.embedding, phi)) for phi in homs]
     out: list[tuple[IndecLabel, list]] = []
-    current, cur_emb = m, bp.embedding
-    # peel projective summands using injectivity
-    while current.dim:
-        found = False
-        for a2, s2 in ((1, bp.s), (-1, p - bp.s)):
-            proj = build_p(p, a2, s2)
-            homs = intertwiner_basis(proj, current)
-            for phi in homs:
-                if not any(phi[i][j] for i in range(current.dim) for j in range(s2)):
-                    continue  # kills the socle, not an embedding
-                # a retraction rho with rho phi = id exists since proj is injective
-                retraction = _solve_in_hom(current, proj, lambda h: linalg.mat_mul(h, phi),
-                                           linalg.identity(m.field, proj.dim))
-                if retraction is None:
-                    raise ClassificationError("projective embedding without retraction")
-                out.append((IndecLabel("P", a2, s2), linalg.mat_mul(cur_emb, phi)))
-                comp_cols = linalg.nullspace(retraction)
-                current, emb = submodule(current, comp_cols)
-                cur_emb = linalg.mat_mul(cur_emb, emb) if current.dim else []
-                found = True
-                break
-            if found:
-                break
-        if not found:
-            break
-    if current.dim == 0:
-        return out
-    out.extend(_decompose_length_two(current, cur_emb, bp.s))
+    dual_rows: list[list[CycNum]] = []
+    dm = dual(m)
+    for a, s in ((1, bp.s), (-1, p - bp.s)):
+        proj = build_p(p, a, s)  # generated by its top vector b_0, the basis vector s
+        gens = _projective_generators(m, proj.weights[s])
+        dual_gens = _projective_generators(dm, proj.weights[s])
+        if len(gens) != len(dual_gens):
+            raise ClassificationError("the module and its dual have different projective parts")
+        for phi in maps_from_generator(proj, s, m, gens):
+            out.append((IndecLabel("P", a, s), linalg.mat_mul(bp.embedding, phi)))
+        for psi in maps_from_generator(proj, s, dm, dual_gens):
+            dual_rows.extend(linalg.transpose(psi))
+    rest, emb = m, bp.embedding
+    if dual_rows:
+        rest, rest_emb = submodule(m, linalg.nullspace(dual_rows))
+        emb = linalg.mat_mul(emb, rest_emb)
+    if rest.dim:
+        out.extend(_decompose_length_two(rest, emb, bp.s))
     return out
+
+
+def _projective_generators(m: QMod, top: CycNum) -> list[list[CycNum]]:
+    """Vectors of the top weight of a projective cover whose F E v are
+    independent: the generators of a maximal projective part of that type."""
+    socle = linalg.RowSpace(m.field, m.dim)
+    return [v for v in weight_vectors(m, top)
+            if socle.add(linalg.mat_vec(m.mat_f, linalg.mat_vec(m.mat_e, v)))]
+
+
+def _top_radical(m: QMod, sign: int, s_top: int) -> linalg.RowSpace:
+    """rad(m) at the sign-a top weight of a projective-free module m of
+    semisimple length two: the span of F^t v and E^s v over the top-weight
+    vectors v of the opposite sign (t = p - s), as the images of the two
+    gluings of that top into the socle."""
+    p, t = m.p, m.p - s_top
+    radical = linalg.RowSpace(m.field, m.dim)
+    for v in weight_vectors(m, irreducible_weights(p, -sign, t)[0]):
+        for mat, k in ((m.mat_f, t), (m.mat_e, s_top)):
+            w = v
+            for _ in range(k):
+                w = linalg.mat_vec(mat, w)
+            radical.add(w)
+    return radical
 
 
 def _decompose_length_two(m: QMod, emb, s_block: int) -> list[tuple[IndecLabel, list]]:
     """Split the projective-free remainder into its +/- parts by the sign
     of the top, and classify each through the Kronecker functor.
 
-    The sign-a part is the sum of the images of maps from the projective
-    cover of the sign-a top whose induced maps on tops are independent;
-    with no projective summands left, such an image never touches the
-    sign-a part of the socle, so the two parts are complementary."""
-    p, field = m.p, m.field
-    top, proj_to_top = top_of(m)
+    The sign-a part is generated by top-weight vectors of sign a that are
+    independent modulo the radical (see _top_radical).  With no projective
+    summands left it has semisimple length two, so it meets the socle in
+    no sign-a vector and the two parts are complementary; its socle
+    highest-weight vectors are all of rad(m) at the opposite top weight.
+    Its quiver representation is read off the basis that F generates from
+    these two sets of vectors."""
+    p = m.p
+    tops = {1: s_block, -1: p - s_block}
+    radicals = {sign: _top_radical(m, sign, s_top) for sign, s_top in tops.items()}
+    socles = {sign: radicals[-sign].basis() for sign in tops}
     out = []
     dims = 0
-    for sign, s_top in ((1, s_block), (-1, p - s_block)):
-        pmod = build_p(p, sign, s_top)
-        top_idx = list(range(s_top, 2 * s_top))  # top block of the cover
-        covered = linalg.RowSpace(field, top.dim)
-        part_rows = linalg.RowSpace(field, m.dim)
-        cols: list[list[CycNum]] = []
-        for phi in intertwiner_basis(pmod, m):
-            induced = linalg.mat_mul(proj_to_top, phi)
-            if not any(induced[i][j] for i in range(top.dim) for j in top_idx):
-                continue
-            grew = False
-            for j in top_idx:
-                if covered.add([induced[i][j] for i in range(top.dim)]):
-                    grew = True
-            if not grew:
-                continue
-            for j in range(pmod.dim):
-                col = [phi[i][j] for i in range(m.dim)]
-                if any(col) and part_rows.add(col):
-                    cols.append(col)
-        if not cols:
-            continue
-        part, part_emb = submodule(m, cols)
-        dims += part.dim
-        out.extend(_classify_part(part, linalg.mat_mul(emb, part_emb), sign, s_block))
+    for sign, s_top in tops.items():
+        v0 = [v for v in weight_vectors(m, irreducible_weights(p, sign, s_top)[0]) if radicals[sign].add(v)]
+        if v0:
+            dims += len(v0) * s_top + len(socles[sign]) * (p - s_top)
+            out.extend(_classify_part(m, emb, sign, s_top, v0, socles[sign]))
     if dims != m.dim:
         raise ClassificationError("plus/minus top split does not exhaust the remainder")
     return out
 
 
-def _classify_part(m: QMod, emb, sign: int, s_block: int) -> list[tuple[IndecLabel, list]]:
-    p, field = m.p, m.field
-    rep, v0, v1, (s_top, x_soc) = functor_F(m, sign, with_data=True)
-    qd = classify(rep)
-    gmod = functor_G(rep, p, sign, s_top)
-    t = p - s_top
-    # evaluation isomorphism G(F(m)) -> m: top copy j via the Hom(M2, m)
-    # basis element, socle copy i via the Hom(X, m) basis element
-    ev_cols: list[list[CycNum]] = []
-    for j, phi in enumerate(v0):
-        for nu in range(s_top):
-            ev_cols.append([phi[i][nu] for i in range(m.dim)])
-    for i_c, psi in enumerate(v1):
-        for k in range(t):
-            ev_cols.append([psi[i][k] for i in range(m.dim)])
-    ev = [[ev_cols[j][i] for j in range(len(ev_cols))] for i in range(m.dim)]
-    if linalg.rank(ev) != m.dim or gmod.dim != m.dim:
-        raise ClassificationError("evaluation map of the quiver functor is not invertible")
-    for gen in ("E", "F", "K"):
-        if not linalg.mat_eq(linalg.mat_mul(m.mat(gen), ev), linalg.mat_mul(ev, gmod.mat(gen))):
-            raise ClassificationError("evaluation map fails to intertwine")
-    full = linalg.mat_mul(emb, ev)
-    out = []
-    for blk in qd.blocks:
-        lbl = _label_from_pencil(blk, sign, s_top, p)
-        canon = blk.canonical(field)
-        gs_cols = []
-        for jp in range(canon.d0):
-            s0col = blk.u0[jp]
-            for nu in range(s_top):
-                col = [field.zero] * gmod.dim
-                for j in range(rep.d0):
-                    if s0col[j]:
-                        col[j * s_top + nu] = s0col[j]
-                gs_cols.append(col)
-        for ip in range(canon.d1):
-            s1col = blk.u1[ip]
-            for k in range(t):
-                col = [field.zero] * gmod.dim
-                for i in range(rep.d1):
-                    if s1col[i]:
-                        col[rep.d0 * s_top + i * t + k] = s1col[i]
-                gs_cols.append(col)
-        piece_cols_mat = [
-            [gs_cols[j][i] for j in range(len(gs_cols))] for i in range(gmod.dim)
-        ]
-        out.append((lbl, linalg.mat_mul(full, piece_cols_mat)))
-    return out
+def _classify_part(m: QMod, emb, sign: int, s_top: int, v0, v1) -> list[tuple[IndecLabel, list]]:
+    """The summands of the part of m that the top vectors v0 generate over
+    the socle highest-weight vectors v1, with their columns through emb."""
+    try:
+        rep, ev = glued_form(m, sign, s_top, v0, v1)  # ev: G(F(part)) -> m
+    except ValueError as err:
+        raise ClassificationError(f"quiver functor: {err}") from err
+    full, t = linalg.mat_mul(emb, ev), m.p - s_top
+
+    def spread(cols, copies, offset):  # copy k of a quiver column c is sum_j c_j (copy k of j)
+        return [[sum((c * row[offset + j * copies + k] for j, c in enumerate(col) if c), m.field.zero)
+                 for row in full] for col in cols for k in range(copies)]
+
+    return [(_label_from_pencil(blk, sign, s_top, m.p),
+             linalg.transpose(spread(blk.u0, s_top, 0) + spread(blk.u1, t, rep.d0 * s_top)))
+            for blk in classify(rep).blocks]
 
 
 # -- projective covers and minimal resolutions ------------------------------------------

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from . import linalg
 from .cyclotomic import CycField, CycNum, json_field, json_value
 from .polys import roots_in_field
-from .qmodules import CP1, QMod, build_glued, block_index, intertwiner_basis, \
-    irreducible, semisimple_length_of
+from .qmodules import CP1, QMod, block_index, build_glued, irreducible_weights, submodule, \
+    weight_vectors
 
 
 class ClassificationError(RuntimeError):
@@ -480,62 +480,54 @@ def _eigenvalue_to_z(field, shift: CycNum, mu: CycNum) -> CP1:
 # -- the two functors -----------------------------------------------------------
 
 
-def socle_embeddings(p: int, a, s_top: int):
-    """The two fixed embeddings of the opposite irreducible into the
-    one-top-two-socle module: first the F-gluing copy, then the E-gluing
-    copy (the basis of the rank-two extension space)."""
-    from .qmodules import build_m2
+def glued_form(m: QMod, sign: int, s_top: int, v0, v1):
+    """(rep, basis) for top highest-weight vectors v0 and socle
+    highest-weight vectors v1 of m: the columns of basis are F^nu u for u
+    in v0, nu < s_top, then F^k w for w in v1, k < p - s_top, the basis of
+    build_glued(p, sign, s_top, rep) in its order, and rep is read off the
+    action of m on them.  Raises ValueError unless they are independent,
+    span a submodule and carry exactly the action of build_glued(rep), so
+    that basis is an injective module map from it into m."""
+    p, field, t = m.p, m.field, m.p - s_top
+    cols = []
+    for vecs, length in ((v0, s_top), (v1, t)):
+        for v in vecs:
+            for _ in range(length):
+                cols.append(v)
+                v = linalg.mat_vec(m.mat_f, v)
+    if cols and linalg.rank(cols) != len(cols):
+        raise ValueError("the highest-weight vectors generate dependent columns")
+    sub, basis = submodule(m, cols)
+    d0, d1 = len(v0), len(v1)
+    top, soc = (lambda j, nu: j * s_top + nu), (lambda i, k: d0 * s_top + i * t + k)
+    rep = QuiverRep(d0, d1, [[sub.mat_f[soc(i, 0)][top(j, s_top - 1)] for j in range(d0)] for i in range(d1)],
+                    [[sub.mat_e[soc(i, t - 1)][top(j, 0)] for j in range(d0)] for i in range(d1)], field)
+    glued = build_glued(p, sign, s_top, rep)
+    if not (linalg.mat_eq(sub.mat_e, glued.mat_e) and linalg.mat_eq(sub.mat_f, glued.mat_f)
+            and sub.weights == glued.weights):
+        raise ValueError("the module is not one top glued over one socle along its representation")
+    return rep, basis
 
-    a = 1 if a in (1, "+") else -1
-    m2 = build_m2(p, a, s_top)
-    field = m2.field
-    t = p - s_top
-    eps = linalg.zeros(field, m2.dim, t)  # F-gluing copy: second socle block
-    epsbar = linalg.zeros(field, m2.dim, t)  # E-gluing copy: first socle block
-    for k in range(t):
-        epsbar[s_top + k][k] = field.one
-        eps[s_top + t + k][k] = field.one
-    return m2, eps, epsbar
 
-
-def functor_F(m: QMod, sign, with_data: bool = False):
+def functor_F(m: QMod, sign) -> QuiverRep:
     """Quiver representation of a semisimple-length-two module whose top
     is concentrated in the given sign: V0 = Hom(M2, m) and
-    V1 = Hom(X_socle, m), with the arrows given by composition with the
-    two socle embeddings."""
+    V1 = Hom(X_socle, m), which are the weight spaces of the top and socle
+    highest weights, since M2 and X_socle are cyclic on their top vectors;
+    the arrows are read off the action on the basis these generate under F.
+    Raises ValueError unless G(F(m)) = m on that basis exactly, which
+    rejects a module of greater length or with a top of both signs."""
     sign = 1 if sign in (1, "+") else -1
-    if semisimple_length_of(m) > 2:
-        raise ValueError("the quiver functor needs semisimple length <= 2")
     p = m.p
     s_block = block_index(m)
     if not 1 <= s_block <= p - 1:
         raise ValueError("the quiver functor applies to the non-semisimple blocks only")
     s_top = s_block if sign > 0 else p - s_block
-    m2, eps, epsbar = socle_embeddings(p, sign, s_top)
-    x_soc = irreducible(p, -sign, p - s_top)
-    v0 = intertwiner_basis(m2, m)
-    v1 = intertwiner_basis(x_soc, m)
-    field = m.field
-    d0, d1 = len(v0), len(v1)
-
-    def coords(phi_eps):
-        c = linalg.solve_combination(v1, phi_eps)
-        if c is None:
-            raise ClassificationError("socle composition left the socle Hom space")
-        return c
-
-    r = linalg.zeros(field, d1, d0)
-    rbar = linalg.zeros(field, d1, d0)
-    for j, phi in enumerate(v0):
-        ce = coords(linalg.mat_mul(phi, eps))
-        cb = coords(linalg.mat_mul(phi, epsbar))
-        for i in range(d1):
-            r[i][j] = ce[i]
-            rbar[i][j] = cb[i]
-    rep = QuiverRep(d0, d1, r, rbar, field)
-    if with_data:
-        return rep, v0, v1, (s_top, x_soc)
-    return rep
+    v0 = weight_vectors(m, irreducible_weights(p, sign, s_top)[0])
+    v1 = weight_vectors(m, irreducible_weights(p, -sign, p - s_top)[0])
+    if len(v0) * s_top + len(v1) * (p - s_top) != m.dim:
+        raise ValueError("the top and socle highest weights do not generate the module")
+    return glued_form(m, sign, s_top, v0, v1)[0]
 
 
 def functor_G(rep: QuiverRep, p: int, a, s: int) -> QMod:

@@ -83,11 +83,13 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
+    nz = [(k, y) for k, y in enumerate(v) if y]
     out = []
     for row in a:
         acc = None
-        for x, y in zip(row, v):
-            if x and y:
+        for k, y in nz:
+            x = row[k]
+            if x:
                 acc = x * y if acc is None else acc + x * y
         out.append(acc if acc is not None else v[0].field.zero)
     return out

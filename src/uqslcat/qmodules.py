@@ -548,6 +548,38 @@ def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
     return out
 
 
+def weight_vectors(m: QMod, weight: CycNum) -> list[list[CycNum]]:
+    """The basis vectors of m of the given K-weight: a basis of the weight
+    space, since the basis of m is a K-eigenbasis."""
+    return [_basis_vec(m.field, m.dim, i) for i, w in enumerate(m.weights) if w == weight]
+
+
+def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[list[CycNum]]]:
+    """For each image v, the map src -> dst sending the basis vector gen of
+    src to v: every other basis vector of src is (a multiple of) an E/F word
+    applied to gen, found along columns of E and F with a single nonzero
+    entry, and is sent to that word applied to v.  The result intertwines
+    exactly when v is killed by all that kills gen; within one Casimir block
+    this holds for every v of the weight of gen when src is a projective
+    cover or the Steinberg module and gen its top vector."""
+    steps, reached = [], [gen]  # steps: (basis index, from index, generator, coefficient)
+    for i in reached:
+        for g in ("E", "F"):
+            col = [(r, row[i]) for r, row in enumerate(src.mat(g)) if row[i]]
+            if len(col) == 1 and col[0][0] not in reached:
+                reached.append(col[0][0])
+                steps.append((col[0][0], i, g, col[0][1].inv()))
+    if len(reached) != src.dim:
+        raise ValueError(f"basis vector {gen} does not generate the module along single-entry columns")
+    out = []
+    for v in images:
+        cols = {gen: list(v)}
+        for j, i, g, inv in steps:
+            cols[j] = [x * inv if x else x for x in linalg.mat_vec(dst.mat(g), cols[i])]
+        out.append([[cols[j][r] for j in range(src.dim)] for r in range(dst.dim)])
+    return out
+
+
 def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[CycNum]]]:
     """Restrict the action to the span of K-homogeneous columns; returns
     the submodule and the embedding matrix (dim x k)."""
@@ -646,19 +678,23 @@ def socle_columns(m: QMod) -> list[list[CycNum]]:
     return out
 
 
+def radical_series(m: QMod) -> list[tuple[QMod, list]]:
+    """m = N_0 > N_1 > ... > N_l = 0 with semisimple quotients; each
+    entry is (N_k, embedding into m), starting at k = 1."""
+    series, cur, cur_emb = [], m, linalg.identity(m.field, m.dim)
+    while cur.dim:
+        nxt, emb = submodule(cur, radical_columns(cur))
+        if nxt.dim == cur.dim:
+            raise ValueError("radical series does not terminate")
+        cur, cur_emb = nxt, (linalg.mat_mul(cur_emb, emb) if nxt.dim else [])
+        series.append((cur, cur_emb))
+    return series
+
+
 def semisimple_length_of(m: QMod) -> int:
     """Length of the radical series (the minimal semisimple filtration
     length for these algebras)."""
-    length = 0
-    cur = m
-    while cur.dim:
-        cols = radical_columns(cur)
-        nxt, _ = submodule(cur, cols)
-        length += 1
-        if nxt.dim == cur.dim:
-            raise ValueError("radical series does not terminate")
-        cur = nxt
-    return length
+    return len(radical_series(m))
 
 
 def casimir_blocks(m: QMod):

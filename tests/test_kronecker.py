@@ -194,6 +194,17 @@ def test_functor_f_rejects_length_three():
         functor_F(build_p(2, 1, 1), 1)
 
 
+def test_functor_f_rejects_a_top_of_both_signs():
+    # W+ over a W- in the same block: functor_F(., +1) once returned a
+    # representation whose G image had dimension 4 (p = 2) or 5 (p = 3)
+    from uqslcat.qmodules import direct_sum
+
+    for m in (direct_sum(build_w2(2, 1, 1), build_w2(2, -1, 1)),
+              direct_sum(build_w2(3, 1, 1), build_w2(3, -1, 2))):
+        with pytest.raises(ValueError):
+            functor_F(m, 1)
+
+
 def test_functors_additive(rng):
     f = CycField(4)
     p, a, s = 2, 1, 1
