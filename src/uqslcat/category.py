@@ -13,15 +13,19 @@ exact isomorphism certificate from the direct sum of freshly rebuilt
 canonical modules onto the input.
 
 Minimal projective resolutions are built by iterating projective
-covers; since covers are minimal, applying Hom(-, simple) kills all
-differentials and Ext dimensions are read off the resolution terms,
-while Yoneda products are computed by lifting cocycles through the
-resolutions (chain maps solved degree by degree).
+covers, which solve for no intertwiner either: the cover of a simple is
+cyclic on its top vector, so its maps into a module are the top-weight
+vectors of its Casimir block, and those outside F M + E^s M generate a
+minimal cover.  Since covers are minimal, Hom(-, simple) kills all
+differentials and Ext dimensions are the multiplicities in the terms;
+Yoneda products lift cocycles through the resolutions as chain maps,
+solved degree by degree over those same top-vector maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import linalg
 from .cyclotomic import CycField, CycNum
@@ -29,8 +33,7 @@ from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock
                         canonical_rep, classify, functor_G, glued_form)
 from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, direct_sum, dual, family_label,
                        intertwiner_basis, irreducible, irreducible_weights, maps_from_generator,
-                       quotient, radical_columns, radical_series, socle_columns, submodule,
-                       weight_vectors)
+                       radical_series, socle_columns, submodule, weight_vectors)
 from .qmodules import semisimple_length_of as semisimple_length
 
 
@@ -105,11 +108,6 @@ def socle(m: QMod) -> tuple[QMod, list]:
     """The maximal semisimple submodule with its embedding."""
     cols = socle_columns(m)
     return submodule(m, cols)
-
-
-def top_of(m: QMod) -> tuple[QMod, list]:
-    """m / rad(m) with the projection matrix."""
-    return quotient(m, radical_columns(m))
 
 
 # -- labels for the classification --------------------------------------------------
@@ -362,60 +360,68 @@ def _classify_part(m: QMod, emb, sign: int, s_top: int, v0, v1) -> list[tuple[In
 # -- projective covers and minimal resolutions ------------------------------------------
 
 
-def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, IndecLabel]:
+def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
+    """The projective cover of X^a_s with the index of its top vector: P^a_s
+    with b_0, or the Steinberg module X^a_p with its highest-weight vector."""
     if s == p:
-        return irreducible(p, a, p), IndecLabel("X", a, p)
-    return build_p(p, a, s), IndecLabel("P", a, s)
+        return irreducible(p, a, p), 0
+    return build_p(p, a, s), s
+
+
+def _top_vectors(m: QMod, a: int, s: int) -> list[list[CycNum]]:
+    """A basis of the images of the top vector under Hom(cover of X^a_s, m):
+    the vectors of weight lambda = a q^(s-1) in the Casimir block of X^a_s,
+    where m can meet other blocks too.  They are the kernel of (C - beta)^k
+    on the weight space (k = 2, or 1 in a semisimple block), where
+    C v = E F v + (q^-1 lambda + q lambda^-1)/(q - q^-1)^2 v."""
+    p, field = m.p, CycField(2 * m.p)
+    lam = irreducible_weights(p, a, s)[0]
+    vecs = weight_vectors(m, lam)
+    if not vecs:
+        return []
+    q, j = field.root_of_unity(1), s if a > 0 else p - s
+    scale = (q - q.inv()) ** 2
+    shift = q.inv() * lam + q * lam.inv() - field.root_of_unity(j) - field.root_of_unity(-j)
+    rows = [i for i, w in enumerate(m.weights) if w == lam]
+    ef = [linalg.mat_vec(m.mat_e, linalg.mat_vec(m.mat_f, v)) for v in vecs]
+    nil = [[scale * col[i] + (shift if r == c else field.zero) for c, col in enumerate(ef)]
+           for r, i in enumerate(rows)]  # (q - q^-1)^2 (C - beta) on the weight space
+    if 0 < j < p:
+        nil = linalg.mat_mul(nil, nil)
+    basis = linalg.transpose(vecs)
+    return [linalg.mat_vec(basis, w) for w in linalg.nullspace(nil)]
 
 
 def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], int]]]:
     """(P, surjection P -> m, content) where content lists the simple
-    tops (a, s) of the cover with multiplicities."""
+    tops (a, s) of the cover with multiplicities.  The cover of X^a_s is
+    cyclic on its top vector, so its maps into m are the _top_vectors of m;
+    in that block, rad(m) at the weight lambda = a q^(s-1) is
+    F m + E^s m, so the top vectors independent modulo it generate the
+    summands of the cover, one per copy of X^a_s in the top of m."""
     p, field = m.p, m.field
-    if m.dim == 0:
-        return QMod(p, [], [], [], field=field), [], []
-    top, proj_to_top = top_of(m)
-    cover_mods: list[QMod] = []
-    cover_maps: list = []  # m.dim x dim(P) blocks
-    content: list[tuple[tuple[int, int], int]] = []
-    covered = linalg.RowSpace(field, top.dim)
+    cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
     for a in (1, -1):
         for s in range(1, p + 1):
-            x = irreducible(p, a, s)
-            mult = len(intertwiner_basis(top, x))
-            if not mult:
+            tops = _top_vectors(m, a, s)
+            if not tops:
                 continue
-            pmod, _ = _cover_of_simple(p, a, s)
-            # top of the cover: for P it is the b-block, for Steinberg all of it
-            if s == p:
-                top_idx = list(range(p))
-            else:
-                top_idx = list(range(s, 2 * s))
-            taken = 0
-            for phi in intertwiner_basis(pmod, m):
-                if taken == mult:
-                    break
-                induced = linalg.mat_mul(proj_to_top, phi)
-                grew = False
-                for j in top_idx:
-                    col = [induced[i][j] for i in range(top.dim)]
-                    if covered.add(col):
-                        grew = True
-                if grew:
-                    cover_mods.append(pmod)
-                    cover_maps.append(phi)
-                    taken += 1
-            if taken != mult:
-                raise ClassificationError("projective cover misses part of the top")
-            content.append(((a, s), mult))
+            lam, root = irreducible_weights(p, a, s)[0], CycField(2 * p).root_of_unity
+            radical = linalg.RowSpace(field, m.dim)
+            for v in weight_vectors(m, lam * root(2)):
+                radical.add(linalg.mat_vec(m.mat_f, v))
+            for v in weight_vectors(m, lam * root(-2 * s)):
+                for _ in range(s):
+                    v = linalg.mat_vec(m.mat_e, v)
+                radical.add(v)
+            gens = [v for v in tops if radical.add(v)]
+            if gens:
+                pmod, top = _cover_of_simple(p, a, s)
+                cover_mods += [pmod] * len(gens)
+                cover_maps += maps_from_generator(pmod, top, m, gens)
+                content.append(((a, s), len(gens)))
     cover = direct_sum(*cover_mods) if cover_mods else QMod(p, [], [], [], field=field)
-    if cover.dim:
-        sur = [
-            [cover_maps[b][i][j] for b in range(len(cover_maps)) for j in range(cover_mods[b].dim)]
-            for i in range(m.dim)
-        ]
-    else:
-        sur = [[] for _ in range(m.dim)]
+    sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
     if linalg.rank(sur) != m.dim:
         raise ClassificationError("cover map is not surjective")
     return cover, sur, content
@@ -456,10 +462,7 @@ class Resolution:
     def _kernel_of(self, term: QMod, mapping):
         if term.dim == 0:
             return QMod(term.p, [], [], [], field=term.field), []
-        cols = linalg.nullspace(mapping) if mapping else [
-            [term.field.one if i == k else term.field.zero for i in range(term.dim)]
-            for k in range(term.dim)
-        ]
+        cols = linalg.nullspace(mapping) if mapping else linalg.identity(term.field, term.dim)
         return submodule(term, cols)
 
     def _verify_step(self) -> None:
@@ -479,16 +482,15 @@ class Resolution:
             raise ClassificationError("resolution is not exact")
 
 
-_resolutions: dict[tuple[int, int, int], Resolution] = {}
+@lru_cache(maxsize=40)  # every irreducible at p = 2..6, the CLI's default bound on p
+def _resolution(p: int, a: int, s: int) -> Resolution:
+    return Resolution(irreducible(p, a, s))
 
 
 def resolution_of_irreducible(p: int, a: int, s: int, length: int) -> Resolution:
-    key = (p, a, s)
-    res = _resolutions.get(key)
-    if res is None:
-        res = Resolution(irreducible(p, a, s))
-        _resolutions[key] = res
-    return res.extend_to(length)
+    """The minimal resolution of X^a_s to at least the given length, kept
+    in a bounded cache and extended in place."""
+    return _resolution(p, a, s).extend_to(length)
 
 
 def minimal_resolution(x: QMod, length: int) -> Resolution:
@@ -497,15 +499,18 @@ def minimal_resolution(x: QMod, length: int) -> Resolution:
 
 
 def ext_dim(p: int, source: tuple[int, int], target: tuple[int, int], degree: int) -> int:
-    """dim Ext^degree between irreducibles, as dim Hom(term_degree, target):
-    the differentials vanish after Hom by minimality of the resolution."""
+    """dim Ext^degree between irreducibles, as the multiplicity of the cover
+    of target in the degree term of the resolution of source: Hom(cover of
+    X^a_s, X^b_t) is one-dimensional when (a, s) = (b, t) and zero
+    otherwise, and by minimality Hom(-, target) kills the differentials."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    a, s = source
-    res = resolution_of_irreducible(p, a, s, degree)
-    term = res.terms[degree]
-    x = irreducible(p, target[0], target[1])
-    return len(intertwiner_basis(term, x))
+    for a, s in (source, target):
+        if a not in (1, -1) or s not in range(1, p + 1):
+            raise ValueError(f"irreducibles are (a, s) with a = 1 or -1 and 1 <= s <= {p}, "
+                             f"got {(a, s)!r}")
+    res = resolution_of_irreducible(p, *source, degree)
+    return dict(res.content[degree]).get(tuple(target), 0)
 
 
 # -- extension classes and the Yoneda product ----------------------------------------
@@ -553,12 +558,10 @@ def extension_class_of_middle(p: int, a: int, s: int, middle: QMod) -> ExtClass:
     where the middle is given on the glued basis (top block then socle
     block, both in standard coordinates)."""
     res = resolution_of_irreducible(p, a, s, 1)
-    p0 = res.terms[0]
     t = p - s
     # lift the augmentation through the projection of the middle onto its top
-    lift = _solve_in_hom(p0, middle, lambda h: h[:s], res.augmentation)
-    if lift is None:
-        raise ClassificationError("projective term does not lift over the extension")
+    lift = _solve_in_hom(res, 0, middle, lambda h: h[:s], res.augmentation,
+                         "projective term does not lift over the extension")
     raw = linalg.mat_mul(lift, res.boundaries[0])
     for i in range(s):
         if any(raw[i]):
@@ -593,36 +596,47 @@ def yoneda(u: ExtClass, v: ExtClass) -> ExtClass:
             f"not composable: v ends at {v.target} but u starts at {u.source}"
         )
     p = u.p
-    field = CycField(2 * p)
     n, m_deg = v.degree, u.degree
     res_a = resolution_of_irreducible(p, *v.source, n + m_deg)
     res_b = resolution_of_irreducible(p, *u.source, m_deg)
-    # Lambda_0: term_n(A) -> term_0(B) with aug_B Lambda_0 = v.cocycle
-    lam = _lift_through_map(res_a.terms[n], res_b.terms[0], res_b.augmentation, v.cocycle)
-    for k in range(1, m_deg + 1):
-        rhs = linalg.mat_mul(lam, res_a.boundaries[n + k - 1])
-        lam = _lift_through_map(res_a.terms[n + k], res_b.terms[k], res_b.boundaries[k - 1], rhs)
+    # Lambda_k: term_(n+k)(A) -> term_k(B) lifts Lambda_(k-1) d(A) through d(B);
+    # at k = 0 it lifts v's cocycle through the augmentation of B
+    through = [res_b.augmentation] + res_b.boundaries
+    lam = None
+    for k in range(m_deg + 1):
+        rhs = linalg.mat_mul(lam, res_a.boundaries[n + k - 1]) if k else v.cocycle
+        lam = _solve_in_hom(res_a, n + k, res_b.terms[k], lambda h: linalg.mat_mul(through[k], h), rhs,
+                            "chain lift does not exist")
     cocycle = linalg.mat_mul(u.cocycle, lam)
     return ExtClass(p, n + m_deg, v.source, u.target, cocycle)
 
 
-def _lift_through_map(src: QMod, dst: QMod, through, rhs):
-    """Solve for a module map L: src -> dst with through @ L = rhs."""
-    lift = _solve_in_hom(src, dst, lambda h: linalg.mat_mul(through, h), rhs)
-    if lift is None:
-        raise ClassificationError("chain lift does not exist")
-    return lift
-
-
-def _solve_in_hom(src: QMod, dst: QMod, image_of, rhs):
-    """The map L in Hom(src, dst) with image_of(L) = rhs, for a linear
-    image_of, or None when there is none."""
-    homs = intertwiner_basis(src, dst)
+def _solve_in_hom(res: Resolution, k: int, dst: QMod, image_of, rhs, failure: str):
+    """The map L in Hom(res.terms[k], dst) with image_of(L) = rhs, for a
+    linear image_of; raises ClassificationError(failure) when there is none."""
+    homs = _term_homs(res.content[k], dst)
     coeffs = linalg.solve_combination([image_of(h) for h in homs], rhs)
     if coeffs is None:
-        return None
-    out = linalg.zeros(src.field, dst.dim, src.dim)
+        raise ClassificationError(failure)
+    out = linalg.zeros(dst.field, dst.dim, res.terms[k].dim)
     for c, h in zip(coeffs, homs):
         if c:
             out = linalg.mat_add(out, linalg.mat_scale(c, h))
     return out
+
+
+def _term_homs(content, dst: QMod) -> list:
+    """A basis of Hom(P, dst) for the direct sum P of the covers that
+    content lists, in order.  Each cover is cyclic on its top vector, so
+    the basis is the maps that send one summand's top vector to one of the
+    _top_vectors of dst and kill the other summands."""
+    summands = []  # (dim of the cover, its maps into dst)
+    for (a, s), mult in content:
+        pmod, top = _cover_of_simple(dst.p, a, s)
+        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, _top_vectors(dst, a, s)))] * mult
+    width, zero = sum(d for d, _ in summands), dst.field.zero
+    homs, off = [], 0
+    for d, maps in summands:
+        homs += [[[zero] * off + row + [zero] * (width - off - d) for row in phi] for phi in maps]
+        off += d
+    return homs

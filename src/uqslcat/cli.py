@@ -221,7 +221,7 @@ def cmd_resolve(args) -> int:
     lines = []
     for k, (t, content) in enumerate(zip(res.terms, res.content)):
         what = " + ".join(
-            f"{mult} x P({'X+' if a > 0 else 'X-'}_{s})" for ((a, s), mult) in content
+            f"{mult} x P({family_label('X', a, s)})" for ((a, s), mult) in content
         ) or "0"
         lines.append(f"term {k}: dim {t.dim} = {what}")
     emit(payload, args, lines)

@@ -382,11 +382,11 @@ class CycNum:
             raise ValueError(f"field 'coeffs' takes integer or a/b strings, got {coeffs!r:.80}") from None
 
 
-def json_field(data, key: str, kind: type, lo: int = 0):
+def json_field(data, key: str, kind: type, lo: int = 0, hi: float = math.inf):
     """data[key] of a parsed JSON object, checked with json_value."""
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"missing field {key!r}")
-    return json_value(data[key], f"field {key!r}", kind, lo)
+    return json_value(data[key], f"field {key!r}", kind, lo, hi)
 
 
 def json_value(value, what: str, kind: type, lo: int = 0, hi: float = math.inf):

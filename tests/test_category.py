@@ -292,6 +292,33 @@ def test_ext_higher_pattern():
         assert ext_dim(2, (1, 2), (-1, 2), n) == 0
 
 
+def test_ext_dim_rejects_malformed_irreducibles():
+    # ext_dim reads the target off the resolution's content, where a
+    # malformed target would find nothing and read as 0
+    for bad in ((1, 0), (1, 3), (-1, -1), (2, 1), (0, 1), ("x", 1), (1, 1.5)):
+        with pytest.raises(ValueError):
+            ext_dim(2, (1, 1), bad, 1)
+        with pytest.raises(ValueError):
+            ext_dim(2, bad, (1, 1), 1)
+
+
+def test_resolution_cache_is_bounded():
+    from uqslcat.category import _resolution, resolution_of_irreducible
+
+    bound = _resolution.cache_info().maxsize
+    assert bound == sum(2 * p for p in range(2, 7))  # every irreducible up to p = 6
+    keys = [(p, a, s) for p in range(2, 8) for a in (1, -1) for s in range(1, p + 1)]
+    assert len(keys) > bound
+    for key in keys:
+        resolution_of_irreducible(*key, 0)
+    assert _resolution.cache_info().currsize == bound
+    for p in (2, 3):
+        for s in range(1, p):
+            for n in range(4):
+                assert ext_dim(p, (1, s), (1, s), n) == (n + 1 if n % 2 == 0 else 0)
+                assert ext_dim(p, (1, s), (-1, p - s), n) == (n + 1 if n % 2 == 1 else 0)
+
+
 def test_ext_generators_normalization():
     # the class of the z-gluing is linear in z: [O(1,z)] = z1 x1 + z2 x2
     from uqslcat.category import extension_class_of_middle

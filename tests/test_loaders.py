@@ -7,6 +7,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from uqslcat.cli import run
 from uqslcat.cyclotomic import MAX_EXPONENT, CycField, CycNum
 from uqslcat.kronecker import QuiverRep, canonical_rep
-from uqslcat.qmodules import CP1, QMod, build_o1, irreducible
+from uqslcat.qmodules import MAX_P, CP1, QMod, build_o1, irreducible
 
 MODULE = irreducible(2, 1, 2).to_json()
 GLUED = build_o1(3, 1, 1, CP1.of(3, 1, 1)).to_json()
@@ -91,6 +92,15 @@ def test_quiver_loader_rejects(case):
 def test_number_loader_rejects(doc, field):
     with pytest.raises(ValueError, match=field):
         CycNum.from_json(doc)
+
+
+def test_module_loader_rejects_a_huge_p_before_building_its_field():
+    # the field Q(zeta_2p) was built first: this ended in MemoryError
+    start = time.process_time()
+    with pytest.raises(ValueError, match="'p'"):
+        QMod.from_json({"p": 50000, "dim": 0, "weights": [], "E": [], "F": []})
+    assert time.process_time() - start < 1
+    assert QMod.from_json({"p": MAX_P, "dim": 0, "weights": [], "E": [], "F": []}).p == MAX_P
 
 
 def test_number_loader_takes_only_integer_or_fraction_strings():

@@ -1,17 +1,19 @@
 """Hom spaces read off weight vectors, against the generic solver.
 
-``decompose`` never solves for intertwiners: inside one Casimir block it
-reads Hom(P, M) and Hom(X^±_p, M) off a weight space through
-``maps_from_generator``, and the radical at a top weight off the two
-gluings.  These tests compare each reading with ``intertwiner_basis`` and
-``radical_columns``, and check that ``decompose`` keeps the Hom dimensions
-into and out of every simple and projective."""
+``decompose`` and the Ext layer never solve for intertwiners: inside one
+Casimir block they read Hom(P, M) and Hom(X^±_p, M) off a weight space
+through ``maps_from_generator``, the radical at a top weight off the two
+gluings, and the top of a module off the top-weight vectors outside
+F M + E^s M.  These tests compare each reading with ``intertwiner_basis``
+and ``radical_columns``, and check that ``decompose`` keeps the Hom
+dimensions into and out of every simple and projective."""
 
 import random
 
 from conftest import sample_zs, scramble
 from uqslcat import linalg
-from uqslcat.category import IndecLabel, _top_radical, block_decompose, decompose
+from uqslcat.category import (IndecLabel, _term_homs, _top_radical, block_decompose, decompose,
+                              minimal_resolution, projective_cover)
 from uqslcat.qmodules import (build_p, direct_sum, intertwiner_basis, irreducible,
                               irreducible_weights, maps_from_generator, radical_columns,
                               regular_module, weight_vectors)
@@ -129,3 +131,36 @@ def test_decompose_keeps_hom_dimensions_on_scrambled_p4_sums():
                 rebuilt_totals[lbl] = hom_totals(lbl.rebuild(4))
             want = [w + mult * t for w, t in zip(want, rebuilt_totals[lbl])]
         assert list(hom_totals(m)) == want
+
+
+def test_projective_cover_against_the_generic_solver():
+    # the first criterion-7 sums (p = 2 and 3, same draws) and one scrambled
+    # p = 4 sum: modules that meet several Casimir blocks, in a scrambled basis
+    rng = random.Random(713)
+    modules = [scrambled_sum(p, random_labels(p, rng, rng.randint(1, 4)), rng) for p in (2, 3) * 4]
+    rng = random.Random(4)
+    modules.append(scrambled_sum(4, random_labels(4, rng, 3), rng))
+    mixed = 0
+    for m in modules:
+        cover, sur, content = projective_cover(m)
+        tops = [((a, s), len(intertwiner_basis(m, irreducible(m.p, a, s))))
+                for a in (1, -1) for s in range(1, m.p + 1)]
+        assert content == [(top, n) for top, n in tops if n]
+        for g in ("E", "F", "K"):
+            assert linalg.mat_eq(linalg.mat_mul(m.mat(g), sur), linalg.mat_mul(sur, cover.mat(g)))
+        mixed += len(block_decompose(m)) > 1
+    assert mixed >= 3 and len(block_decompose(modules[-1])) > 1
+
+
+def test_term_homs_span_the_hom_spaces_of_resolution_terms():
+    # Hom from each term into itself, and into the kernel of its map (a
+    # module that is not projective), for every irreducible at p = 2..4
+    for p in (2, 3, 4):
+        for a in (1, -1):
+            for s in range(1, p + 1):
+                res = minimal_resolution(irreducible(p, a, s), 3)
+                for k in range(4):
+                    term = res.terms[k]
+                    for dst in (term, res._kernels[k][0]):
+                        want = intertwiner_basis(term, dst)
+                        assert map_span(_term_homs(res.content[k], dst), term, dst) == map_span(want, term, dst)
