@@ -31,9 +31,10 @@ from . import linalg
 from .cyclotomic import CycField, CycNum
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
                         canonical_rep, classify, functor_G, glued_form)
-from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, direct_sum, dual, family_label,
-                       intertwiner_basis, irreducible, irreducible_weights, maps_from_generator,
-                       radical_series, socle_columns, submodule, weight_vectors)
+from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, casimir_nil, direct_sum, dual,
+                       family_label, graded_kernel, intertwiner_basis, irreducible, irreducible_weights,
+                       maps_from_generator, q_of, radical_series, socle_columns, submodule, weight_blocks,
+                       weight_spaces, weight_vectors)
 from .qmodules import semisimple_length_of as semisimple_length
 
 
@@ -88,18 +89,8 @@ class BlockPiece:
 def block_decompose(m: QMod) -> list[BlockPiece]:
     """Split into the generalized eigenspaces of the Casimir action; the
     piece at index s is the part where C - beta_s acts nilpotently."""
-    if m.dim == 0:
-        return []
-    pieces = []
-    total = 0
-    for s, nil in casimir_blocks(m):
-        cols = linalg.nullspace(nil)
-        if not cols:
-            continue
-        piece, emb = submodule(m, cols)
-        pieces.append(BlockPiece(s, piece, emb))
-        total += piece.dim
-    if total != m.dim:
+    pieces = [BlockPiece(s, *submodule(m, cols)) for s, cols in casimir_blocks(m) if cols]
+    if sum(bp.module.dim for bp in pieces) != m.dim:
         raise ClassificationError("Casimir blocks do not exhaust the module")
     return pieces
 
@@ -232,6 +223,9 @@ def decompose(m: QMod) -> DecompReport:
 
 
 def _verify_certificate(m: QMod, entries, cert) -> None:
+    """Check that cert is an isomorphism from the rebuilt entries onto m, one
+    weight space at a time: no entry off its weight blocks (K), square blocks
+    of full rank (invertible), and E and F intertwined block by block."""
     if m.dim == 0:
         if entries:
             raise ClassificationError("empty module with entries")
@@ -239,13 +233,27 @@ def _verify_certificate(m: QMod, entries, cert) -> None:
     rebuilt = direct_sum(*[lbl.rebuild(m.p) for lbl, mult in entries for _ in range(mult)])
     if rebuilt.dim != m.dim or len(cert[0]) != m.dim:
         raise ClassificationError("certificate has wrong dimensions")
-    if linalg.rank(cert) != m.dim:
+    ours, theirs = weight_spaces(m.weights), weight_spaces(rebuilt.weights)
+    blocks = _graded(cert, ours, theirs, "certificate does not intertwine K")
+    if any(len(blk) != len(theirs[lam]) or linalg.rank(blk) != len(blk) for lam, blk in blocks.items()):
         raise ClassificationError("certificate is not invertible")
-    for gen in ("E", "F", "K"):
-        lhs = linalg.mat_mul(m.mat(gen), cert)
-        rhs = linalg.mat_mul(cert, rebuilt.mat(gen))
-        if not linalg.mat_eq(lhs, rhs):
-            raise ClassificationError(f"certificate does not intertwine {gen}")
+    q2 = q_of(m) ** 2
+    for gen, shift in (("E", q2), ("F", q2.inv())):
+        failure = f"certificate does not intertwine {gen}"
+        lhs = _graded(m.mat(gen), ours, ours, failure, shift)
+        rhs = _graded(rebuilt.mat(gen), theirs, theirs, failure, shift)
+        for lam in theirs:
+            if shift * lam in theirs and not linalg.mat_eq(
+                    linalg.mat_mul(lhs[lam], blocks[lam]), linalg.mat_mul(blocks[shift * lam], rhs[lam])):
+                raise ClassificationError(failure)
+
+
+def _graded(mat, rows, cols, failure: str, shift=None) -> dict:
+    """weight_blocks, raising ClassificationError(failure) instead of None."""
+    blocks = weight_blocks(mat, rows, cols, shift)
+    if blocks is None:
+        raise ClassificationError(failure)
+    return blocks
 
 
 def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
@@ -371,25 +379,11 @@ def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
 def _top_vectors(m: QMod, a: int, s: int) -> list[list[CycNum]]:
     """A basis of the images of the top vector under Hom(cover of X^a_s, m):
     the vectors of weight lambda = a q^(s-1) in the Casimir block of X^a_s,
-    where m can meet other blocks too.  They are the kernel of (C - beta)^k
-    on the weight space (k = 2, or 1 in a semisimple block), where
-    C v = E F v + (q^-1 lambda + q lambda^-1)/(q - q^-1)^2 v."""
-    p, field = m.p, CycField(2 * m.p)
-    lam = irreducible_weights(p, a, s)[0]
-    vecs = weight_vectors(m, lam)
-    if not vecs:
-        return []
-    q, j = field.root_of_unity(1), s if a > 0 else p - s
-    scale = (q - q.inv()) ** 2
-    shift = q.inv() * lam + q * lam.inv() - field.root_of_unity(j) - field.root_of_unity(-j)
-    rows = [i for i, w in enumerate(m.weights) if w == lam]
-    ef = [linalg.mat_vec(m.mat_e, linalg.mat_vec(m.mat_f, v)) for v in vecs]
-    nil = [[scale * col[i] + (shift if r == c else field.zero) for c, col in enumerate(ef)]
-           for r, i in enumerate(rows)]  # (q - q^-1)^2 (C - beta) on the weight space
-    if 0 < j < p:
-        nil = linalg.mat_mul(nil, nil)
-    basis = linalg.transpose(vecs)
-    return [linalg.mat_vec(basis, w) for w in linalg.nullspace(nil)]
+    where m can meet other blocks too, as the kernel of casimir_nil on that
+    weight space."""
+    lam, spaces, j = irreducible_weights(m.p, a, s)[0], weight_spaces(m.weights), s if a > 0 else m.p - s
+    blocks = {lam: casimir_nil(m, spaces, lam, [j])[j]} if lam in spaces else {}
+    return graded_kernel(m.field, blocks, spaces, m.dim)
 
 
 def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], int]]]:
@@ -422,7 +416,8 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
                 content.append(((a, s), len(gens)))
     cover = direct_sum(*cover_mods) if cover_mods else QMod(p, [], [], [], field=field)
     sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
-    if linalg.rank(sur) != m.dim:
+    blocks = _graded(sur, weight_spaces(m.weights), weight_spaces(cover.weights), "cover map is not graded")
+    if sum(linalg.rank(blk) for blk in blocks.values()) != m.dim:
         raise ClassificationError("cover map is not surjective")
     return cover, sur, content
 
@@ -446,7 +441,7 @@ class Resolution:
                 self.terms.append(p0)
                 self.content.append(content)
                 self.augmentation = aug
-                self._kernels.append(self._kernel_of(p0, aug))
+                self._kernels.append(self._kernel_of(p0, aug, self.module))
                 continue
             ker_mod, ker_emb = self._kernels[-1]
             pk, cover_map, content = projective_cover(ker_mod)
@@ -455,31 +450,31 @@ class Resolution:
             self.terms.append(pk)
             self.content.append(content)
             self.boundaries.append(boundary)
-            self._kernels.append(self._kernel_of(pk, cover_map))
+            self._kernels.append(self._kernel_of(pk, cover_map, ker_mod))
             self._verify_step()
         return self
 
-    def _kernel_of(self, term: QMod, mapping):
-        if term.dim == 0:
-            return QMod(term.p, [], [], [], field=term.field), []
-        cols = linalg.nullspace(mapping) if mapping else linalg.identity(term.field, term.dim)
-        return submodule(term, cols)
+    @staticmethod
+    def _kernel_of(term: QMod, mapping, target: QMod):
+        """The kernel of a module map term -> target, per weight, as a submodule."""
+        cols = weight_spaces(term.weights)
+        blocks = _graded(mapping, weight_spaces(target.weights), cols, "resolution map is not graded")
+        return submodule(term, graded_kernel(term.field, blocks, cols, term.dim))
 
     def _verify_step(self) -> None:
+        """d_(k-1) d_k = 0 and exactness at the newest step k, per weight."""
         k = len(self.terms) - 1
-        if k == 1:
-            prev_map = self.augmentation
-        else:
-            prev_map = self.boundaries[k - 2]
-        boundary = self.boundaries[k - 1]
-        if self.terms[k].dim and self.terms[k - 1].dim:
-            comp = linalg.mat_mul(prev_map, boundary) if prev_map else []
-            if comp and not linalg.is_zero_mat(comp):
+        target, prev_map = (self.module, self.augmentation) if k == 1 else (self.terms[k - 2], self.boundaries[k - 2])
+        mid = weight_spaces(self.terms[k - 1].weights)
+        prev = _graded(prev_map, weight_spaces(target.weights), mid, "resolution map is not graded")
+        cur = _graded(self.boundaries[k - 1], mid, weight_spaces(self.terms[k].weights),
+                      "resolution map is not graded")
+        for lam, idx in mid.items():
+            blk = cur.get(lam, [])
+            if blk and prev[lam] and not linalg.is_zero_mat(linalg.mat_mul(prev[lam], blk)):
                 raise ClassificationError("boundary composition is nonzero")
-        rank_prev = linalg.rank(prev_map) if prev_map and self.terms[k - 1].dim else 0
-        rank_b = linalg.rank(boundary) if (self.terms[k].dim and self.terms[k - 1].dim) else 0
-        if rank_prev + rank_b != self.terms[k - 1].dim:
-            raise ClassificationError("resolution is not exact")
+            if linalg.rank(prev[lam]) + linalg.rank(blk) != len(idx):
+                raise ClassificationError("resolution is not exact")
 
 
 @lru_cache(maxsize=40)  # every irreducible at p = 2..6, the CLI's default bound on p

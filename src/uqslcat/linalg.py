@@ -95,18 +95,6 @@ def mat_vec(a, v):
     return out
 
 
-def mat_pow(a, n: int):
-    field = a[0][0].field
-    result = identity(field, len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if n > 1 else base
-        n >>= 1
-    return result
-
-
 def mat_eq(a, b) -> bool:
     if len(a) != len(b):
         return False
@@ -205,7 +193,7 @@ def nullspace(a) -> list[list[CycNum]]:
 
 def solve(a, b):
     """Any X with a @ X = b (b a matrix), or None when inconsistent."""
-    if not a:
+    if not a or not a[0]:  # X has no rows
         return [] if (not b or is_zero_mat(b)) else None
     field = a[0][0].field
     n = len(a[0])

@@ -1,12 +1,14 @@
 """Finite-dimensional modules of the restricted quantum sl(2).
 
 Every module carries exact matrices for E, F, K on a basis in which K is
-diagonal (K is always diagonalizable since K^2p = 1, and keeping bases
-K-homogeneous makes intertwiner computations block-diagonal).  The
-families constructed here: the 2p irreducibles, the explicit two-step
-gluings with two modules on top / on the bottom, the projective covers,
-and the general gluing of m top copies with n socle copies along a pair
-of coefficient matrices, which realizes every indecomposable of
+diagonal (K is always diagonalizable since K^2p = 1), so E maps the weight
+space M_lambda to M_(q^2 lambda), F maps it to M_(q^-2 lambda), and module
+maps preserve it: checks and solves work on the weight blocks of the
+dense matrices (weight_blocks), after checking that no entry lies off
+them.  The families constructed here: the 2p irreducibles, the explicit
+two-step gluings with two modules on top / on the bottom, the projective
+covers, and the general gluing of m top copies with n socle copies along
+a pair of coefficient matrices, which realizes every indecomposable of
 semisimple length two.
 """
 
@@ -172,6 +174,49 @@ class QMod:
         return m
 
 
+# -- weight spaces ------------------------------------------------------------------
+
+
+def q_of(m: QMod) -> CycNum:
+    """q = exp(i pi/p) in the field of the module."""
+    return CycField(2 * m.p).gen().embed(m.field.order)
+
+
+def weight_spaces(weights) -> dict[CycNum, list[int]]:
+    """Each weight with the indices of the basis vectors of that weight."""
+    out: dict[CycNum, list[int]] = {}
+    for i, w in enumerate(weights):
+        out.setdefault(w, []).append(i)
+    return out
+
+
+def weight_blocks(mat, rows, cols, shift=None) -> dict | None:
+    """lambda -> the block of mat from the weight-lambda basis vectors of
+    its source to the weight-(shift lambda) ones of its target (no rows if
+    none), for their weight_spaces cols and rows; shift None means 1, as for
+    module maps.  None when mat has an entry off these blocks."""
+    out = {}
+    for lam, idx in cols.items():
+        tgt = rows.get(lam if shift is None else shift * lam, [])
+        keep = set(tgt)
+        if any(row[c] for r, row in enumerate(mat) if r not in keep for c in idx):
+            return None
+        out[lam] = [[mat[r][c] for c in idx] for r in tgt]
+    return out
+
+
+def graded_kernel(field: CycField, blocks, cols, dim: int) -> list[list[CycNum]]:
+    """The kernel of a map from its blocks on the weight spaces cols of its
+    source: the null vectors of each block, lifted to length dim, in the
+    order of linalg.nullspace on the whole map (by their last nonzero)."""
+    out = []
+    for lam, blk in blocks.items():
+        for v in linalg.nullspace(blk) if blk else linalg.identity(field, len(cols[lam])):
+            lift = dict(zip(cols[lam], v))
+            out.append([lift.get(i, field.zero) for i in range(dim)])
+    return sorted(out, key=lambda v: max(i for i, x in enumerate(v) if x))
+
+
 @dataclass
 class ModuleCheck:
     ok: bool
@@ -179,48 +224,36 @@ class ModuleCheck:
 
 
 def verify_module(m: QMod) -> ModuleCheck:
-    """Exact check of all defining relations on the stored matrices."""
-    field, p = m.field, m.p
-    q = CycField(2 * p).gen().embed(field.order)
-    violations = []
-    for w in m.weights:
-        if w ** (2 * p) != field.one:
-            violations.append("K eigenvalue is not a 2p-th root of unity")
-            break
-    e_p = linalg.mat_pow(m.mat_e, p) if m.dim else []
-    f_p = linalg.mat_pow(m.mat_f, p) if m.dim else []
-    if not linalg.is_zero_mat(e_p):
-        violations.append("E^p != 0")
-    if not linalg.is_zero_mat(f_p):
-        violations.append("F^p != 0")
-    q2 = q * q
-    q2inv = q2.inv()
-    for i in range(m.dim):
-        for j in range(m.dim):
-            if m.mat_e[i][j] and m.weights[i] != q2 * m.weights[j]:
-                violations.append("KEK^-1 != q^2 E")
-            if m.mat_f[i][j] and m.weights[i] != q2inv * m.weights[j]:
-                violations.append("KFK^-1 != q^-2 F")
-    comm = linalg.mat_sub(
-        linalg.mat_mul(m.mat_e, m.mat_f), linalg.mat_mul(m.mat_f, m.mat_e)
-    )
-    qdiff_inv = (q - q.inv()).inv()
-    for i in range(m.dim):
-        for j in range(m.dim):
-            expect = (m.weights[i] - m.weights[i].inv()) * qdiff_inv if i == j else field.zero
-            if comm[i][j] != expect:
+    """Exact check of all defining relations, one weight space at a time:
+    the weights are 2p-th roots of unity; E and F have no entry off their
+    weight blocks M_lambda -> M_(q^(+-2) lambda); and, if so, E^p and F^p
+    vanish on each M_lambda, as products of p blocks along its q^2-orbit
+    (which closes, as q^2p = 1), and [E, F] = (K - K^-1)/(q - q^-1) there."""
+    field, p, q, spaces, violations = m.field, m.p, q_of(m), weight_spaces(m.weights), []
+    q2, q2inv = q * q, (q * q).inv()
+    if any(w ** (2 * p) != field.one for w in spaces):
+        violations.append("K eigenvalue is not a 2p-th root of unity")
+    e = weight_blocks(m.mat_e, spaces, spaces, q2)
+    f = weight_blocks(m.mat_f, spaces, spaces, q2inv)
+    for name, blocks, shift in (("E", e, q2), ("F", f, q2inv)):
+        if blocks is None:
+            continue
+        powers = dict(blocks)  # gen^k on each M_lambda, with no rows once the orbit passes a missing weight
+        for k in range(1, p):
+            powers = {lam: linalg.mat_mul(blocks[shift ** k * lam], x) if x else x for lam, x in powers.items()}
+        if not all(map(linalg.is_zero_mat, powers.values())):
+            violations.append(f"{name}^p != 0")
+    violations += [text for blocks, text in ((e, "KEK^-1 != q^2 E"), (f, "KFK^-1 != q^-2 F")) if blocks is None]
+    if e is not None and f is not None:
+        for lam, idx in spaces.items():  # a b on M_lambda, where b maps it to M_mu
+            ab = lambda a, b, mu: (linalg.mat_mul(a[mu], b[lam]) if mu in spaces
+                                   else linalg.zeros(field, len(idx), len(idx)))
+            comm = linalg.mat_sub(ab(e, f, lam * q2inv), ab(f, e, lam * q2))
+            want = linalg.mat_scale((lam - lam.inv()) / (q - q.inv()), linalg.identity(field, len(idx)))
+            if not linalg.mat_eq(comm, want):
                 violations.append("[E,F] != (K - K^-1)/(q - q^-1)")
                 break
-        else:
-            continue
-        break
-    # deduplicate, keep order
-    seen, uniq = set(), []
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            uniq.append(v)
-    return ModuleCheck(not uniq, uniq)
+    return ModuleCheck(not violations, violations)
 
 
 # -- weights of the irreducibles --------------------------------------------------
@@ -419,23 +452,17 @@ def tensor(a: QMod, b: QMod) -> QMod:
 
 def dual(m: QMod) -> QMod:
     """Contragredient module: x acts on the dual basis through the
-    antipode, (x f)(v) = f(S(x) v)."""
-    field = m.field
+    antipode, (x f)(v) = f(S(x) v), so E and F act by the transposes of
+    S(E) = -E K^-1 (the columns of E scaled by the inverse weights) and
+    S(F) = -K F (the rows of F scaled by the weights)."""
     k_inv = [w.inv() for w in m.weights]
-    ki_mat = linalg.zeros(field, m.dim, m.dim)
-    k_mat = m.mat_k
-    for i, w in enumerate(k_inv):
-        ki_mat[i][i] = w
-    se = linalg.mat_neg(linalg.mat_mul(m.mat_e, ki_mat))  # S(E) = -E K^-1
-    sf = linalg.mat_neg(linalg.mat_mul(k_mat, m.mat_f))  # S(F) = -K F
-    return QMod(m.p, linalg.transpose(se), linalg.transpose(sf), k_inv, field=field)
+    se_t = [[-(x * w) if x else x for x in col] for col, w in zip(zip(*m.mat_e), k_inv)]
+    sf_t = [[-(w * x) if x else x for x, w in zip(col, m.weights)] for col in zip(*m.mat_f)]
+    return QMod(m.p, se_t, sf_t, k_inv, field=m.field)
 
 
 def weight_character(m: QMod) -> dict[CycNum, int]:
-    out: dict[CycNum, int] = {}
-    for w in m.weights:
-        out[w] = out.get(w, 0) + 1
-    return out
+    return {w: len(idx) for w, idx in weight_spaces(m.weights).items()}
 
 
 def regular_module(p: int) -> QMod:
@@ -587,24 +614,38 @@ def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[lis
 
 def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[CycNum]]]:
     """Restrict the action to the span of K-homogeneous columns; returns
-    the submodule and the embedding matrix (dim x k)."""
-    field = m.field
-    k = len(columns)
+    the submodule and the embedding matrix (dim x k).  One solve per weight
+    mu expresses the images of the columns of weights q^-2 mu under E and
+    q^2 mu under F in the columns of weight mu.  Raises ValueError when a
+    column is not K-homogeneous, when E or F has an entry off its weight
+    blocks, or when the columns do not span a submodule."""
+    field, k = m.field, len(columns)
     if k == 0:
         return QMod(m.p, [], [], [], field=field), [[] for _ in range(m.dim)]
-    emb = [[columns[j][i] for j in range(k)] for i in range(m.dim)]
+    emb = linalg.transpose(columns)
     weights = []
-    for j in range(k):
-        support = [i for i in range(m.dim) if emb[i][j]]
-        wset = {m.weights[i] for i in support}
+    for col in columns:
+        wset = {m.weights[i] for i, x in enumerate(col) if x}
         if len(wset) != 1:
             raise ValueError("submodule basis vectors must be K-homogeneous")
         weights.append(wset.pop())
-    sub_e = linalg.solve(emb, linalg.mat_mul(m.mat_e, emb))
-    sub_f = linalg.solve(emb, linalg.mat_mul(m.mat_f, emb))
-    if sub_e is None or sub_f is None:
-        raise ValueError("the given columns do not span a submodule")
-    return QMod(m.p, sub_e, sub_f, weights, field=field), emb
+    q2, spaces, sub = q_of(m) ** 2, weight_spaces(m.weights), weight_spaces(weights)
+    acts = [(shift, weight_blocks(mat, spaces, spaces, shift), linalg.zeros(field, k, k))
+            for mat, shift in ((m.mat_e, q2), (m.mat_f, q2.inv()))]
+    if any(blocks is None for _, blocks, _ in acts):
+        raise ValueError("E or F has an entry off its weight blocks")
+    part = lambda lam: [[emb[i][j] for j in sub.get(lam, [])] for i in spaces[lam]]
+    for mu in spaces:
+        srcs = [(out, blocks, mu / shift) for shift, blocks, out in acts if mu / shift in sub]
+        images = [linalg.mat_mul(blocks[lam], part(lam)) for _, blocks, lam in srcs]
+        sol = linalg.solve(part(mu), [sum(rows, []) for rows in zip(*images)]) if srcs else []
+        if sol is None:
+            raise ValueError("the given columns do not span a submodule")
+        targets = [(out, j) for out, _, lam in srcs for j in sub[lam]]
+        for i, row in zip(sub.get(mu, []), sol):
+            for (out, j), x in zip(targets, row):
+                out[i][j] = x
+    return QMod(m.p, acts[0][2], acts[1][2], weights, field=field), emb
 
 
 def _basis_vec(field, n, i):
@@ -625,21 +666,9 @@ def radical_columns(m: QMod) -> list[list[CycNum]]:
                 stacked.extend(phi)
     if not stacked:
         return [_basis_vec(field, m.dim, i) for i in range(m.dim)]
-    vecs = linalg.nullspace(stacked)
-    # null space of a weight-compatible system is weight-homogeneous per
-    # vector except for accidental same-weight mixing, which is fine; but
-    # re-split defensively
-    out = []
-    rs = linalg.RowSpace(field, m.dim)
-    for v in vecs:
-        wset = {m.weights[i] for i, x in enumerate(v) if x}
-        pieces = [v] if len(wset) <= 1 else [
-            [x if m.weights[i] == w else field.zero for i, x in enumerate(v)] for w in wset
-        ]
-        for piece in pieces:
-            if rs.add(piece):
-                out.append(piece)
-    return out
+    # each row is supported on one weight, so elimination never mixes
+    # weights and the canonical null vectors are K-homogeneous
+    return linalg.nullspace(stacked)
 
 
 def socle_columns(m: QMod) -> list[list[CycNum]]:
@@ -678,24 +707,42 @@ def semisimple_length_of(m: QMod) -> int:
     return len(radical_series(m))
 
 
-def casimir_blocks(m: QMod):
-    """Yield (s, (C - beta_s)^k) over the Casimir roots beta_s, with k = 1
-    in the semisimple blocks s = 0, p and k = 2 otherwise: the block of m at
-    s is the kernel, and m lies in it alone when the matrix is zero."""
-    from .algebra import casimir
+def casimir_nil(m: QMod, spaces, lam: CycNum, js) -> dict[int, list[list[CycNum]]]:
+    """j -> (q - q^-1)^2 (C - beta_j) on M_lambda for the blocks j in js: as
+    C = E F + (q^-1 K + q K^-1)/(q - q^-1)^2 and beta_j = (q^j + q^-j)/(q - q^-1)^2,
+    it is (q - q^-1)^2 E F + q^-1 lambda + q lambda^-1 - q^j - q^-j; squared
+    for 0 < j < p, where C - beta_j is nilpotent of order two on the block."""
+    q = q_of(m)
+    e = weight_blocks(m.mat_e, spaces, {mu: spaces[mu] for mu in [lam * q ** -2] if mu in spaces}, q * q)
+    f = weight_blocks(m.mat_f, spaces, {lam: spaces[lam]}, q ** -2)
+    if e is None or f is None:
+        raise ValueError("E or F has an entry off its weight blocks")
+    n, base = len(spaces[lam]), q.inv() * lam + q * lam.inv()
+    ef = linalg.mat_mul(e[lam * q ** -2], f[lam]) if f[lam] else linalg.zeros(m.field, n, n)  # E F on M_lambda
+    cas = linalg.mat_scale((q - q.inv()) ** 2, ef)
+    out = {}
+    for j in js:
+        shift = base - q ** j - q ** -j
+        nil = [[x + shift if r == c else x for c, x in enumerate(row)] for r, row in enumerate(cas)]
+        out[j] = linalg.mat_mul(nil, nil) if 0 < j < m.p else nil
+    return out
 
-    cd = casimir(m.p)
-    act = action_matrix(m, cd.element)
-    for s, beta in enumerate(cd.roots):
-        shifted = [[x - beta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(act)]
-        yield s, (shifted if s in (0, m.p) else linalg.mat_mul(shifted, shifted))
+
+def casimir_blocks(m: QMod):
+    """Yield (s, columns) for the Casimir blocks s = 0..p: a basis of the
+    part of m where C - beta_s is nilpotent, from the kernels of casimir_nil
+    on the weight spaces."""
+    spaces = weight_spaces(m.weights)
+    nils = {lam: casimir_nil(m, spaces, lam, range(m.p + 1)) for lam in spaces}
+    for s in range(m.p + 1):
+        yield s, graded_kernel(m.field, {lam: nils[lam][s] for lam in spaces}, spaces, m.dim)
 
 
 def block_index(m: QMod) -> int:
     """The Casimir block s in 0..p the module lives in; raises when the
     module mixes blocks."""
-    for s, nil in casimir_blocks(m):
-        if linalg.is_zero_mat(nil):
+    for s, cols in casimir_blocks(m):
+        if len(cols) == m.dim:
             return s
     raise ValueError("module does not lie in a single Casimir block")
 

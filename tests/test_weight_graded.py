@@ -1,0 +1,153 @@
+"""The weight-graded kernels against dense references.
+
+The relation checks, the Casimir blocks, the restriction to a submodule
+and the certificate check work one weight space at a time.  These tests
+compare them with the dense computations they replace (the PBW Casimir's
+action matrix, a dense solve for the restricted action, the dual through
+diagonal matrices), and give each check a negative control that breaks
+exactly one relation."""
+
+import random
+
+import pytest
+
+from test_weight_hom import random_labels, scrambled_sum, span
+from uqslcat import linalg
+from uqslcat.algebra import casimir
+from uqslcat.category import _verify_certificate, block_decompose, decompose
+from uqslcat.cyclotomic import CycField
+from uqslcat.kronecker import ClassificationError
+from uqslcat.qmodules import (QMod, action_matrix, build_p, casimir_blocks, direct_sum, dual, irreducible,
+                              regular_module, submodule, verify_module)
+
+
+def modules():
+    """Scrambled criterion-7 style sums at p = 2 and 3, Reg(3), and one
+    scrambled p = 4 sum."""
+    rng = random.Random(713)
+    for trial in range(6):
+        p = 2 if trial % 2 == 0 else 3
+        yield scrambled_sum(p, random_labels(p, rng, rng.randint(1, 4)), rng)
+    yield regular_module(3)
+    rng = random.Random(404)
+    yield scrambled_sum(4, random_labels(4, rng, 3), rng)
+
+
+def test_casimir_blocks_and_submodules_match_the_dense_computation():
+    for m in modules():
+        cd = casimir(m.p)
+        act = action_matrix(m, cd.element)
+        total = 0
+        for s, cols in casimir_blocks(m):
+            shifted = [[x - cd.roots[s] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(act)]
+            nil = shifted if s in (0, m.p) else linalg.mat_mul(shifted, shifted)
+            assert span(m.field, cols, m.dim) == span(m.field, linalg.nullspace(nil), m.dim), (m, s)
+            total += len(cols)
+            if not cols:
+                continue
+            sub, emb = submodule(m, cols)
+            for gen in ("E", "F"):
+                assert linalg.mat_eq(sub.mat(gen), linalg.solve(emb, linalg.mat_mul(m.mat(gen), emb)))
+            assert verify_module(sub).ok
+        assert total == m.dim
+
+
+def test_dual_matches_the_product_with_diagonal_matrices():
+    rng = random.Random(713)
+    for m in (regular_module(3), scrambled_sum(3, random_labels(3, rng, 3), rng)):
+        k = linalg.zeros(m.field, m.dim, m.dim)
+        k_inv = linalg.zeros(m.field, m.dim, m.dim)
+        for i, w in enumerate(m.weights):
+            k[i][i], k_inv[i][i] = w, w.inv()
+        d = dual(m)
+        assert d.weights == [w.inv() for w in m.weights]
+        assert d.mat_e == linalg.transpose(linalg.mat_neg(linalg.mat_mul(m.mat_e, k_inv)))
+        assert d.mat_f == linalg.transpose(linalg.mat_neg(linalg.mat_mul(k, m.mat_f)))
+
+
+def _swap_module(gen: str) -> QMod:
+    """At p = 2, weights q and q^-1 with gen swapping them: gen respects the
+    weights (q^2 q^-1 = q and q^2 q = q^-1) but gen^2 is the identity."""
+    field = CycField(4)
+    q = field.gen()
+    one, zero = field.one, field.zero
+    swap, null = [[zero, one], [one, zero]], linalg.zeros(field, 2, 2)
+    mats = (swap, null) if gen == "E" else (null, swap)
+    return QMod(2, *mats, [q, q.inv()], field=field)
+
+
+def _off_weight(gen: str) -> QMod:
+    """X+_3 at p = 3 with an entry of gen joining a_0 (weight q^2) and a_2
+    (weight q^-2), which neither E nor F may join."""
+    m = irreducible(3, 1, 3)
+    i, j = (0, 2) if gen == "E" else (2, 0)
+    m.mat(gen)[i][j] = m.field.one
+    return m
+
+
+def _weight_off_the_roots() -> QMod:
+    m = irreducible(2, 1, 1)
+    m.weights[0] = m.field.from_fraction(2)
+    return m
+
+
+def _commutator_defect() -> QMod:
+    """A module of dimension 12 with X+_1 moved to weight q, which X+_2 also
+    has: E = F = 0 there, so [E, F] fails on that one weight space alone."""
+    m = direct_sum(irreducible(3, 1, 1), build_p(3, 1, 1), irreducible(3, 1, 2), irreducible(3, 1, 3))
+    m.weights[0] = CycField(6).gen()
+    return m
+
+
+@pytest.mark.parametrize("build, violation", [
+    (lambda: _swap_module("E"), "E^p != 0"),
+    (lambda: _swap_module("F"), "F^p != 0"),
+    (lambda: _off_weight("E"), "KEK^-1 != q^2 E"),
+    (lambda: _off_weight("F"), "KFK^-1 != q^-2 F"),
+    (_weight_off_the_roots, "K eigenvalue is not a 2p-th root of unity"),
+    (_commutator_defect, "[E,F] != (K - K^-1)/(q - q^-1)"),
+])
+def test_verify_module_negative_controls(build, violation):
+    chk = verify_module(build())
+    assert not chk.ok and violation in chk.violations, chk.violations
+
+
+def test_certificate_check_rejects_each_corruption():
+    rng = random.Random(11)
+    m = scrambled_sum(3, random_labels(3, rng, 4, families="WMP"), rng)
+    report = decompose(m)
+    rebuilt = direct_sum(*[lbl.rebuild(3) for lbl, mult in report.entries for _ in range(mult)])
+    _verify_certificate(m, report.entries, report.certificate)
+    weights = rebuilt.weights
+    i, j = next((i, j) for i in range(m.dim) for j in range(m.dim) if m.weights[i] != weights[j])
+    off = linalg.mat_copy(report.certificate)
+    off[i][j] = m.field.one
+    with pytest.raises(ClassificationError, match="intertwine K"):
+        _verify_certificate(m, report.entries, off)
+    j1, j2 = next((j1, j2) for j1 in range(m.dim) for j2 in range(j1 + 1, m.dim) if weights[j1] == weights[j2])
+    deficient = linalg.mat_copy(report.certificate)
+    for row in deficient:
+        row[j2] = row[j1]
+    with pytest.raises(ClassificationError, match="not invertible"):
+        _verify_certificate(m, report.entries, deficient)
+    j = next(j for j in range(m.dim) if any(rebuilt.mat_e[j]) or any(rebuilt.mat_f[j]))
+    rescaled = linalg.mat_copy(report.certificate)
+    for row in rescaled:
+        row[j] = row[j] * m.field.from_fraction(2)
+    with pytest.raises(ClassificationError, match="intertwine [EF]"):
+        _verify_certificate(m, report.entries, rescaled)
+
+
+def test_submodule_rejects_columns_outside_a_submodule():
+    m = irreducible(3, 1, 3)
+    zero, one = m.field.zero, m.field.one
+    with pytest.raises(ValueError, match="do not span a submodule"):
+        submodule(m, [[zero, zero, one]])  # E a_2 is a multiple of a_1
+    with pytest.raises(ValueError, match="K-homogeneous"):
+        submodule(m, [[one, one, zero]])
+
+
+def test_casimir_blocks_reject_an_off_weight_action():
+    for gen in ("E", "F"):
+        with pytest.raises(ValueError, match="off its weight blocks"):
+            block_decompose(_off_weight(gen))
