@@ -317,9 +317,6 @@ class AlgElem:
     def __hash__(self):
         return hash((id(self.alg), tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
-    def commutator(self, other: "AlgElem") -> "AlgElem":
-        return self * other - other * self
-
     def __repr__(self):
         if not self.terms:
             return "AlgElem(0)"

@@ -1,5 +1,12 @@
 """Categorical analysis of the finite-dimensional module category.
 
+hom_space is the one general Hom solve: a single null space over the
+weight-compatible entries of the map.  Nothing else solves for an
+intertwiner.  The socle, the radical series and the semisimple length
+come from weight vectors: Hom(X^a_s, M) is the space of vectors of weight
+a q^(s-1) killed by E and F^s, and the radical is the annihilator of the
+socle of the dual.
+
 The decomposition algorithm follows the structure of the category and
 solves for no intertwiner: split into Casimir blocks; inside a block the
 projectives and the Steinberg module are cyclic on their top vector, so
@@ -304,19 +311,18 @@ def _projective_generators(m: QMod, top: CycNum) -> list[list[CycNum]]:
             if socle.add(linalg.mat_vec(m.mat_f, linalg.mat_vec(m.mat_e, v)))]
 
 
-def _top_radical(m: QMod, sign: int, s_top: int) -> linalg.RowSpace:
-    """rad(m) at the sign-a top weight of a projective-free module m of
-    semisimple length two: the span of F^t v and E^s v over the top-weight
-    vectors v of the opposite sign (t = p - s), as the images of the two
-    gluings of that top into the socle."""
-    p, t = m.p, m.p - s_top
+def _top_radical(m: QMod, a: int, s: int) -> linalg.RowSpace:
+    """rad(m) at the top weight lambda = a q^(s-1) of X^a_s, in the Casimir
+    block of X^a_s: F M_(lambda q^2) + E^s M_(lambda q^(-2s)), where
+    lambda q^(-2s) is the top weight of the opposite simple X^(-a)_(p-s)."""
+    lam, root = irreducible_weights(m.p, a, s)[0], CycField(2 * m.p).root_of_unity
     radical = linalg.RowSpace(m.field, m.dim)
-    for v in weight_vectors(m, irreducible_weights(p, -sign, t)[0]):
-        for mat, k in ((m.mat_f, t), (m.mat_e, s_top)):
-            w = v
-            for _ in range(k):
-                w = linalg.mat_vec(mat, w)
-            radical.add(w)
+    for v in weight_vectors(m, lam * root(2)):
+        radical.add(linalg.mat_vec(m.mat_f, v))
+    for v in weight_vectors(m, lam * root(-2 * s)):
+        for _ in range(s):
+            v = linalg.mat_vec(m.mat_e, v)
+        radical.add(v)
     return radical
 
 
@@ -389,10 +395,9 @@ def _top_vectors(m: QMod, a: int, s: int) -> list[list[CycNum]]:
 def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], int]]]:
     """(P, surjection P -> m, content) where content lists the simple
     tops (a, s) of the cover with multiplicities.  The cover of X^a_s is
-    cyclic on its top vector, so its maps into m are the _top_vectors of m;
-    in that block, rad(m) at the weight lambda = a q^(s-1) is
-    F m + E^s m, so the top vectors independent modulo it generate the
-    summands of the cover, one per copy of X^a_s in the top of m."""
+    cyclic on its top vector, so its maps into m are the _top_vectors of m,
+    and those independent modulo the _top_radical generate the summands of
+    the cover, one per copy of X^a_s in the top of m."""
     p, field = m.p, m.field
     cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
     for a in (1, -1):
@@ -400,14 +405,7 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
             tops = _top_vectors(m, a, s)
             if not tops:
                 continue
-            lam, root = irreducible_weights(p, a, s)[0], CycField(2 * p).root_of_unity
-            radical = linalg.RowSpace(field, m.dim)
-            for v in weight_vectors(m, lam * root(2)):
-                radical.add(linalg.mat_vec(m.mat_f, v))
-            for v in weight_vectors(m, lam * root(-2 * s)):
-                for _ in range(s):
-                    v = linalg.mat_vec(m.mat_e, v)
-                radical.add(v)
+            radical = _top_radical(m, a, s)
             gens = [v for v in tops if radical.add(v)]
             if gens:
                 pmod, top = _cover_of_simple(p, a, s)
@@ -484,7 +482,9 @@ def _resolution(p: int, a: int, s: int) -> Resolution:
 
 def resolution_of_irreducible(p: int, a: int, s: int, length: int) -> Resolution:
     """The minimal resolution of X^a_s to at least the given length, kept
-    in a bounded cache and extended in place."""
+    in a bounded cache and extended in place.  Every caller gets the same
+    Resolution object, so it is read-only to them: only extend_to may grow
+    it."""
     return _resolution(p, a, s).extend_to(length)
 
 

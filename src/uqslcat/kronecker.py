@@ -160,21 +160,20 @@ def canonical_rep(field: CycField, kind: str, n: int, z: CP1 | None = None) -> Q
 
 def rep_hom_basis(a: QuiverRep, b: QuiverRep):
     """Basis of quiver-representation morphisms a -> b, as pairs
-    (phi0, phi1) with b.r phi0 = phi1 a.r and b.rbar phi0 = phi1 a.rbar."""
-    field = a.field
-    sys = linalg.BlockSystem(field)
-    sys.add_block("phi0", b.d0, a.d0)
-    sys.add_block("phi1", b.d1, a.d1)
-    for (mat_b, mat_a) in ((b.r, a.r), (b.rbar, a.rbar)):
-        for i in range(b.d1):
-            for j in range(a.d0):
-                terms = []
-                for k in range(b.d0):
-                    terms.append((mat_b[i][k], "phi0", k, j))
-                for k in range(a.d1):
-                    terms.append((-mat_a[k][j], "phi1", i, k))
-                sys.equation(terms)
-    return [(sol["phi0"], sol["phi1"]) for sol in sys.kernel()]
+    (phi0, phi1) with b.r phi0 = phi1 a.r and b.rbar phi0 = phi1 a.rbar;
+    the unknowns are the entries of phi0, row by row, then those of phi1."""
+    n0 = b.d0 * a.d0
+
+    def entries():  # ((equation, unknown), coefficient) of b.x phi0 - phi1 a.x = 0 for x = r, rbar
+        for x, (mat_b, mat_a) in enumerate(((b.r, a.r), (b.rbar, a.rbar))):
+            for i in range(b.d1):
+                for j in range(a.d0):
+                    yield from ((((x, i, j), k * a.d0 + j), mat_b[i][k]) for k in range(b.d0))
+                    yield from ((((x, i, j), n0 + i * a.d1 + k), -mat_a[k][j]) for k in range(a.d1))
+
+    return [([v[k * a.d0:(k + 1) * a.d0] for k in range(b.d0)],
+             [v[n0 + i * a.d1:n0 + (i + 1) * a.d1] for i in range(b.d1)])
+            for v in linalg.sparse_nullspace(a.field, entries(), n0 + b.d1 * a.d1)]
 
 
 @dataclass

@@ -191,6 +191,19 @@ def nullspace(a) -> list[list[CycNum]]:
     return basis
 
 
+def sparse_nullspace(field: CycField, entries, ncols: int) -> list[list[CycNum]]:
+    """Basis of the null space of the system given as ((equation, unknown),
+    coefficient) pairs in ncols unknowns, repeats summed: canonical from the
+    reduced echelon form, so the order of the equations does not matter;
+    every unit vector when no equation is left."""
+    eqs = accumulate(entries)
+    row_of = {key: i for i, key in enumerate(dict.fromkeys(key for key, _ in eqs))}
+    mat = zeros(field, len(row_of), ncols)
+    for (key, col), x in eqs.items():
+        mat[row_of[key]][col] = x
+    return nullspace(mat) if mat else identity(field, ncols)
+
+
 def solve(a, b):
     """Any X with a @ X = b (b a matrix), or None when inconsistent."""
     if not a or not a[0]:  # X has no rows
@@ -252,70 +265,6 @@ def charpoly(a) -> list[CycNum]:
         for i in range(n):
             m[i][i] = m[i][i] + c
     return coeffs
-
-
-class BlockSystem:
-    """Linear system whose unknowns are the entries of several named
-    matrices; used for intertwiner and Hom-space solves."""
-
-    def __init__(self, field: CycField):
-        self.field = field
-        self.blocks: dict[str, tuple[int, int, int]] = {}  # name -> (offset, rows, cols)
-        self.size = 0
-        self.rows: list[dict[int, CycNum]] = []
-        self.rhs: list[CycNum] = []
-
-    def add_block(self, name: str, rows: int, cols: int) -> None:
-        self.blocks[name] = (self.size, rows, cols)
-        self.size += rows * cols
-
-    def index(self, name: str, i: int, j: int) -> int:
-        off, rows, cols = self.blocks[name]
-        return off + i * cols + j
-
-    def equation(self, terms, rhs=None) -> None:
-        """terms: iterable of (coeff, block_name, i, j)."""
-        self.rows.append(accumulate((self.index(name, i, j), coeff) for coeff, name, i, j in terms))
-        self.rhs.append(rhs if rhs is not None else self.field.zero)
-
-    def _matrices(self):
-        mat = [
-            [row.get(k, self.field.zero) for k in range(self.size)]
-            for row in self.rows
-        ]
-        b = [[v] for v in self.rhs]
-        return mat, b
-
-    def _unpack(self, vec) -> dict[str, list[list[CycNum]]]:
-        out = {}
-        for name, (off, rows, cols) in self.blocks.items():
-            out[name] = [
-                [vec[off + i * cols + j] for j in range(cols)] for i in range(rows)
-            ]
-        return out
-
-    def solve(self):
-        """One solution as dict name -> matrix, or None."""
-        mat, b = self._matrices()
-        if not mat:
-            zero_vec = [self.field.zero] * self.size
-            return self._unpack(zero_vec)
-        sol = solve(mat, b)
-        if sol is None:
-            return None
-        return self._unpack([row[0] for row in sol])
-
-    def kernel(self):
-        """Basis of the homogeneous solution space, as dicts."""
-        mat, _ = self._matrices()
-        if not mat:
-            basis = []
-            for k in range(self.size):
-                v = [self.field.zero] * self.size
-                v[k] = self.field.one
-                basis.append(v)
-            return [self._unpack(v) for v in basis]
-        return [self._unpack(v) for v in nullspace(mat)]
 
 
 class RowSpace:

@@ -546,8 +546,6 @@ def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
         for c in range(src.dim)
         if dst.weights[r] == src.weights[c]
     ]
-    if not pairs:
-        return []
     unk = {rc: k for k, rc in enumerate(pairs)}
 
     def entries():  # ((equation, unknown), coefficient) of g_dst Phi - Phi g_src = 0
@@ -561,18 +559,8 @@ def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
                     if g_src[k][c]:
                         yield ((gname, r, c), col), -g_src[k][c]
 
-    eqs = linalg.accumulate(entries())
-    keys = sorted({key for key, _ in eqs}, key=repr)
-    row_of = {key: i for i, key in enumerate(keys)}
-    mat = linalg.zeros(field, len(keys), len(pairs))
-    for (key, col), x in eqs.items():
-        mat[row_of[key]][col] = x
-    if not mat:
-        vectors = [[field.one if i == k else field.zero for i in range(len(pairs))] for k in range(len(pairs))]
-    else:
-        vectors = linalg.nullspace(mat)
     out = []
-    for v in vectors:
+    for v in linalg.sparse_nullspace(field, entries(), len(pairs)):
         phi = linalg.zeros(field, dst.dim, src.dim)
         for (r, c), col in unk.items():
             phi[r][c] = v[col]
@@ -655,36 +643,33 @@ def _basis_vec(field, n, i):
 
 
 def radical_columns(m: QMod) -> list[list[CycNum]]:
-    """Basis of rad(m) = intersection of the kernels of all maps onto
-    irreducibles, as K-homogeneous columns."""
-    field = m.field
-    stacked: list[list[CycNum]] = []
-    for a in (1, -1):
-        for s in range(1, m.p + 1):
-            x = irreducible(m.p, a, s)
-            for phi in intertwiner_basis(m, x):
-                stacked.extend(phi)
-    if not stacked:
-        return [_basis_vec(field, m.dim, i) for i in range(m.dim)]
-    # each row is supported on one weight, so elimination never mixes
-    # weights and the canonical null vectors are K-homogeneous
-    return linalg.nullspace(stacked)
+    """Basis of rad(m), the annihilator of the socle of the dual, as
+    K-homogeneous columns: each socle vector of dual(m) lies on one weight,
+    so elimination never mixes weights."""
+    rows = socle_columns(dual(m))
+    return linalg.nullspace(rows) if rows else linalg.identity(m.field, m.dim)
 
 
 def socle_columns(m: QMod) -> list[list[CycNum]]:
     """Basis of the maximal semisimple submodule: the span of the images
-    of all maps from irreducibles."""
-    field = m.field
-    rs = linalg.RowSpace(field, m.dim)
-    out = []
+    of all maps from irreducibles.  Hom(X^a_s, m) is the space of vectors v
+    of weight a q^(s-1) with E v = 0 and F^s v = 0, the relations of the top
+    vector of X^a_s, each sent through maps_from_generator."""
+    spaces, rs, out = weight_spaces(m.weights), linalg.RowSpace(m.field, m.dim), []
     for a in (1, -1):
         for s in range(1, m.p + 1):
             x = irreducible(m.p, a, s)
-            for phi in intertwiner_basis(x, m):
-                for j in range(x.dim):
-                    col = [phi[i][j] for i in range(m.dim)]
-                    if any(col) and rs.add(col):
-                        out.append(col)
+            images = []
+            for v in weight_vectors(m, x.weights[0]):
+                w = v
+                for _ in range(s):
+                    w = linalg.mat_vec(m.mat_f, w)
+                images.append(linalg.mat_vec(m.mat_e, v) + w)
+            if images:
+                rows = [list(row) for row in zip(*images) if any(row)]
+                tops = graded_kernel(m.field, {x.weights[0]: rows}, spaces, m.dim)
+                for phi in maps_from_generator(x, 0, m, tops):
+                    out += [list(col) for col in zip(*phi) if rs.add(col)]
     return out
 
 

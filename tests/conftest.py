@@ -113,22 +113,17 @@ def _min_poly_degree(mat, field):
 def _min_poly(mat, field):
     dim = len(mat)
     deg = _min_poly_degree(mat, field)
-    sys = linalg.BlockSystem(field)
-    sys.add_block("c", deg, 1)
     power = linalg.identity(field, dim)
     powers = [power]
     for _ in range(deg):
         power = linalg.mat_mul(power, mat)
         powers.append(power)
-    for i in range(dim):
-        for j in range(dim):
-            sys.equation(
-                [(powers[d][i][j], "c", d, 0) for d in range(deg)],
-                -powers[deg][i][j],
-            )
-    sol = sys.solve()
+    # sum_d c_d mat^d = -mat^deg, one equation per entry
+    lhs = [[powers[d][i][j] for d in range(deg)] for i in range(dim) for j in range(dim)]
+    rhs = [[-powers[deg][i][j]] for i in range(dim) for j in range(dim)]
+    sol = linalg.solve(lhs, rhs)
     assert sol is not None
-    return [sol["c"][d][0] for d in range(deg)] + [field.one]
+    return [sol[d][0] for d in range(deg)] + [field.one]
 
 
 def oracle_decomposable(rep: QuiverRep) -> bool:
@@ -186,17 +181,11 @@ def oracle_decomposable(rep: QuiverRep) -> bool:
         mat = [[quo_mult[(a_i, a_j)][t] for a_j in range(abar_dim)] for t in range(abar_dim)]
         reg.append(mat)
     # center of the quotient
-    sys = linalg.BlockSystem(field)
-    sys.add_block("c", abar_dim, 1)
-    for a_j in range(abar_dim):
-        for t in range(abar_dim):
-            sys.equation(
-                [
-                    (quo_mult[(a_i, a_j)][t] - quo_mult[(a_j, a_i)][t], "c", a_i, 0)
-                    for a_i in range(abar_dim)
-                ]
-            )
-    center = sys.kernel()
+    center = linalg.nullspace([
+        [quo_mult[(a_i, a_j)][t] - quo_mult[(a_j, a_i)][t] for a_i in range(abar_dim)]
+        for a_j in range(abar_dim)
+        for t in range(abar_dim)
+    ])
     zdim = len(center)
     if abar_dim > zdim:
         return True  # a matrix block of size >= 2 over its residue field
@@ -211,8 +200,8 @@ def oracle_decomposable(rep: QuiverRep) -> bool:
             if c:
                 zmat = linalg.zeros(field, abar_dim, abar_dim)
                 for a_i in range(abar_dim):
-                    if sol["c"][a_i][0]:
-                        zmat = linalg.mat_add(zmat, linalg.mat_scale(sol["c"][a_i][0], reg[a_i]))
+                    if sol[a_i]:
+                        zmat = linalg.mat_add(zmat, linalg.mat_scale(sol[a_i], reg[a_i]))
                 mat = linalg.mat_add(mat, linalg.mat_scale(c, zmat))
         deg = _min_poly_degree(mat, field)
         if best is None or deg > best[0]:

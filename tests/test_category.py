@@ -319,6 +319,34 @@ def test_resolution_cache_is_bounded():
                 assert ext_dim(p, (1, s), (-1, p - s), n) == (n + 1 if n % 2 == 1 else 0)
 
 
+def test_shared_resolutions_are_left_as_they_were():
+    # resolution_of_irreducible hands every caller the same cached object;
+    # the Ext, extension-class and Yoneda callers may only extend it
+    from uqslcat.category import extension_class_of_middle, resolution_of_irreducible
+
+    def snapshot(res):
+        rows = lambda mat: [row[:] for row in mat]
+        return {"terms": [(rows(t.mat_e), rows(t.mat_f), t.weights[:]) for t in res.terms],
+                "content": [c[:] for c in res.content],
+                "boundaries": [rows(b) for b in res.boundaries],
+                "augmentation": [rows(res.augmentation)]}
+
+    p, keys = 3, [(1, 1), (-1, 2), (1, 2), (-1, 1)]
+    shared = {key: resolution_of_irreducible(p, *key, 1) for key in keys}
+    before = {key: snapshot(res) for key, res in shared.items()}
+    gens = ext_basis_x(p, 1, 1)
+    extension_class_of_middle(p, 1, 2, build_o1(p, 1, 2, CP1.of(p, 1, 1)))
+    assert yoneda(gens[(1, 2)], yoneda(gens[(-1, 1)], gens[(1, 1)])).degree == 3
+    for key in keys:
+        for n in range(4):
+            ext_dim(p, key, (1, 1), n)
+    for key, res in shared.items():
+        assert resolution_of_irreducible(p, *key, 0) is res and res.length() >= 3
+        after = snapshot(res)
+        for part, old in before[key].items():
+            assert after[part][:len(old)] == old, (key, part)
+
+
 def test_ext_generators_normalization():
     # the class of the z-gluing is linear in z: [O(1,z)] = z1 x1 + z2 x2
     from uqslcat.category import extension_class_of_middle

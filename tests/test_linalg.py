@@ -80,11 +80,13 @@ def test_rowspace_membership():
     assert not rs.contains([f.zero, f.one, f.zero])
 
 
-def test_block_system():
+def test_sparse_nullspace():
     f = CycField(4)
-    sys = linalg.BlockSystem(f)
-    sys.add_block("x", 2, 1)
-    sys.equation([(f.one, "x", 0, 0), (f.one, "x", 1, 0)], f.from_fraction(3))
-    sys.equation([(f.one, "x", 0, 0), (-f.one, "x", 1, 0)], f.from_fraction(1))
-    sol = sys.solve()
-    assert sol["x"][0][0] == 2 and sol["x"][1][0] == 1
+    one, i = f.one, f.gen()
+    # x0 + i x1 = 0 and x1 - x2 = 0, given as entries with a repeat that sums
+    entries = [(("a", 0), one), (("a", 1), i), (("b", 1), one), (("b", 2), -one), (("b", 2), one), (("b", 2), -one)]
+    basis = linalg.sparse_nullspace(f, entries, 3)
+    assert basis == [[-i, one, one]]
+    assert linalg.sparse_nullspace(f, reversed(entries), 3) == basis
+    # equations that cancel leave every unit vector
+    assert linalg.sparse_nullspace(f, [(("a", 0), one), (("a", 0), -one)], 2) == linalg.identity(f, 2)

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uqslcat.cli import run
+from uqslcat.category import IndecLabel
+from uqslcat.cli import MAX_FAMILY_SIZE, run
 from uqslcat.cyclotomic import MAX_EXPONENT, CycField, CycNum
 from uqslcat.kronecker import QuiverRep, canonical_rep
 from uqslcat.qmodules import MAX_P, CP1, QMod, build_o1, irreducible
@@ -117,6 +118,20 @@ def test_label_exponent_above_the_bound_fails_cleanly(capsys):
         out, err = capsys.readouterr()
         assert code == 1 and not out and len(err.splitlines()) == 1 and str(MAX_EXPONENT) in err
     assert run(["build", "--p", "2", "--family", f"O+:1:1:q^{MAX_EXPONENT}/1"]) == 0
+
+
+def test_family_size_above_the_bound_fails_cleanly(capsys, monkeypatch):
+    # W+:1:100000 at p = 2 once went on to allocate dense 2e5 x 2e5 matrices
+    built, rebuild = [], IndecLabel.rebuild
+    monkeypatch.setattr(IndecLabel, "rebuild", lambda self, p: built.append(str(self)) or rebuild(self, p))
+    n = MAX_FAMILY_SIZE + 1
+    for label in (f"W+:1:{n}", f"M-:1:{n}", f"O+:1:{n}:1/0", "W+:1:100000"):
+        code = run(["build", "--p", "2", "--family", label])
+        out, err = capsys.readouterr()
+        assert code == 1 and not out and len(err.splitlines()) == 1 and str(MAX_FAMILY_SIZE) in err
+    assert not built
+    assert run(["build", "--p", "2", "--family", f"W+:1:{MAX_FAMILY_SIZE}"]) == 0
+    assert built == [f"W+_1({MAX_FAMILY_SIZE})"]
 
 
 def test_valid_files_still_load():

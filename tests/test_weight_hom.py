@@ -4,9 +4,10 @@
 Casimir block they read Hom(P, M) and Hom(X^±_p, M) off a weight space
 through ``maps_from_generator``, the radical at a top weight off the two
 gluings, and the top of a module off the top-weight vectors outside
-F M + E^s M.  These tests compare each reading with ``intertwiner_basis``
-and ``radical_columns``, and check that ``decompose`` keeps the Hom
-dimensions into and out of every simple and projective."""
+F M + E^s M, and the socle and the radical off the top vectors of the
+simples in M and in its dual.  These tests compare each reading with
+``intertwiner_basis`` and ``radical_columns``, and check that ``decompose``
+keeps the Hom dimensions into and out of every simple and projective."""
 
 import random
 
@@ -16,7 +17,7 @@ from uqslcat.category import (IndecLabel, _term_homs, _top_radical, block_decomp
                               minimal_resolution, projective_cover)
 from uqslcat.qmodules import (build_p, direct_sum, intertwiner_basis, irreducible,
                               irreducible_weights, maps_from_generator, radical_columns,
-                              regular_module, weight_vectors)
+                              regular_module, socle_columns, weight_vectors)
 
 
 def random_labels(p, rng, count, families="XWMOP"):
@@ -102,6 +103,27 @@ def test_top_radical_is_the_radical_at_the_top_weight():
                 assert _top_radical(b, sign, s_top).basis() == want
                 checked += bool(want)
     assert checked >= 4
+
+
+def generic_socle_and_radical(m):
+    """The spans of the socle and the radical of m from the generic solver:
+    the images of Hom(X, m) and the common kernel of Hom(m, X) over all
+    simples X."""
+    simples = [irreducible(m.p, a, s) for a in (1, -1) for s in range(1, m.p + 1)]
+    images = [list(col) for x in simples for phi in intertwiner_basis(x, m) for col in zip(*phi)]
+    rows = [row for x in simples for phi in intertwiner_basis(m, x) for row in phi]
+    kernel = linalg.nullspace(rows) if rows else linalg.identity(m.field, m.dim)
+    return span(m.field, images, m.dim), span(m.field, kernel, m.dim)
+
+
+def test_socle_and_radical_against_the_generic_solver():
+    modules = [piece.module for piece in block_pieces()]
+    modules += [build_p(p, a, s) for p in (2, 3, 4) for a in (1, -1) for s in range(1, p)]
+    for m in modules:
+        soc, rad = socle_columns(m), radical_columns(m)
+        assert (span(m.field, soc, m.dim), span(m.field, rad, m.dim)) == generic_socle_and_radical(m)
+        for v in soc + rad:  # K-homogeneous, as submodule needs
+            assert len({w for x, w in zip(v, m.weights) if x}) == 1
 
 
 def hom_totals(m):
