@@ -9,6 +9,12 @@ normal-orders via
     C E C^-1 = q^w E,   C F C^-1 = q^-w F,   [E, F] = (K - K^-1)/(q - q^-1),
 
 truncating E^p = F^p = 0, with w = 2 for C = K and w = 1 for C = k.
+
+The structure constants are phase-indexed: a product of two monomials
+gives each term as c * zeta^k, with zeta the field generator, k an integer
+and c a normal-ordering coefficient of F^j E^r (None for a power of zeta).
+Tensor products add k across legs; each output term costs one field
+product with a per-call table of zeta^k times the right-hand coefficient.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ class QuantumAlgebra:
         self._qstep = order // (2 * p)
         self.q = self.field.root_of_unity(self._qstep)
         self._qdiff_inv = (self.qpow(1) - self.qpow(-1)).inv()
-        self._core: dict[tuple[int, int], dict[Term, CycNum]] = {}
+        self.roots = [self.field.root_of_unity(k) for k in range(order)]
+        self._phase_of = {z: k for k, z in enumerate(self.roots)}
+        self._core: dict[tuple[int, int], list] = {}
         self._delta_cache: dict[Term, dict] = {}
         self._antipode_cache: dict[Term, dict] = {}
         self.dimension = p * p * self.cartan_order
@@ -115,39 +123,41 @@ class QuantumAlgebra:
 
     # -- structure constants -------------------------------------------------
 
-    def core_fe(self, j: int, r: int) -> dict[Term, CycNum]:
-        """F^j E^r in normal order: dict (e, f, m) -> coeff on E^e F^f C^m."""
+    def core_fe(self, j: int, r: int) -> list[tuple[Term, CycNum | None, int]]:
+        """F^j E^r in normal order, as triples (e, f, m), c, k: the
+        coefficient c * zeta^k on E^e F^f C^m, where c is None when the
+        coefficient is a power of zeta and k is 0 otherwise."""
         key = (j, r)
         cached = self._core.get(key)
         if cached is not None:
             return cached
         if j == 0:
-            out = {(r, 0, 0): self.field.one}
+            out = [((r, 0, 0), None, 0)]
         else:
-            kk, co = self.kk, self.cartan_order
+            kk, co, roots = self.kk, self.cartan_order, self.roots
 
             def terms():
-                for (e, f, m), c in self.core_fe(j - 1, r).items():
+                for (e, f, m), c, k in self.core_fe(j - 1, r):
+                    c = roots[k] if c is None else c
                     yield (e, f + 1, m), c
                     if e:
                         coef = c * self.qint(e) * self._qdiff_inv
                         yield (e - 1, f, (m + kk) % co), -coef * self.qpow(e - 1 - 2 * f)
                         yield (e - 1, f, (m - kk) % co), coef * self.qpow(1 - e + 2 * f)
 
-            out = accumulate(terms())
+            phase = self._phase_of
+            out = [(t, None, phase[c]) if c in phase else (t, c, 0) for t, c in accumulate(terms()).items()]
         self._core[key] = out
         return out
 
-    def mul_terms(self, t1: Term, t2: Term) -> dict[Term, CycNum]:
+    def mul_phased(self, t1: Term, t2: Term) -> list[tuple[Term, CycNum | None, int]]:
+        """E^i F^j C^l * E^r F^t C^u as triples term, c, k: the coefficient
+        c * zeta^k, with c from core_fe and 0 <= k < the field order."""
         (i, j, l), (r, t, u) = t1, t2
-        p, w, co = self.p, self.w, self.cartan_order
-        base = self.qpow(w * l * (r - t))
+        p, co, n, sw = self.p, self.cartan_order, self.field.order, self.w * self._qstep
         # distinct terms of F^j E^r stay distinct after the shift, so nothing cancels
-        return {
-            (i + e, f + t, (m + l + u) % co): c * base * self.qpow(-w * m * t) if m and t else c * base
-            for (e, f, m), c in self.core_fe(j, r).items()
-            if i + e < p and f + t < p
-        }
+        return [((i + e, f + t, (m + l + u) % co), c, (k + sw * (l * (r - t) - m * t)) % n)
+                for (e, f, m), c, k in self.core_fe(j, r) if i + e < p and f + t < p]
 
     # -- Hopf structure on monomials -----------------------------------------
 
@@ -185,35 +195,44 @@ class QuantumAlgebra:
         return term[0] == 0 and term[1] == 0
 
 
-def _dict_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
-    return accumulate(
-        (t, c * k)
-        for t1, c1 in a.items()
-        for t2, c2 in b.items()
-        for c in (c1 * c2,)
-        for t, k in alg.mul_terms(t1, t2).items()
-    )
+def _dict_mul(alg: QuantumAlgebra, a: dict, b: dict, product=None) -> dict:
+    """Sum of c1 * c2 * product(s, t) over the terms s, c1 of a and t, c2 of
+    b, where product (alg.mul_phased by default) gives triples key, c, k for
+    c * zeta^k * key; c1 meets c2 * zeta^k from a per-call table."""
+    n, roots, product = alg.field.order, alg.roots, product or alg.mul_phased
+    right = [(t, c2, [None] * n) for t, c2 in b.items()]
+
+    def terms():
+        for s, c1 in a.items():
+            for t, c2, rot in right:
+                for key, c, k in product(s, t):
+                    z = rot[k]
+                    if z is None:
+                        z = rot[k] = c2 * roots[k]
+                    yield key, c1 * z if c is None else c1 * z * c
+
+    return accumulate(terms())
 
 
 def _tensor_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
     """Product of tensor elements given as dicts on tuples of monomials,
-    multiplied leg by leg."""
+    multiplied leg by leg: the phase indices of the legs add.  A monomial
+    pair recurs on many legs, so its product is kept for this call."""
+    n, leg_products = alg.field.order, {}
 
-    out: dict = {}
-    for s, c1 in a.items():
-        for t, c2 in b.items():
-            legs = []
-            for s_leg, t_leg in zip(s, t):
-                d = alg.mul_terms(s_leg, t_leg)
-                if not d:
-                    break
-                legs.append(d)
-            else:
-                partial = [((), c1 * c2)]
-                for d in legs:
-                    partial = [(key + (u,), c * k) for key, c in partial for u, k in d.items()]
-                accumulate(partial, out)
-    return out
+    def legs(s, t):
+        partial = [((), None, 0)]
+        for pair in zip(s, t):
+            d = leg_products.get(pair)
+            if d is None:
+                d = leg_products[pair] = alg.mul_phased(*pair)
+            if not d:
+                return ()
+            partial = [(key + (u,), cu if c is None else c if cu is None else c * cu, k + ku)
+                       for key, c, k in partial for u, cu, ku in d]
+        return [(key, c, k % n) for key, c, k in partial]
+
+    return _dict_mul(alg, a, b, legs)
 
 
 def _tensor_power(alg: QuantumAlgebra, d: dict, n: int) -> dict:
@@ -468,14 +487,15 @@ class TensorElem:
         return TensorElem(alg, int(data["legs"]), terms)
 
     def multiply_legs_with_antipode(self, apply_s_to: int) -> AlgElem:
-        """m(S (x) id) or m(id (x) S) on a two-leg element."""
-        alg, one = self.alg, self.alg.field.one
-        return AlgElem(alg, accumulate(
-            (t, c * k)
-            for (t1, t2), c in self.terms.items()
-            for t, k in (_dict_mul(alg, alg.antipode_mono(t1), {t2: one}) if apply_s_to == 0
-                         else _dict_mul(alg, {t1: one}, alg.antipode_mono(t2))).items()
-        ))
+        """m(S (x) id) or m(id (x) S) on a two-leg element, with one product
+        per distinct monomial on the leg that S acts on."""
+        alg, groups, out = self.alg, {}, {}
+        for t, c in self.terms.items():
+            groups.setdefault(t[apply_s_to], {})[t[1 - apply_s_to]] = c
+        for u, rest in groups.items():
+            s = alg.antipode_mono(u)
+            accumulate((_dict_mul(alg, s, rest) if apply_s_to == 0 else _dict_mul(alg, rest, s)).items(), out)
+        return AlgElem(alg, out)
 
 
 # -- Hopf operations on elements ------------------------------------------------

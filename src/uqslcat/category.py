@@ -382,13 +382,13 @@ def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
     return build_p(p, a, s), s
 
 
-def _top_vectors(m: QMod, a: int, s: int) -> list[list[CycNum]]:
+def _top_vectors(m: QMod, spaces, q: CycNum, a: int, s: int) -> list[list[CycNum]]:
     """A basis of the images of the top vector under Hom(cover of X^a_s, m):
     the vectors of weight lambda = a q^(s-1) in the Casimir block of X^a_s,
     where m can meet other blocks too, as the kernel of casimir_nil on that
-    weight space."""
-    lam, spaces, j = irreducible_weights(m.p, a, s)[0], weight_spaces(m.weights), s if a > 0 else m.p - s
-    blocks = {lam: casimir_nil(m, spaces, lam, [j])[j]} if lam in spaces else {}
+    weight space; spaces and q are weight_spaces and q_of of m."""
+    lam, j = irreducible_weights(m.p, a, s)[0], s if a > 0 else m.p - s
+    blocks = {lam: casimir_nil(m, spaces, q, lam, [j])[j]} if lam in spaces else {}
     return graded_kernel(m.field, blocks, spaces, m.dim)
 
 
@@ -398,11 +398,16 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
     cyclic on its top vector, so its maps into m are the _top_vectors of m,
     and those independent modulo the _top_radical generate the summands of
     the cover, one per copy of X^a_s in the top of m."""
-    p, field = m.p, m.field
+    return _graded_cover(m)[:3]
+
+
+def _graded_cover(m: QMod):
+    """projective_cover with the weight blocks of its surjection."""
+    p, field, spaces, q = m.p, m.field, weight_spaces(m.weights), q_of(m)
     cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
     for a in (1, -1):
         for s in range(1, p + 1):
-            tops = _top_vectors(m, a, s)
+            tops = _top_vectors(m, spaces, q, a, s)
             if not tops:
                 continue
             radical = _top_radical(m, a, s)
@@ -414,10 +419,10 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
                 content.append(((a, s), len(gens)))
     cover = direct_sum(*cover_mods) if cover_mods else QMod(p, [], [], [], field=field)
     sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
-    blocks = _graded(sur, weight_spaces(m.weights), weight_spaces(cover.weights), "cover map is not graded")
+    blocks = _graded(sur, spaces, weight_spaces(cover.weights), "cover map is not graded")
     if sum(linalg.rank(blk) for blk in blocks.values()) != m.dim:
         raise ClassificationError("cover map is not surjective")
-    return cover, sur, content
+    return cover, sur, content, blocks
 
 
 @dataclass
@@ -428,6 +433,7 @@ class Resolution:
     boundaries: list = dc_field(default_factory=list)  # d_k: terms[k] -> terms[k-1], k >= 1
     augmentation: list = dc_field(default_factory=list)  # terms[0] -> module
     _kernels: list = dc_field(default_factory=list)
+    _newest_blocks: dict = dc_field(default_factory=dict)  # weight blocks of the newest map
 
     def length(self) -> int:
         return len(self.terms) - 1
@@ -435,36 +441,33 @@ class Resolution:
     def extend_to(self, length: int) -> "Resolution":
         while self.length() < length:
             if not self.terms:
-                p0, aug, content = projective_cover(self.module)
+                p0, aug, content, self._newest_blocks = _graded_cover(self.module)
                 self.terms.append(p0)
                 self.content.append(content)
                 self.augmentation = aug
-                self._kernels.append(self._kernel_of(p0, aug, self.module))
+                self._kernels.append(self._kernel_of(p0, self._newest_blocks))
                 continue
             ker_mod, ker_emb = self._kernels[-1]
-            pk, cover_map, content = projective_cover(ker_mod)
+            pk, cover_map, content, blocks = _graded_cover(ker_mod)
             boundary = linalg.mat_mul(ker_emb, cover_map) if ker_mod.dim else \
                 [[] for _ in range(self.terms[-1].dim)]
             self.terms.append(pk)
             self.content.append(content)
             self.boundaries.append(boundary)
-            self._kernels.append(self._kernel_of(pk, cover_map, ker_mod))
+            self._kernels.append(self._kernel_of(pk, blocks))
             self._verify_step()
         return self
 
     @staticmethod
-    def _kernel_of(term: QMod, mapping, target: QMod):
-        """The kernel of a module map term -> target, per weight, as a submodule."""
-        cols = weight_spaces(term.weights)
-        blocks = _graded(mapping, weight_spaces(target.weights), cols, "resolution map is not graded")
-        return submodule(term, graded_kernel(term.field, blocks, cols, term.dim))
+    def _kernel_of(term: QMod, blocks):
+        """The kernel of a map out of term, from its weight blocks, as a submodule."""
+        return submodule(term, graded_kernel(term.field, blocks, weight_spaces(term.weights), term.dim))
 
     def _verify_step(self) -> None:
-        """d_(k-1) d_k = 0 and exactness at the newest step k, per weight."""
+        """d_(k-1) d_k = 0 and exactness at the newest step k, per weight,
+        with the blocks of d_(k-1) (or of the augmentation) kept from before."""
         k = len(self.terms) - 1
-        target, prev_map = (self.module, self.augmentation) if k == 1 else (self.terms[k - 2], self.boundaries[k - 2])
-        mid = weight_spaces(self.terms[k - 1].weights)
-        prev = _graded(prev_map, weight_spaces(target.weights), mid, "resolution map is not graded")
+        mid, prev = weight_spaces(self.terms[k - 1].weights), self._newest_blocks
         cur = _graded(self.boundaries[k - 1], mid, weight_spaces(self.terms[k].weights),
                       "resolution map is not graded")
         for lam, idx in mid.items():
@@ -473,6 +476,7 @@ class Resolution:
                 raise ClassificationError("boundary composition is nonzero")
             if linalg.rank(prev[lam]) + linalg.rank(blk) != len(idx):
                 raise ClassificationError("resolution is not exact")
+        self._newest_blocks = cur
 
 
 @lru_cache(maxsize=40)  # every irreducible at p = 2..6, the CLI's default bound on p
@@ -626,9 +630,10 @@ def _term_homs(content, dst: QMod) -> list:
     the basis is the maps that send one summand's top vector to one of the
     _top_vectors of dst and kill the other summands."""
     summands = []  # (dim of the cover, its maps into dst)
+    spaces, q = weight_spaces(dst.weights), q_of(dst)
     for (a, s), mult in content:
         pmod, top = _cover_of_simple(dst.p, a, s)
-        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, _top_vectors(dst, a, s)))] * mult
+        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, _top_vectors(dst, spaces, q, a, s)))] * mult
     width, zero = sum(d for d, _ in summands), dst.field.zero
     homs, off = [], 0
     for d, maps in summands:

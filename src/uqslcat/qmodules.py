@@ -25,6 +25,10 @@ from .cyclotomic import CycField, CycNum, json_field, json_value, qint
 # The largest p a module file may state: building the field Q(zeta_2p) alone
 # takes about a second at p = 5000 (2-vCPU x86-64 VM, Python 3.11).
 MAX_P = 1000
+# The largest dimension a module file may state (Reg(6) has 432): E and F are
+# dense, so loading and verifying dim 1000 (200 Steinberg modules at p = 5)
+# takes 2.7 s and 50 MB on the same VM, and both grow as dim^2.
+MAX_DIM = 1000
 
 
 def _sign(a) -> int:
@@ -140,7 +144,7 @@ class QMod:
     @staticmethod
     def from_json(data: dict) -> "QMod":
         p = json_field(data, "p", int, 2, MAX_P + 1)
-        dim = json_field(data, "dim", int)
+        dim = json_field(data, "dim", int, 0, MAX_DIM + 1)
         field = CycField(2 * p)
 
         def number(c, key):
@@ -477,8 +481,8 @@ def regular_module(p: int) -> QMod:
     def left_mult(gen_term):
         mat = linalg.zeros(field, dim, dim)
         for t in terms:
-            for u, c in alg.mul_terms(gen_term, t).items():
-                mat[index[u]][index[t]] = c
+            for u, c, k in alg.mul_phased(gen_term, t):
+                mat[index[u]][index[t]] = alg.roots[k] if c is None else c * alg.roots[k]
         return mat
 
     mat_e = left_mult((1, 0, 0))
@@ -692,12 +696,12 @@ def semisimple_length_of(m: QMod) -> int:
     return len(radical_series(m))
 
 
-def casimir_nil(m: QMod, spaces, lam: CycNum, js) -> dict[int, list[list[CycNum]]]:
+def casimir_nil(m: QMod, spaces, q: CycNum, lam: CycNum, js) -> dict[int, list[list[CycNum]]]:
     """j -> (q - q^-1)^2 (C - beta_j) on M_lambda for the blocks j in js: as
     C = E F + (q^-1 K + q K^-1)/(q - q^-1)^2 and beta_j = (q^j + q^-j)/(q - q^-1)^2,
     it is (q - q^-1)^2 E F + q^-1 lambda + q lambda^-1 - q^j - q^-j; squared
-    for 0 < j < p, where C - beta_j is nilpotent of order two on the block."""
-    q = q_of(m)
+    for 0 < j < p, where C - beta_j is nilpotent of order two on the block;
+    spaces and q are weight_spaces and q_of of m."""
     e = weight_blocks(m.mat_e, spaces, {mu: spaces[mu] for mu in [lam * q ** -2] if mu in spaces}, q * q)
     f = weight_blocks(m.mat_f, spaces, {lam: spaces[lam]}, q ** -2)
     if e is None or f is None:
@@ -717,8 +721,8 @@ def casimir_blocks(m: QMod):
     """Yield (s, columns) for the Casimir blocks s = 0..p: a basis of the
     part of m where C - beta_s is nilpotent, from the kernels of casimir_nil
     on the weight spaces."""
-    spaces = weight_spaces(m.weights)
-    nils = {lam: casimir_nil(m, spaces, lam, range(m.p + 1)) for lam in spaces}
+    spaces, q = weight_spaces(m.weights), q_of(m)
+    nils = {lam: casimir_nil(m, spaces, q, lam, range(m.p + 1)) for lam in spaces}
     for s in range(m.p + 1):
         yield s, graded_kernel(m.field, {lam: nils[lam][s] for lam in spaces}, spaces, m.dim)
 

@@ -7,6 +7,7 @@ from uqslcat import linalg
 from uqslcat.algebra import (AlgElem, TensorElem, antipode, base_algebra,
                              casimir, center_basis, coproduct, counit,
                              verify_hopf)
+from uqslcat.qmodules import action_matrix, build_p, direct_sum, irreducible
 
 
 def random_elem(alg, rng, terms=3):
@@ -44,6 +45,20 @@ def test_associativity_random():
         for _ in range(15):
             a, b, c = (random_elem(alg, rng) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+
+def test_products_act_as_products_of_actions():
+    # an oracle for the product kernel that does not use it: the sum of all
+    # projective indecomposables is faithful, and its matrices come from
+    # explicit formulas
+    for p in (2, 3, 4):
+        alg = base_algebra(p)
+        m = direct_sum(*[build_p(p, a, s) for a in (1, -1) for s in range(1, p)],
+                       irreducible(p, 1, p), irreducible(p, -1, p))
+        rng = random.Random(30 + p)
+        for _ in range(4):
+            a, b = random_elem(alg, rng, 4), random_elem(alg, rng, 4)
+            assert action_matrix(m, a * b) == linalg.mat_mul(action_matrix(m, a), action_matrix(m, b))
 
 
 def test_coproduct_on_generators():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from uqslcat import linalg
@@ -6,7 +8,7 @@ from uqslcat.braiding import (braid_action, k_diagonal, monodromy, r_matrix,
                               r_matrix_inverse, ribbon, ribbon_in_base,
                               ribbon_scalars, tensor_action,
                               verify_quasitriangular, verify_ribbon)
-from uqslcat.qmodules import coerce_field, intertwiner_basis, irreducible, tensor
+from uqslcat.qmodules import build_p, coerce_field, direct_sum, intertwiner_basis, irreducible, tensor
 
 
 def test_extended_algebra_relations():
@@ -38,6 +40,39 @@ def test_r_intertwines_coproduct():
     for gen in (alg.E, alg.F, alg.cartan):
         d = coproduct(gen)
         assert r * d == d.flip() * r
+
+
+def test_braiding_checks_reject_a_perturbed_r_matrix():
+    # negative control: one E (x) F coefficient of R times zeta_8
+    alg = extended_algebra(2)
+    terms = dict(r_matrix(2).terms)
+    key = ((1, 0, 3), (0, 1, 5))
+    terms[key] = terms[key] * alg.field.gen()
+    bad = TensorElem(alg, 2, terms)
+    assert bad * r_matrix_inverse(2) != TensorElem.unit(alg, 2)
+    for gen in (alg.E, alg.F):
+        d = coproduct(gen)
+        assert bad * d != d.flip() * bad
+
+
+def test_extended_products_act_as_products_of_actions():
+    # two-leg products against the product of their actions on m1 (x) m2,
+    # for both choices of the square root of K
+    alg = extended_algebra(2)
+    f, rng = alg.field, random.Random(5)
+    m1 = coerce_field(build_p(2, 1, 1), 8)
+    m2 = coerce_field(direct_sum(build_p(2, -1, 1), irreducible(2, 1, 2)), 8)
+    terms = list(alg.basis_terms())
+
+    def random_tensor():
+        return TensorElem(alg, 2, {(rng.choice(terms), rng.choice(terms)): f.root_of_unity(rng.randrange(8))
+                                   * rng.randint(1, 3) for _ in range(4)})
+
+    for sign in (1, -1):
+        for _ in range(3):
+            a, b = random_tensor(), random_tensor()
+            act = lambda x: tensor_action(m1, m2, x, sign=sign)
+            assert act(a * b) == linalg.mat_mul(act(a), act(b))
 
 
 def test_hexagon_identities():

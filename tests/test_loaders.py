@@ -13,11 +13,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uqslcat import linalg
 from uqslcat.category import IndecLabel
 from uqslcat.cli import MAX_FAMILY_SIZE, run
 from uqslcat.cyclotomic import MAX_EXPONENT, CycField, CycNum
 from uqslcat.kronecker import QuiverRep, canonical_rep
-from uqslcat.qmodules import MAX_P, CP1, QMod, build_o1, irreducible
+from uqslcat.qmodules import MAX_DIM, MAX_P, CP1, QMod, build_o1, irreducible
 
 MODULE = irreducible(2, 1, 2).to_json()
 GLUED = build_o1(3, 1, 1, CP1.of(3, 1, 1)).to_json()
@@ -102,6 +103,18 @@ def test_module_loader_rejects_a_huge_p_before_building_its_field():
         QMod.from_json({"p": 50000, "dim": 0, "weights": [], "E": [], "F": []})
     assert time.process_time() - start < 1
     assert QMod.from_json({"p": MAX_P, "dim": 0, "weights": [], "E": [], "F": []}).p == MAX_P
+
+
+def test_module_dimension_above_the_bound_fails_cleanly(monkeypatch):
+    # a file stating dim 40000 with as many weights once ended in MemoryError
+    allocated, zeros = [], linalg.zeros
+    monkeypatch.setattr(linalg, "zeros", lambda field, m, n: allocated.append((m, n)) or zeros(field, m, n))
+    n = MAX_DIM + 1
+    code, out, err = run_file("verify", {"p": 2, "dim": n, "weights": [ONE] * n, "E": [], "F": []})
+    assert code == 1 and not out and len(err.splitlines()) == 1 and "'dim'" in err
+    assert not allocated
+    assert QMod.from_json({"p": 2, "dim": MAX_DIM, "weights": [ONE] * MAX_DIM, "E": [], "F": []}).dim == MAX_DIM
+    assert allocated == [(MAX_DIM, MAX_DIM)] * 2
 
 
 def test_number_loader_takes_only_integer_or_fraction_strings():
