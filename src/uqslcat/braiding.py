@@ -18,7 +18,7 @@ from .algebra import (AlgElem, QuantumAlgebra, TensorElem, base_algebra,
                       center_basis, coproduct, counit, extended_algebra,
                       verify_hopf)
 from .cyclotomic import CycNum
-from .qmodules import QMod, coerce_field, family_label
+from .qmodules import QMod, coerce_field, family_label, monomial_action
 
 
 def _require_p2(p: int) -> None:
@@ -217,40 +217,15 @@ def k_diagonal(m: QMod, sign: int = 1) -> list[CycNum]:
     return out
 
 
-def _extended_action(m: QMod, kdiag, term):
-    i, j, l = term
-    field = m.field
-    mat = linalg.identity(field, m.dim)
-    for _ in range(i):
-        mat = linalg.mat_mul(mat, m.mat_e)
-    for _ in range(j):
-        mat = linalg.mat_mul(mat, m.mat_f)
-    if l:
-        kl = [k ** l for k in kdiag]
-        mat = [[mat[r][c] * kl[c] for c in range(m.dim)] for r in range(m.dim)]
-    return mat
-
-
-def tensor_action(m1: QMod, m2: QMod, elem: TensorElem, k1=None, k2=None, sign: int = 1):
+def tensor_action(m1: QMod, m2: QMod, elem: TensorElem, sign: int = 1):
     """Action matrix of a two-leg tensor element on m1 (x) m2 over
     Q(zeta_8)."""
     m1 = coerce_field(m1, 8) if m1.field.order % 8 else m1
     m2 = coerce_field(m2, 8) if m2.field.order % 8 else m2
-    k1 = k1 or k_diagonal(m1, sign)
-    k2 = k2 or k_diagonal(m2, sign)
-    field = m1.field
-    dim = m1.dim * m2.dim
-    out = linalg.zeros(field, dim, dim)
+    act1, act2 = monomial_action(m1, k_diagonal(m1, sign)), monomial_action(m2, k_diagonal(m2, sign))
+    out = linalg.zeros(m1.field, m1.dim * m2.dim, m1.dim * m2.dim)
     for (t1, t2), c in elem.terms.items():
-        a1 = _extended_action(m1, k1, t1)
-        a2 = _extended_action(m2, k2, t2)
-        kr = linalg.kron(a1, a2)
-        for r in range(dim):
-            row = kr[r]
-            orow = out[r]
-            for cc in range(dim):
-                if row[cc]:
-                    orow[cc] = orow[cc] + c * row[cc]
+        linalg.add_scaled(out, c, linalg.kron(act1(t1), act2(t2)))
     return out
 
 
@@ -260,10 +235,8 @@ def braid_action(m1: QMod, m2: QMod, sign: int = 1):
     by ``sign``)."""
     if m1.p != 2 or m2.p != 2:
         raise ValueError("braiding is implemented at p = 2")
-    m1e = coerce_field(m1, 8) if m1.field.order % 8 else m1
-    m2e = coerce_field(m2, 8) if m2.field.order % 8 else m2
-    rho = tensor_action(m1e, m2e, r_matrix(2), sign=sign)
-    d1, d2 = m1e.dim, m2e.dim
+    rho = tensor_action(m1, m2, r_matrix(2), sign=sign)
+    d1, d2 = m1.dim, m2.dim
     flipped = [[None] * (d1 * d2) for _ in range(d1 * d2)]
     for i in range(d1):
         for j in range(d2):

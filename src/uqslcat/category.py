@@ -27,6 +27,11 @@ minimal cover.  Since covers are minimal, Hom(-, simple) kills all
 differentials and Ext dimensions are the multiplicities in the terms;
 Yoneda products lift cocycles through the resolutions as chain maps,
 solved degree by degree over those same top-vector maps.
+
+Every step works one weight space at a time.  A module's own grading (its
+weight spaces, q and the weight blocks of E and F) is read from the QMod,
+which builds it once; only module maps (certificates, cover maps,
+boundaries) are sliced here, by weight_blocks.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock
                         canonical_rep, classify, functor_G, glued_form)
 from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, casimir_nil, direct_sum, dual,
                        family_label, graded_kernel, intertwiner_basis, irreducible, irreducible_weights,
-                       maps_from_generator, q_of, radical_series, socle_columns, submodule, weight_blocks,
-                       weight_spaces, weight_vectors)
+                       maps_from_generator, radical_series, socle_columns, submodule, weight_blocks,
+                       weight_vectors)
 from .qmodules import semisimple_length_of as semisimple_length
 
 
@@ -232,7 +237,8 @@ def decompose(m: QMod) -> DecompReport:
 def _verify_certificate(m: QMod, entries, cert) -> None:
     """Check that cert is an isomorphism from the rebuilt entries onto m, one
     weight space at a time: no entry off its weight blocks (K), square blocks
-    of full rank (invertible), and E and F intertwined block by block."""
+    of full rank (invertible), and E and F intertwined block by block, on
+    the weight blocks of E and F that each module keeps."""
     if m.dim == 0:
         if entries:
             raise ClassificationError("empty module with entries")
@@ -240,24 +246,23 @@ def _verify_certificate(m: QMod, entries, cert) -> None:
     rebuilt = direct_sum(*[lbl.rebuild(m.p) for lbl, mult in entries for _ in range(mult)])
     if rebuilt.dim != m.dim or len(cert[0]) != m.dim:
         raise ClassificationError("certificate has wrong dimensions")
-    ours, theirs = weight_spaces(m.weights), weight_spaces(rebuilt.weights)
-    blocks = _graded(cert, ours, theirs, "certificate does not intertwine K")
+    theirs = rebuilt.spaces
+    blocks = _graded(cert, m.spaces, theirs, "certificate does not intertwine K")
     if any(len(blk) != len(theirs[lam]) or linalg.rank(blk) != len(blk) for lam, blk in blocks.items()):
         raise ClassificationError("certificate is not invertible")
-    q2 = q_of(m) ** 2
+    q2 = m.q ** 2
     for gen, shift in (("E", q2), ("F", q2.inv())):
-        failure = f"certificate does not intertwine {gen}"
-        lhs = _graded(m.mat(gen), ours, ours, failure, shift)
-        rhs = _graded(rebuilt.mat(gen), theirs, theirs, failure, shift)
+        lhs, rhs = m.blocks(gen), rebuilt.blocks(gen)
         for lam in theirs:
             if shift * lam in theirs and not linalg.mat_eq(
                     linalg.mat_mul(lhs[lam], blocks[lam]), linalg.mat_mul(blocks[shift * lam], rhs[lam])):
-                raise ClassificationError(failure)
+                raise ClassificationError(f"certificate does not intertwine {gen}")
 
 
-def _graded(mat, rows, cols, failure: str, shift=None) -> dict:
-    """weight_blocks, raising ClassificationError(failure) instead of None."""
-    blocks = weight_blocks(mat, rows, cols, shift)
+def _graded(mat, rows, cols, failure: str) -> dict:
+    """weight_blocks of a module map, raising ClassificationError(failure)
+    instead of None."""
+    blocks = weight_blocks(mat, rows, cols)
     if blocks is None:
         raise ClassificationError(failure)
     return blocks
@@ -382,14 +387,13 @@ def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
     return build_p(p, a, s), s
 
 
-def _top_vectors(m: QMod, spaces, q: CycNum, a: int, s: int) -> list[list[CycNum]]:
+def _top_vectors(m: QMod, a: int, s: int) -> list[list[CycNum]]:
     """A basis of the images of the top vector under Hom(cover of X^a_s, m):
     the vectors of weight lambda = a q^(s-1) in the Casimir block of X^a_s,
     where m can meet other blocks too, as the kernel of casimir_nil on that
-    weight space; spaces and q are weight_spaces and q_of of m."""
+    weight space."""
     lam, j = irreducible_weights(m.p, a, s)[0], s if a > 0 else m.p - s
-    blocks = {lam: casimir_nil(m, spaces, q, lam, [j])[j]} if lam in spaces else {}
-    return graded_kernel(m.field, blocks, spaces, m.dim)
+    return graded_kernel(m, {lam: casimir_nil(m, lam, [j])[j]} if lam in m.spaces else {})
 
 
 def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], int]]]:
@@ -403,11 +407,11 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
 
 def _graded_cover(m: QMod):
     """projective_cover with the weight blocks of its surjection."""
-    p, field, spaces, q = m.p, m.field, weight_spaces(m.weights), q_of(m)
+    p, field = m.p, m.field
     cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
     for a in (1, -1):
         for s in range(1, p + 1):
-            tops = _top_vectors(m, spaces, q, a, s)
+            tops = _top_vectors(m, a, s)
             if not tops:
                 continue
             radical = _top_radical(m, a, s)
@@ -419,7 +423,7 @@ def _graded_cover(m: QMod):
                 content.append(((a, s), len(gens)))
     cover = direct_sum(*cover_mods) if cover_mods else QMod(p, [], [], [], field=field)
     sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
-    blocks = _graded(sur, spaces, weight_spaces(cover.weights), "cover map is not graded")
+    blocks = _graded(sur, m.spaces, cover.spaces, "cover map is not graded")
     if sum(linalg.rank(blk) for blk in blocks.values()) != m.dim:
         raise ClassificationError("cover map is not surjective")
     return cover, sur, content, blocks
@@ -439,37 +443,28 @@ class Resolution:
         return len(self.terms) - 1
 
     def extend_to(self, length: int) -> "Resolution":
-        while self.length() < length:
-            if not self.terms:
-                p0, aug, content, self._newest_blocks = _graded_cover(self.module)
-                self.terms.append(p0)
-                self.content.append(content)
-                self.augmentation = aug
-                self._kernels.append(self._kernel_of(p0, self._newest_blocks))
-                continue
-            ker_mod, ker_emb = self._kernels[-1]
-            pk, cover_map, content, blocks = _graded_cover(ker_mod)
-            boundary = linalg.mat_mul(ker_emb, cover_map) if ker_mod.dim else \
-                [[] for _ in range(self.terms[-1].dim)]
-            self.terms.append(pk)
+        if length < 0:
+            raise ValueError("length must be >= 0")
+        while self.length() < length:  # cover the newest kernel, or the module itself
+            src, emb = self._kernels[-1] if self.terms else (self.module, None)
+            term, cover_map, content, blocks = _graded_cover(src)
+            self.terms.append(term)
             self.content.append(content)
-            self.boundaries.append(boundary)
-            self._kernels.append(self._kernel_of(pk, blocks))
-            self._verify_step()
+            self._kernels.append(submodule(term, graded_kernel(term, blocks)))
+            if emb is None:
+                self.augmentation, self._newest_blocks = cover_map, blocks
+            else:  # the boundary to the previous term, through the kernel it covers
+                self.boundaries.append(linalg.mat_mul(emb, cover_map) if src.dim else
+                                       [[] for _ in range(self.terms[-2].dim)])
+                self._verify_step()
         return self
-
-    @staticmethod
-    def _kernel_of(term: QMod, blocks):
-        """The kernel of a map out of term, from its weight blocks, as a submodule."""
-        return submodule(term, graded_kernel(term.field, blocks, weight_spaces(term.weights), term.dim))
 
     def _verify_step(self) -> None:
         """d_(k-1) d_k = 0 and exactness at the newest step k, per weight,
         with the blocks of d_(k-1) (or of the augmentation) kept from before."""
         k = len(self.terms) - 1
-        mid, prev = weight_spaces(self.terms[k - 1].weights), self._newest_blocks
-        cur = _graded(self.boundaries[k - 1], mid, weight_spaces(self.terms[k].weights),
-                      "resolution map is not graded")
+        mid, prev = self.terms[k - 1].spaces, self._newest_blocks
+        cur = _graded(self.boundaries[k - 1], mid, self.terms[k].spaces, "resolution map is not graded")
         for lam, idx in mid.items():
             blk = cur.get(lam, [])
             if blk and prev[lam] and not linalg.is_zero_mat(linalg.mat_mul(prev[lam], blk)):
@@ -630,10 +625,9 @@ def _term_homs(content, dst: QMod) -> list:
     the basis is the maps that send one summand's top vector to one of the
     _top_vectors of dst and kill the other summands."""
     summands = []  # (dim of the cover, its maps into dst)
-    spaces, q = weight_spaces(dst.weights), q_of(dst)
     for (a, s), mult in content:
         pmod, top = _cover_of_simple(dst.p, a, s)
-        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, _top_vectors(dst, spaces, q, a, s)))] * mult
+        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, _top_vectors(dst, a, s)))] * mult
     width, zero = sum(d for d, _ in summands), dst.field.zero
     homs, off = [], 0
     for d, maps in summands:

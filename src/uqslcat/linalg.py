@@ -62,6 +62,14 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
+def add_scaled(out, c, a) -> None:
+    """out += c a in place, over the nonzero entries of a."""
+    for orow, row in zip(out, a):
+        for k, x in enumerate(row):
+            if x:
+                orow[k] = orow[k] + c * x
+
+
 def mat_mul(a, b):
     if not a or not b:
         return []

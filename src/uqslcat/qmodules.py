@@ -3,19 +3,21 @@
 Every module carries exact matrices for E, F, K on a basis in which K is
 diagonal (K is always diagonalizable since K^2p = 1), so E maps the weight
 space M_lambda to M_(q^2 lambda), F maps it to M_(q^-2 lambda), and module
-maps preserve it: checks and solves work on the weight blocks of the
-dense matrices (weight_blocks), after checking that no entry lies off
-them.  The families constructed here: the 2p irreducibles, the explicit
-two-step gluings with two modules on top / on the bottom, the projective
-covers, and the general gluing of m top copies with n socle copies along
-a pair of coefficient matrices, which realizes every indecomposable of
-semisimple length two.
+maps preserve it.  A QMod owns this grading (weight spaces, q, the weight
+blocks of E and F), and every check and solve on it reads them; module maps
+are sliced by weight_blocks, which checks that no entry lies off them.  The
+families constructed here: the 2p irreducibles, the explicit two-step
+gluings with two modules on top / on the bottom, the projective covers, and
+the general gluing of m top copies with n socle copies along a pair of
+coefficient matrices, which realizes every indecomposable of semisimple
+length two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from . import linalg
 from .algebra import AlgElem, base_algebra
@@ -86,7 +88,8 @@ class CP1:
 
 class QMod:
     """A finite-dimensional module: exact E, F, K matrices on a
-    K-eigenbasis."""
+    K-eigenbasis.  Its grading (spaces, q, blocks) is built on first use and
+    kept, so a module is not mutated once it has been used."""
 
     def __init__(self, p, mat_e, mat_f, weights, label=None, field=None):
         self.p = p
@@ -116,6 +119,31 @@ class QMod:
     def __repr__(self):
         tag = f" {self.label}" if self.label else ""
         return f"QMod(p={self.p}, dim={self.dim}{tag})"
+
+    @cached_property
+    def spaces(self) -> dict[CycNum, list[int]]:
+        """Each weight with the indices of the basis vectors of that weight."""
+        return weight_spaces(self.weights)
+
+    @cached_property
+    def q(self) -> CycNum:
+        """q = exp(i pi/p) in the field of the module."""
+        return CycField(2 * self.p).gen().embed(self.field.order)
+
+    @cached_property
+    def _gen_blocks(self) -> dict[str, dict | None]:
+        q2 = self.q * self.q
+        return {gen: weight_blocks(self.mat(gen), self.spaces, self.spaces, shift)
+                for gen, shift in (("E", q2), ("F", q2.inv()))}
+
+    def blocks(self, gen: str) -> dict:
+        """lambda -> the block of E (gen "E") from M_lambda to M_(q^2 lambda), or
+        of F to M_(q^-2 lambda), with no rows when that weight is missing;
+        raises ValueError when the generator has an entry off these blocks."""
+        blocks = self._gen_blocks[gen]
+        if blocks is None:
+            raise ValueError("E or F has an entry off its weight blocks")
+        return blocks
 
     def relabel(self, label):
         return QMod(self.p, self.mat_e, self.mat_f, self.weights, label, self.field)
@@ -181,11 +209,6 @@ class QMod:
 # -- weight spaces ------------------------------------------------------------------
 
 
-def q_of(m: QMod) -> CycNum:
-    """q = exp(i pi/p) in the field of the module."""
-    return CycField(2 * m.p).gen().embed(m.field.order)
-
-
 def weight_spaces(weights) -> dict[CycNum, list[int]]:
     """Each weight with the indices of the basis vectors of that weight."""
     out: dict[CycNum, list[int]] = {}
@@ -209,15 +232,15 @@ def weight_blocks(mat, rows, cols, shift=None) -> dict | None:
     return out
 
 
-def graded_kernel(field: CycField, blocks, cols, dim: int) -> list[list[CycNum]]:
-    """The kernel of a map from its blocks on the weight spaces cols of its
-    source: the null vectors of each block, lifted to length dim, in the
+def graded_kernel(src: QMod, blocks) -> list[list[CycNum]]:
+    """The kernel of a map out of src from its blocks on the weight spaces
+    of src: the null vectors of each block, lifted to vectors of src, in the
     order of linalg.nullspace on the whole map (by their last nonzero)."""
-    out = []
+    field, out = src.field, []
     for lam, blk in blocks.items():
-        for v in linalg.nullspace(blk) if blk else linalg.identity(field, len(cols[lam])):
-            lift = dict(zip(cols[lam], v))
-            out.append([lift.get(i, field.zero) for i in range(dim)])
+        for v in linalg.nullspace(blk) if blk else linalg.identity(field, len(src.spaces[lam])):
+            lift = dict(zip(src.spaces[lam], v))
+            out.append([lift.get(i, field.zero) for i in range(src.dim)])
     return sorted(out, key=lambda v: max(i for i, x in enumerate(v) if x))
 
 
@@ -233,12 +256,11 @@ def verify_module(m: QMod) -> ModuleCheck:
     weight blocks M_lambda -> M_(q^(+-2) lambda); and, if so, E^p and F^p
     vanish on each M_lambda, as products of p blocks along its q^2-orbit
     (which closes, as q^2p = 1), and [E, F] = (K - K^-1)/(q - q^-1) there."""
-    field, p, q, spaces, violations = m.field, m.p, q_of(m), weight_spaces(m.weights), []
+    field, p, q, spaces, violations = m.field, m.p, m.q, m.spaces, []
     q2, q2inv = q * q, (q * q).inv()
     if any(w ** (2 * p) != field.one for w in spaces):
         violations.append("K eigenvalue is not a 2p-th root of unity")
-    e = weight_blocks(m.mat_e, spaces, spaces, q2)
-    f = weight_blocks(m.mat_f, spaces, spaces, q2inv)
+    e, f = m._gen_blocks["E"], m._gen_blocks["F"]  # None where m.blocks raises
     for name, blocks, shift in (("E", e, q2), ("F", f, q2inv)):
         if blocks is None:
             continue
@@ -466,7 +488,7 @@ def dual(m: QMod) -> QMod:
 
 
 def weight_character(m: QMod) -> dict[CycNum, int]:
-    return {w: len(idx) for w, idx in weight_spaces(m.weights).items()}
+    return {w: len(idx) for w, idx in m.spaces.items()}
 
 
 def regular_module(p: int) -> QMod:
@@ -508,29 +530,36 @@ def regular_module(p: int) -> QMod:
     return QMod(p, mat_e, mat_f, weights, label="Reg", field=field)
 
 
+def monomial_action(m: QMod, kdiag):
+    """The action on m of the PBW monomials E^i F^j k^l, for a Cartan generator
+    k acting by the diagonal kdiag (the weights when k = K): a function of
+    (i, j, l) that builds each power of E and F, and each E^i F^j, once."""
+    @cache
+    def power(gen, n):
+        return linalg.mat_mul(power(gen, n - 1), m.mat(gen)) if n else linalg.identity(m.field, m.dim)
+
+    @cache
+    def ef(i, j):
+        return linalg.mat_mul(power("E", i), power("F", j))
+
+    def act(term):
+        i, j, l = term
+        kl = [k ** l for k in kdiag]
+        return [[x * k if x else x for x, k in zip(row, kl)] for row in ef(i, j)]
+
+    return act
+
+
 def action_matrix(m: QMod, elem: AlgElem):
     """Action matrix of an algebra element (base algebra, K-Cartan)."""
     if elem.alg.kk != 1:
         raise ValueError("action of the extended algebra needs a chosen square root of K")
     if elem.alg.p != m.p:
         raise ValueError("element and module have different p")
-    field = m.field
-    e_p = [linalg.identity(field, m.dim)]
-    f_p = [linalg.identity(field, m.dim)]
-    for _ in range(m.p - 1):
-        e_p.append(linalg.mat_mul(e_p[-1], m.mat_e))
-        f_p.append(linalg.mat_mul(f_p[-1], m.mat_f))
+    field, act = m.field, monomial_action(m, m.weights)
     out = linalg.zeros(field, m.dim, m.dim)
-    for (i, j, l), c in elem.terms.items():
-        c = c if c.field is field else c.embed(field.order)
-        mat = linalg.mat_mul(e_p[i], f_p[j])
-        kdiag = [w ** l for w in m.weights]
-        for r in range(m.dim):
-            row = mat[r]
-            for cidx in range(m.dim):
-                x = row[cidx]
-                if x:
-                    out[r][cidx] = out[r][cidx] + c * x * kdiag[cidx]
+    for term, c in elem.terms.items():
+        linalg.add_scaled(out, c if c.field is field else c.embed(field.order), act(term))
     return out
 
 
@@ -575,7 +604,7 @@ def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
 def weight_vectors(m: QMod, weight: CycNum) -> list[list[CycNum]]:
     """The basis vectors of m of the given K-weight: a basis of the weight
     space, since the basis of m is a K-eigenbasis."""
-    return [_basis_vec(m.field, m.dim, i) for i, w in enumerate(m.weights) if w == weight]
+    return [_basis_vec(m.field, m.dim, i) for i in m.spaces.get(weight, [])]
 
 
 def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[list[CycNum]]]:
@@ -610,7 +639,7 @@ def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[Cyc
     mu expresses the images of the columns of weights q^-2 mu under E and
     q^2 mu under F in the columns of weight mu.  Raises ValueError when a
     column is not K-homogeneous, when E or F has an entry off its weight
-    blocks, or when the columns do not span a submodule."""
+    blocks (m.blocks), or when the columns do not span a submodule."""
     field, k = m.field, len(columns)
     if k == 0:
         return QMod(m.p, [], [], [], field=field), [[] for _ in range(m.dim)]
@@ -621,11 +650,8 @@ def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[Cyc
         if len(wset) != 1:
             raise ValueError("submodule basis vectors must be K-homogeneous")
         weights.append(wset.pop())
-    q2, spaces, sub = q_of(m) ** 2, weight_spaces(m.weights), weight_spaces(weights)
-    acts = [(shift, weight_blocks(mat, spaces, spaces, shift), linalg.zeros(field, k, k))
-            for mat, shift in ((m.mat_e, q2), (m.mat_f, q2.inv()))]
-    if any(blocks is None for _, blocks, _ in acts):
-        raise ValueError("E or F has an entry off its weight blocks")
+    q2, spaces, sub = m.q ** 2, m.spaces, weight_spaces(weights)
+    acts = [(shift, m.blocks(gen), linalg.zeros(field, k, k)) for gen, shift in (("E", q2), ("F", q2.inv()))]
     part = lambda lam: [[emb[i][j] for j in sub.get(lam, [])] for i in spaces[lam]]
     for mu in spaces:
         srcs = [(out, blocks, mu / shift) for shift, blocks, out in acts if mu / shift in sub]
@@ -659,19 +685,16 @@ def socle_columns(m: QMod) -> list[list[CycNum]]:
     of all maps from irreducibles.  Hom(X^a_s, m) is the space of vectors v
     of weight a q^(s-1) with E v = 0 and F^s v = 0, the relations of the top
     vector of X^a_s, each sent through maps_from_generator."""
-    spaces, rs, out = weight_spaces(m.weights), linalg.RowSpace(m.field, m.dim), []
+    rs, out, f, q2inv = linalg.RowSpace(m.field, m.dim), [], m.blocks("F"), m.q ** -2
     for a in (1, -1):
         for s in range(1, m.p + 1):
             x = irreducible(m.p, a, s)
-            images = []
-            for v in weight_vectors(m, x.weights[0]):
-                w = v
-                for _ in range(s):
-                    w = linalg.mat_vec(m.mat_f, w)
-                images.append(linalg.mat_vec(m.mat_e, v) + w)
-            if images:
-                rows = [list(row) for row in zip(*images) if any(row)]
-                tops = graded_kernel(m.field, {x.weights[0]: rows}, spaces, m.dim)
+            lam = x.weights[0]
+            if lam in m.spaces:
+                fs = f[lam]  # F^k on M_lambda, with no rows once the orbit passes a missing weight
+                for k in range(1, s):
+                    fs = linalg.mat_mul(f[lam * q2inv ** k], fs) if fs else fs
+                tops = graded_kernel(m, {lam: m.blocks("E")[lam] + fs})
                 for phi in maps_from_generator(x, 0, m, tops):
                     out += [list(col) for col in zip(*phi) if rs.add(col)]
     return out
@@ -696,17 +719,13 @@ def semisimple_length_of(m: QMod) -> int:
     return len(radical_series(m))
 
 
-def casimir_nil(m: QMod, spaces, q: CycNum, lam: CycNum, js) -> dict[int, list[list[CycNum]]]:
+def casimir_nil(m: QMod, lam: CycNum, js) -> dict[int, list[list[CycNum]]]:
     """j -> (q - q^-1)^2 (C - beta_j) on M_lambda for the blocks j in js: as
     C = E F + (q^-1 K + q K^-1)/(q - q^-1)^2 and beta_j = (q^j + q^-j)/(q - q^-1)^2,
     it is (q - q^-1)^2 E F + q^-1 lambda + q lambda^-1 - q^j - q^-j; squared
-    for 0 < j < p, where C - beta_j is nilpotent of order two on the block;
-    spaces and q are weight_spaces and q_of of m."""
-    e = weight_blocks(m.mat_e, spaces, {mu: spaces[mu] for mu in [lam * q ** -2] if mu in spaces}, q * q)
-    f = weight_blocks(m.mat_f, spaces, {lam: spaces[lam]}, q ** -2)
-    if e is None or f is None:
-        raise ValueError("E or F has an entry off its weight blocks")
-    n, base = len(spaces[lam]), q.inv() * lam + q * lam.inv()
+    for 0 < j < p, where C - beta_j is nilpotent of order two on the block."""
+    q, e, f = m.q, m.blocks("E"), m.blocks("F")
+    n, base = len(m.spaces[lam]), q.inv() * lam + q * lam.inv()
     ef = linalg.mat_mul(e[lam * q ** -2], f[lam]) if f[lam] else linalg.zeros(m.field, n, n)  # E F on M_lambda
     cas = linalg.mat_scale((q - q.inv()) ** 2, ef)
     out = {}
@@ -720,11 +739,13 @@ def casimir_nil(m: QMod, spaces, q: CycNum, lam: CycNum, js) -> dict[int, list[l
 def casimir_blocks(m: QMod):
     """Yield (s, columns) for the Casimir blocks s = 0..p: a basis of the
     part of m where C - beta_s is nilpotent, from the kernels of casimir_nil
-    on the weight spaces."""
-    spaces, q = weight_spaces(m.weights), q_of(m)
-    nils = {lam: casimir_nil(m, spaces, q, lam, range(m.p + 1)) for lam in spaces}
+    on the weight spaces, built only where block s can meet M_lambda:
+    lambda^p = (-1)^(s-1), as for the weights of X+_s and X-_(p-s)."""
+    one, p = m.field.one, m.p
+    parity = {one: range(1, p + 1, 2), -one: range(0, p + 1, 2)}  # lambda^p -> the blocks s
+    nils = {lam: casimir_nil(m, lam, parity.get(lam ** p, ())) for lam in m.spaces}
     for s in range(m.p + 1):
-        yield s, graded_kernel(m.field, {lam: nils[lam][s] for lam in spaces}, spaces, m.dim)
+        yield s, graded_kernel(m, {lam: nil[s] for lam, nil in nils.items() if s in nil})
 
 
 def block_index(m: QMod) -> int:

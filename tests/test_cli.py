@@ -53,6 +53,11 @@ def test_text_and_json_agree(capsys):
     assert int(text_out.strip()) == json.loads(json_out)["dim"] == 2
 
 
+def test_resolve_rejects_a_negative_length(capsys):
+    code, out, err = run_capture(capsys, ["resolve", "--p", "2", "--family", "X+:1", "--length", "-1"])
+    assert code == 1 and out == "" and err == "error: length must be >= 0\n"
+
+
 def test_resolve(capsys):
     code, out, _ = run_capture(capsys, ["resolve", "--p", "2", "--family", "X+:1", "--length", "3", "--format", "json"])
     assert code == 0

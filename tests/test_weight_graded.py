@@ -5,7 +5,8 @@ and the certificate check work one weight space at a time.  These tests
 compare them with the dense computations they replace (the PBW Casimir's
 action matrix, a dense solve for the restricted action, the dual through
 diagonal matrices), and give each check a negative control that breaks
-exactly one relation."""
+exactly one relation.  The grading each module keeps (QMod.spaces, q and
+blocks) is compared with the dense slices it stands for."""
 
 import random
 
@@ -14,11 +15,12 @@ import pytest
 from test_weight_hom import random_labels, scrambled_sum, span
 from uqslcat import linalg
 from uqslcat.algebra import casimir
-from uqslcat.category import _verify_certificate, block_decompose, decompose
+from uqslcat.category import _top_vectors, _verify_certificate, block_decompose, decompose
 from uqslcat.cyclotomic import CycField
-from uqslcat.kronecker import ClassificationError
-from uqslcat.qmodules import (QMod, action_matrix, build_p, casimir_blocks, direct_sum, dual, irreducible,
-                              regular_module, submodule, verify_module)
+from uqslcat.kronecker import ClassificationError, QuiverRep
+from uqslcat.qmodules import (CP1, QMod, action_matrix, build_glued, build_m2, build_o1, build_p, build_w2,
+                              casimir_blocks, coerce_field, direct_sum, dual, irreducible, regular_module,
+                              socle_columns, submodule, tensor, verify_module, weight_blocks, weight_spaces)
 
 
 def modules():
@@ -151,3 +153,44 @@ def test_casimir_blocks_reject_an_off_weight_action():
     for gen in ("E", "F"):
         with pytest.raises(ValueError, match="off its weight blocks"):
             block_decompose(_off_weight(gen))
+
+
+def graded_sources():
+    """Modules from every constructor, combinator and loader, and a scrambled sum."""
+    field = CycField(6)
+    zero, one, two = field.zero, field.one, field.from_fraction(2)
+    glued = build_glued(3, -1, 2, QuiverRep(2, 2, [[one, zero], [two, one]], [[zero, one], [one, two]], field))
+    x, p_mod = irreducible(3, 1, 2), build_p(3, -1, 1)
+    soc, _ = submodule(p_mod, socle_columns(p_mod))
+    yield from (irreducible(3, -1, 3), glued, build_w2(3, 1, 1), build_m2(3, -1, 2),
+                build_o1(3, 1, 1, CP1.of(3, 1, 2)), p_mod, soc)
+    yield from (direct_sum(x, p_mod), tensor(x, p_mod), dual(p_mod))
+    yield from (regular_module(2), coerce_field(build_p(2, 1, 1), 8), QMod.from_json(glued.to_json()))
+    rng = random.Random(5)
+    yield scrambled_sum(3, random_labels(3, rng, 3), rng)
+
+
+def test_cached_grading_matches_the_dense_slices():
+    for m in graded_sources():
+        spaces = weight_spaces(m.weights)
+        q = CycField(2 * m.p).gen().embed(m.field.order)
+        assert m.spaces == spaces and m.q == q, m
+        for gen, shift in (("E", q * q), ("F", (q * q).inv())):
+            blocks = m.blocks(gen)
+            assert blocks == weight_blocks(m.mat(gen), spaces, spaces, shift), (m, gen)
+            assert blocks is m.blocks(gen)
+            rebuilt = linalg.zeros(m.field, m.dim, m.dim)  # the blocks put back hold every entry of the matrix
+            for lam, blk in blocks.items():
+                for r, row in zip(spaces.get(shift * lam, []), blk):
+                    for c, x in zip(spaces[lam], row):
+                        rebuilt[r][c] = x
+            assert linalg.mat_eq(rebuilt, m.mat(gen)), (m, gen)
+
+
+def test_off_block_action_fails_with_one_message():
+    for gen in ("E", "F"):
+        m = _off_weight(gen)
+        for run in (lambda: submodule(m, linalg.identity(m.field, m.dim)), lambda: list(casimir_blocks(m)),
+                    lambda: _top_vectors(m, 1, 3)):
+            with pytest.raises(ValueError, match="^E or F has an entry off its weight blocks$"):
+                run()
