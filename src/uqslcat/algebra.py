@@ -13,8 +13,10 @@ truncating E^p = F^p = 0, with w = 2 for C = K and w = 1 for C = k.
 The structure constants are phase-indexed: a product of two monomials
 gives each term as c * zeta^k, with zeta the field generator, k an integer
 and c a normal-ordering coefficient of F^j E^r (None for a power of zeta).
-Tensor products add k across legs; each output term costs one field
-product with a per-call table of zeta^k times the right-hand coefficient.
+Tensor products add k across legs; each output term is one pair, taken
+from a per-call table of zeta^k times the right-hand coefficient, in the
+one `dot` that sums its output key.  The cached coproducts of monomials
+are phase-indexed the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycField, CycNum
-from .linalg import accumulate, nullspace
+from .linalg import accumulate, accumulate_dot, nullspace
 
 Term = tuple[int, int, int]  # (E power, F power, Cartan power)
 
@@ -61,7 +63,7 @@ class QuantumAlgebra:
         self.roots = [self.field.root_of_unity(k) for k in range(order)]
         self._phase_of = {z: k for k, z in enumerate(self.roots)}
         self._core: dict[tuple[int, int], list] = {}
-        self._delta_cache: dict[Term, dict] = {}
+        self._delta_cache: dict[Term, list] = {}
         self._antipode_cache: dict[Term, dict] = {}
         self.dimension = p * p * self.cartan_order
 
@@ -167,7 +169,7 @@ class QuantumAlgebra:
         dF = {((0, 0, co - kk), (0, 1, 0)): one, ((0, 1, 0), (0, 0, 0)): one}
         return dE, dF
 
-    def delta_mono(self, term: Term) -> dict:
+    def delta_mono(self, term: Term) -> list[tuple[tuple[Term, Term], CycNum | None, int]]:
         cached = self._delta_cache.get(term)
         if cached is None:
             cached = self._delta_cache[term] = _delta_monomial(self, term, *self.delta_gens())
@@ -198,7 +200,7 @@ class QuantumAlgebra:
 def _dict_mul(alg: QuantumAlgebra, a: dict, b: dict, product=None) -> dict:
     """Sum of c1 * c2 * product(s, t) over the terms s, c1 of a and t, c2 of
     b, where product (alg.mul_phased by default) gives triples key, c, k for
-    c * zeta^k * key; c1 meets c2 * zeta^k from a per-call table."""
+    c * zeta^k * key; c1 meets c2 * zeta^k from a per-call table, one `dot` per key."""
     n, roots, product = alg.field.order, alg.roots, product or alg.mul_phased
     right = [(t, c2, [None] * n) for t, c2 in b.items()]
 
@@ -209,9 +211,9 @@ def _dict_mul(alg: QuantumAlgebra, a: dict, b: dict, product=None) -> dict:
                     z = rot[k]
                     if z is None:
                         z = rot[k] = c2 * roots[k]
-                    yield key, c1 * z if c is None else c1 * z * c
+                    yield key, c1, z if c is None else z * c
 
-    return accumulate(terms())
+    return accumulate_dot(alg.field, terms())
 
 
 def _tensor_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
@@ -242,16 +244,15 @@ def _tensor_power(alg: QuantumAlgebra, d: dict, n: int) -> dict:
     return out
 
 
-def _delta_monomial(alg: QuantumAlgebra, term: Term, dE: dict, dF: dict) -> dict:
+def _delta_monomial(alg: QuantumAlgebra, term: Term, dE: dict, dF: dict) -> list:
     """Delta(E^i F^j C^l) = Delta(E)^i Delta(F)^j (C^l (x) C^l), built from
-    the given coproducts of E and F."""
+    the given coproducts of E and F, as phase-indexed triples (u1, u2), c, k
+    like those of core_fe."""
     i, j, l = term
+    co, phase = alg.cartan_order, alg._phase_of
     out = _tensor_mul(alg, _tensor_power(alg, dE, i), _tensor_power(alg, dF, j))
-    if l:
-        co = alg.cartan_order
-        out = {((e1, f1, (m1 + l) % co), (e2, f2, (m2 + l) % co)): c
-               for ((e1, f1, m1), (e2, f2, m2)), c in out.items()}
-    return out
+    return [(((e1, f1, (m1 + l) % co), (e2, f2, (m2 + l) % co)), *((None, phase[c]) if c in phase else (c, 0)))
+            for ((e1, f1, m1), (e2, f2, m2)), c in out.items()]
 
 
 class AlgElem:
@@ -443,13 +444,20 @@ class TensorElem:
         return TensorElem(self.alg, self.legs + 1, out)
 
     def apply_delta(self, leg: int, delta_mono=None) -> "TensorElem":
-        """Replace one leg by its coproduct, producing legs+1."""
-        dm = delta_mono or self.alg.delta_mono
-        return TensorElem(self.alg, self.legs + 1, accumulate(
-            (t[:leg] + u + t[leg + 1:], c * k)
-            for t, c in self.terms.items()
-            for u, k in dm(t[leg]).items()
-        ))
+        """Replace one leg by its coproduct, producing legs+1.  A coefficient
+        c meets zeta^k from a per-term table, so zeta^0 costs no product."""
+        dm, roots = delta_mono or self.alg.delta_mono, self.alg.roots
+
+        def terms():
+            for t, c in self.terms.items():
+                rot = {0: c}
+                for u, cu, k in dm(t[leg]):
+                    z = rot.get(k)
+                    if z is None:
+                        z = rot[k] = c * roots[k]
+                    yield t[:leg] + u + t[leg + 1:], z if cu is None else z * cu
+
+        return TensorElem(self.alg, self.legs + 1, accumulate(terms()))
 
     def apply_counit(self, leg: int):
         out = accumulate(
@@ -507,17 +515,12 @@ def coproduct(a: AlgElem) -> TensorElem:
 
 def antipode(a: AlgElem) -> AlgElem:
     alg = a.alg
-    return AlgElem(alg, accumulate(
-        (u, c * k) for t, c in a.terms.items() for u, k in alg.antipode_mono(t).items()
-    ))
+    return AlgElem(alg, accumulate_dot(alg.field, ((u, c, k) for t, c in a.terms.items()
+                                                  for u, k in alg.antipode_mono(t).items())))
 
 
 def counit(a: AlgElem) -> CycNum:
-    acc = a.alg.field.zero
-    for t, c in a.terms.items():
-        if QuantumAlgebra.counit_mono(t):
-            acc = acc + c
-    return acc
+    return sum((c for t, c in a.terms.items() if QuantumAlgebra.counit_mono(t)), a.alg.field.zero)
 
 
 # -- Hopf axiom verification -----------------------------------------------------

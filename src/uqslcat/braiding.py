@@ -223,10 +223,8 @@ def tensor_action(m1: QMod, m2: QMod, elem: TensorElem, sign: int = 1):
     m1 = coerce_field(m1, 8) if m1.field.order % 8 else m1
     m2 = coerce_field(m2, 8) if m2.field.order % 8 else m2
     act1, act2 = monomial_action(m1, k_diagonal(m1, sign)), monomial_action(m2, k_diagonal(m2, sign))
-    out = linalg.zeros(m1.field, m1.dim * m2.dim, m1.dim * m2.dim)
-    for (t1, t2), c in elem.terms.items():
-        linalg.add_scaled(out, c, linalg.kron(act1(t1), act2(t2)))
-    return out
+    return linalg.mat_comb(m1.field, ((c, linalg.kron(act1(t1), act2(t2))) for (t1, t2), c in elem.terms.items()),
+                           m1.dim * m2.dim, m1.dim * m2.dim)
 
 
 def braid_action(m1: QMod, m2: QMod, sign: int = 1):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import linalg
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, dot
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
                         canonical_rep, classify, functor_G, glued_form)
 from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, casimir_nil, direct_sum, dual,
@@ -368,7 +368,7 @@ def _classify_part(m: QMod, emb, sign: int, s_top: int, v0, v1) -> list[tuple[In
     full, t = linalg.mat_mul(emb, ev), m.p - s_top
 
     def spread(cols, copies, offset):  # copy k of a quiver column c is sum_j c_j (copy k of j)
-        return [[sum((c * row[offset + j * copies + k] for j, c in enumerate(col) if c), m.field.zero)
+        return [[dot(m.field, ((c, row[offset + j * copies + k]) for j, c in enumerate(col) if c))
                  for row in full] for col in cols for k in range(copies)]
 
     return [(_label_from_pencil(blk, sign, s_top, m.p),
@@ -612,11 +612,7 @@ def _solve_in_hom(res: Resolution, k: int, dst: QMod, image_of, rhs, failure: st
     coeffs = linalg.solve_combination([image_of(h) for h in homs], rhs)
     if coeffs is None:
         raise ClassificationError(failure)
-    out = linalg.zeros(dst.field, dst.dim, res.terms[k].dim)
-    for c, h in zip(coeffs, homs):
-        if c:
-            out = linalg.mat_add(out, linalg.mat_scale(c, h))
-    return out
+    return linalg.mat_comb(dst.field, ((c, h) for c, h in zip(coeffs, homs) if c), dst.dim, res.terms[k].dim)
 
 
 def _term_homs(content, dst: QMod) -> list:

@@ -26,13 +26,28 @@ DEFAULT_MAX_P = 6
 # while building M-:3:100 at p = 6 (dimension 597) takes 0.25 s (2-vCPU
 # x86-64 VM, Python 3.11).
 MAX_FAMILY_SIZE = 100
+# The largest Ext degree, resolution length or Yoneda word length: run time grows about
+# cubically, so resolve --p 6 --length 40 takes 10 s of CPU, --length 20 2.2 s and a
+# 20-letter yoneda word at p = 6 up to 4.2 s (2-vCPU x86-64 VM, Python 3.11).
+MAX_DEGREE = 20
+
+
+def _check_degree(what: str, n: int) -> None:
+    if n > MAX_DEGREE:
+        raise ValueError(f"{what} {n} exceeds the bound {MAX_DEGREE}")
 
 
 def _max_p(args) -> int:
-    if getattr(args, "max_p", None):
-        return args.max_p
-    env = os.environ.get("UQSLCAT_MAX_P")
-    return int(env) if env else DEFAULT_MAX_P
+    bound, what = getattr(args, "max_p", None), "--max-p"
+    if bound is None:
+        env, what = os.environ.get("UQSLCAT_MAX_P") or str(DEFAULT_MAX_P), "UQSLCAT_MAX_P"
+        try:
+            bound = int(env)
+        except ValueError:
+            raise ValueError(f"UQSLCAT_MAX_P must be an integer, got {env!r:.40}") from None
+    if bound < 2:
+        raise ValueError(f"{what} must be at least 2, got {bound}")
+    return bound
 
 
 def _check_p(p: int, args) -> None:
@@ -197,6 +212,7 @@ def _parse_irred(text: str, p: int) -> tuple[int, int]:
 
 def cmd_ext(args) -> int:
     _check_p(args.p, args)
+    _check_degree("degree", args.deg)
     src = _parse_irred(args.src, args.p)
     dst = _parse_irred(args.dst, args.p)
     d = category.ext_dim(args.p, src, dst, args.deg)
@@ -207,6 +223,7 @@ def cmd_ext(args) -> int:
 
 def cmd_resolve(args) -> int:
     _check_p(args.p, args)
+    _check_degree("length", args.length)
     lbl = parse_label(args.family, args.p)
     if lbl.family != "X":
         raise ValueError("resolutions are computed for irreducibles")
@@ -240,10 +257,11 @@ def cmd_yoneda(args) -> int:
     p, s = args.p, args.s
     if not 1 <= s <= p - 1:
         raise ValueError(f"Ext generators need 1 <= s <= p-1, got s={s}")
-    gens = category.ext_basis_x(p, 1, s)
     tokens = [t.strip() for t in args.word.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty generator word")
+    _check_degree("word length", len(tokens))
+    gens = category.ext_basis_x(p, 1, s)
     def gen_of(tok: str):
         if len(tok) != 4 or tok[0] != "x" or tok[1] not in "+-" or tok[2] != ":" or tok[3] not in "12":
             raise ValueError(f"bad generator {tok!r}: expected x+:1, x+:2, x-:1 or x-:2")

@@ -6,6 +6,10 @@ An element is stored as an integer coefficient vector modulo the N-th
 cyclotomic polynomial together with a common positive denominator, always
 gcd-reduced, so equality is literal equality of the representation.
 
+Products share one kernel (`_mul_into`, then `_reduce`): `__mul__`, the
+sum of products `dot` and the update x - f*y `sub_mul` each reduce modulo
+Phi_N and normalize once; the canonical form makes sums order-free.
+
 The quantum parameter of the p-th root-of-unity quantum group is
 q = zeta_{2p} = exp(i*pi/p); the braiding computations at p=2 live in the
 bigger field Q(zeta_8), reached through `embed`.
@@ -130,6 +134,57 @@ class CycField:
         return f"CycField({self.order})"
 
 
+def _mul_into(acc: list[int], an, bn) -> None:
+    # acc += an * bn as polynomials in the generator (2 * degree - 1 slots)
+    for i, a in enumerate(an):
+        if a:
+            for j, b in enumerate(bn):
+                if b:
+                    acc[i + j] += a * b
+
+
+def _reduce(field: CycField, acc: list[int], den: int) -> "CycNum":
+    # acc / den folded modulo Phi_N and normalized; a sum that cancels is the shared zero
+    deg, red = field.degree, field.red
+    for k in range(len(acc) - 1, deg - 1, -1):
+        ck = acc[k]
+        if ck:
+            for i, ri in enumerate(red[k - deg]):
+                if ri:
+                    acc[i] += ck * ri
+    num = acc[:deg]
+    return _make(field, num, den) if any(num) else field.zero
+
+
+def dot(field: CycField, pairs) -> "CycNum":
+    """The sum of x * y over the (x, y) pairs of elements of field, formed
+    over one common denominator and reduced and normalized once."""
+    acc, den = [0] * (2 * field.degree - 1), 1
+    for x, y in pairs:
+        if x.field is not field or y.field is not field:
+            raise ValueError(f"mismatched cyclotomic orders {x.order} and {y.order} in a sum over {field}")
+        d, an = x.den * y.den, x.num
+        if d != den:
+            if den % d:
+                new = math.lcm(den, d)
+                acc, den = [c * (new // den) for c in acc], new
+            an = [a * (den // d) for a in an]
+        _mul_into(acc, an, y.num)
+    return _reduce(field, acc, den)
+
+
+def sub_mul(x: "CycNum", f: "CycNum", y: "CycNum") -> "CycNum":
+    """x - f * y, reduced and normalized once: the row update of elimination."""
+    field = x.field
+    if f.field is not field or y.field is not field:
+        raise ValueError(f"mismatched cyclotomic orders {x.order}, {f.order} and {y.order}")
+    d = f.den * y.den
+    den = x.den if d == x.den else math.lcm(x.den, d)
+    acc = [a * (den // x.den) for a in x.num] + [0] * (field.degree - 1)
+    _mul_into(acc, [-a * (den // d) for a in f.num], y.num)
+    return _reduce(field, acc, den)
+
+
 def _make(field: CycField, num: list[int], den: int) -> "CycNum":
     if den < 0:
         num = [-a for a in num]
@@ -223,25 +278,11 @@ class CycNum:
         if o is None:
             return NotImplemented
         f = self.field
-        if not self or not o:
+        if not any(self.num) or not any(o.num):
             return f.zero
-        deg = f.degree
-        an, bn = self.num, o.num
-        c = [0] * (2 * deg - 1)
-        for i, ai in enumerate(an):
-            if ai:
-                for j, bj in enumerate(bn):
-                    if bj:
-                        c[i + j] += ai * bj
-        red = f.red
-        for k in range(2 * deg - 2, deg - 1, -1):
-            ck = c[k]
-            if ck:
-                row = red[k - deg]
-                for i, ri in enumerate(row):
-                    if ri:
-                        c[i] += ck * ri
-        return _make(f, c[:deg], self.den * o.den)
+        acc = [0] * (2 * f.degree - 1)
+        _mul_into(acc, self.num, o.num)
+        return _reduce(f, acc, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -299,11 +340,8 @@ class CycNum:
         f = self.field
         if math.gcd(a, f.order) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        zeta_a = f.root_of_unity(a)
-        acc = f.zero
-        for i in range(f.degree - 1, -1, -1):
-            acc = acc * zeta_a + self.num[i]
-        return acc * Fraction(1, self.den)
+        return dot(f, ((f.root_of_unity(a * i), f.from_fraction(Fraction(c, self.den)))
+                       for i, c in enumerate(self.num)))
 
     def embed(self, order: int) -> "CycNum":
         """Image under Q(zeta_M) -> Q(zeta_N), zeta_M -> zeta_N^(N/M),
@@ -312,11 +350,9 @@ class CycNum:
             return self
         if order % self.order:
             raise ValueError(f"no embedding of order {self.order} into {order}")
-        g = CycField(order).root_of_unity(order // self.order)
-        acc = CycField(order).zero
-        for i in range(self.field.degree - 1, -1, -1):
-            acc = acc * g + self.num[i]
-        return acc * Fraction(1, self.den)
+        big, step = CycField(order), order // self.order
+        return dot(big, ((big.root_of_unity(step * i), big.from_fraction(Fraction(c, self.den)))
+                         for i, c in enumerate(self.num)))
 
     # -- numeric evaluation (display / cross-checks only) ----------------
 

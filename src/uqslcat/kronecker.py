@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import CycField, CycNum, json_field, json_value
+from .cyclotomic import CycField, CycNum, dot, json_field, json_value
 from .polys import roots_in_field
 from .qmodules import CP1, QMod, block_index, build_glued, irreducible_weights, submodule, \
     weight_vectors
@@ -345,7 +345,7 @@ def _complement(rep: QuiverRep, rs0, rs1):
         system, rhs = [], []
         for mat in (rep.r, rep.rbar):
             m_aa = linalg.transpose([[img[q] for q in rs1.pivots] for img in (linalg.mat_vec(mat, v) for v in rows0)])
-            m_cc_t = [[mat[j][c] - sum((mat[q][c] * row[j] for q, row in zip(rs1.pivots, rows1)), field.zero)
+            m_cc_t = [[mat[j][c] - dot(field, ((mat[q][c], row[j]) for q, row in zip(rs1.pivots, rows1)))
                        for j in free1] for c in free0]
             system += linalg.hstack(linalg.kron(m_aa, linalg.identity(field, m0)),
                                     linalg.mat_neg(linalg.kron(linalg.identity(field, k1), m_cc_t)))
@@ -356,14 +356,10 @@ def _complement(rep: QuiverRep, rs0, rs1):
         x0 = [[sol[a * m0 + c][0] for c in range(m0)] for a in range(k0)]
         x1 = [[sol[k0 * m0 + i * m1 + j][0] for j in range(m1)] for i in range(k1)]
 
-    def graph(n, free, rows, x):
-        cols = []
-        for c, unit in enumerate(free):
-            col = _unit(field, n, unit)
-            for a, row in enumerate(rows):
-                if x[a][c]:
-                    col = [y + x[a][c] * z for y, z in zip(col, row)]
-            cols.append(col)
+    def graph(n, free, rows, x):  # column c: the unit vector at free[c] plus sum_a x[a][c] rows[a]
+        cols = linalg.mat_mul(linalg.transpose(x), rows) if rows else linalg.zeros(field, len(free), n)
+        for col, unit in zip(cols, free):
+            col[unit] += 1
         return cols
 
     return graph(rep.d0, free0, rows0, x0), graph(rep.d1, free1, rows1, x1)

@@ -2,13 +2,16 @@
 
 Matrices are plain lists of rows of CycNum; all rank/kernel decisions are
 exact, there is no floating point anywhere.
+
+Each product entry is one `cyclotomic.dot` over its nonzero pairs, each
+elimination update one `sub_mul`: an entry is reduced and normalized once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, dot, sub_mul
 
 
 def accumulate(pairs, out: dict | None = None) -> dict:
@@ -24,6 +27,15 @@ def accumulate(pairs, out: dict | None = None) -> dict:
         elif cur is not None:
             del out[key]
     return out
+
+
+def accumulate_dot(field: CycField, triples) -> dict:
+    """Sum x * y into a sparse dict by key over (key, x, y) triples, one
+    `dot` per key, dropping every key whose sum cancels."""
+    groups: dict = {}
+    for key, x, y in triples:
+        groups.setdefault(key, []).append((x, y))
+    return {key: v for key, pairs in groups.items() if (v := _entry(field, pairs))}
 
 
 def zeros(field: CycField, m: int, n: int) -> list[list[CycNum]]:
@@ -62,45 +74,47 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def add_scaled(out, c, a) -> None:
-    """out += c a in place, over the nonzero entries of a."""
-    for orow, row in zip(out, a):
-        for k, x in enumerate(row):
-            if x:
-                orow[k] = orow[k] + c * x
+def mat_comb(field: CycField, terms, m: int, n: int):
+    """The m x n sum of c * a over the (c, a) terms, one dot per entry."""
+    out = zeros(field, m, n)
+    for (i, j), v in accumulate_dot(field, (((i, j), c, x) for c, a in terms
+                                            for i, row in enumerate(a) for j, x in enumerate(row) if x)).items():
+        out[i][j] = v
+    return out
+
+
+def _entry(field: CycField, pairs) -> CycNum:
+    # a product entry from its nonzero (x, y) pairs
+    return dot(field, pairs) if len(pairs) > 1 else pairs[0][0] * pairs[0][1] if pairs else field.zero
 
 
 def mat_mul(a, b):
+    """a b: each row of a meets the nonzero entries of the rows of b it picks."""
     if not a or not b:
         return []
-    n = len(b)
-    bt = transpose(b)
+    field, ncols = a[0][0].field, len(b[0])
+    zero = field.zero  # most zero entries are this one object: skip them by identity
+    brows = [[(j, y) for j, y in enumerate(row) if y is not zero and y] for row in b]
     out = []
     for row in a:
-        nz = [(k, x) for k, x in enumerate(row) if x]
-        orow = []
-        for col in bt:
-            acc = None
-            for k, x in nz:
-                y = col[k]
-                if y:
-                    acc = x * y if acc is None else acc + x * y
-            orow.append(acc if acc is not None else row[0].field.zero)
+        pairs: dict[int, list] = {}
+        for k, x in enumerate(row):
+            if x is not zero and x:
+                for j, y in brows[k]:
+                    pairs.setdefault(j, []).append((x, y))
+        orow = [zero] * ncols
+        for j, pj in pairs.items():
+            orow[j] = _entry(field, pj)
         out.append(orow)
     return out
 
 
 def mat_vec(a, v):
-    nz = [(k, y) for k, y in enumerate(v) if y]
-    out = []
-    for row in a:
-        acc = None
-        for k, y in nz:
-            x = row[k]
-            if x:
-                acc = x * y if acc is None else acc + x * y
-        out.append(acc if acc is not None else v[0].field.zero)
-    return out
+    if not a:
+        return []
+    field, zero = v[0].field, v[0].field.zero
+    nz = [(k, y) for k, y in enumerate(v) if y is not zero and y]
+    return [_entry(field, [(x, y) for k, y in nz if (x := row[k]) is not zero and x]) for row in a]
 
 
 def mat_eq(a, b) -> bool:
@@ -135,6 +149,14 @@ def kron(a, b):
     return out
 
 
+def _sub_row(row, f, nz):
+    """row - f * other, for the other row given by its nonzero (k, y)."""
+    out = row[:]
+    for k, y in nz:
+        out[k] = sub_mul(out[k], f, y)
+    return out
+
+
 def rref(a) -> tuple[list[list[CycNum]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
     mat = mat_copy(a)
@@ -164,12 +186,10 @@ def rref(a) -> tuple[list[list[CycNum]], list[int]]:
         inv = mat[r][c].inv()
         if mat[r][c] != 1:
             mat[r] = [x * inv if x else x for x in mat[r]]
-        for i in range(nrows):
-            if i != r:
-                f = mat[i][c]
-                if f:
-                    rowr = mat[r]
-                    mat[i] = [x - f * y if y else x for x, y in zip(mat[i], rowr)]
+        targets = [i for i in range(nrows) if i != r and mat[i][c]]
+        nzr = [(k, y) for k, y in enumerate(mat[r]) if y] if targets else []
+        for i in targets:
+            mat[i] = _sub_row(mat[i], mat[i][c], nzr)
         pivots.append(c)
         r += 1
     return mat, pivots
@@ -293,7 +313,7 @@ class RowSpace:
         for row, p in zip(self.rows, self.pivots):
             x = v[p]
             if x:
-                v = [a - x * b if b else a for a, b in zip(v, row)]
+                v = _sub_row(v, x, [(k, b) for k, b in enumerate(row) if b])
         return v
 
     def contains(self, vec) -> bool:
@@ -307,10 +327,11 @@ class RowSpace:
             return False
         inv = v[p].inv()
         v = [x * inv if x else x for x in v]
+        nzv = [(k, b) for k, b in enumerate(v) if b]
         for row in self.rows:
             x = row[p]
             if x:
-                row[:] = [a - x * b if b else a for a, b in zip(row, v)]
+                row[:] = _sub_row(row, x, nzv)
         at = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
         self.rows.insert(at, v)
         self.pivots.insert(at, p)

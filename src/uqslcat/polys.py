@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, dot, sub_mul
 
 
 def ptrim(p: list[CycNum]) -> list[CycNum]:
@@ -29,16 +29,8 @@ def pdeg(p) -> int:
 
 
 def pmul(p, q):
-    field = p[0].field
-    if (len(p) == 1 and not p[0]) or (len(q) == 1 and not q[0]):
-        return [field.zero]
-    out = [field.zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-    return ptrim(out)
+    return ptrim([dot(p[0].field, ((p[i], q[k - i]) for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1)))
+                  for k in range(len(p) + len(q) - 1)])
 
 
 def pdivmod(p, q):
@@ -56,7 +48,7 @@ def pdivmod(p, q):
             out[k] = c
             for i in range(dq + 1):
                 if q[i]:
-                    p[k + i] = p[k + i] - c * q[i]
+                    p[k + i] = sub_mul(p[k + i], c, q[i])
     return ptrim(out), ptrim(p)
 
 
@@ -93,18 +85,11 @@ def peval(p, x: CycNum) -> CycNum:
 
 
 def pshift(p, c: CycNum):
-    """p(x + c) by Horner in the shifted variable."""
-    field = p[0].field
-    out = [p[-1]]
-    for a in reversed(p[:-1]):
-        # out(x) * (x + c) + a
-        nxt = [field.zero] * (len(out) + 1)
-        for i, b in enumerate(out):
-            nxt[i + 1] = nxt[i + 1] + b
-            nxt[i] = nxt[i] + b * c
-        nxt[0] = nxt[0] + a
-        out = nxt
-    return ptrim(out)
+    """p(x + c): its coefficient of x^i is the sum over k >= i of
+    binom(k, i) c^(k - i) p_k."""
+    field, powers = p[0].field, [c ** e for e in range(len(p))]
+    return ptrim([dot(field, ((p[k], powers[k - i] * math.comb(k, i)) for k in range(i, len(p))))
+                  for i in range(len(p))])
 
 
 def galois_conjugate_poly(p, a: int):

@@ -557,10 +557,8 @@ def action_matrix(m: QMod, elem: AlgElem):
     if elem.alg.p != m.p:
         raise ValueError("element and module have different p")
     field, act = m.field, monomial_action(m, m.weights)
-    out = linalg.zeros(field, m.dim, m.dim)
-    for term, c in elem.terms.items():
-        linalg.add_scaled(out, c if c.field is field else c.embed(field.order), act(term))
-    return out
+    return linalg.mat_comb(field, ((c if c.field is field else c.embed(field.order), act(term))
+                                   for term, c in elem.terms.items()), m.dim, m.dim)
 
 
 # -- intertwiners and sub/quotient structure ------------------------------------

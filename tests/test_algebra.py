@@ -6,7 +6,7 @@ import pytest
 from uqslcat import linalg
 from uqslcat.algebra import (AlgElem, TensorElem, antipode, base_algebra,
                              casimir, center_basis, coproduct, counit,
-                             verify_hopf)
+                             extended_algebra, verify_hopf)
 from uqslcat.qmodules import action_matrix, build_p, direct_sum, irreducible
 
 
@@ -196,3 +196,53 @@ def test_algelem_serialization():
 def test_mismatched_p_rejected():
     with pytest.raises(ValueError):
         base_algebra(2).E * base_algebra(3).E
+
+
+# -- the grouped product kernel against a streaming reference -------------------------
+
+
+def rich_elem(alg, rng, terms=5):
+    """Coefficients with mixed denominators times powers of the generator."""
+    out = alg.zero_el
+    for _ in range(terms):
+        c = alg.roots[rng.randrange(alg.field.order)] * Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        out = out + alg.monomial(rng.randrange(alg.p), rng.randrange(alg.p), rng.randrange(alg.cartan_order), c)
+    return out
+
+
+def streaming_products(alg, a: dict, b: dict, product) -> dict:
+    """Every term c1 * c2 * c * zeta^k folded in one at a time with + ."""
+    def terms():
+        for s, c1 in a.items():
+            for t, c2 in b.items():
+                for key, c, k in product(s, t):
+                    z = alg.roots[k] if c is None else c * alg.roots[k]
+                    yield key, c1 * c2 * z
+    return linalg.accumulate(terms())
+
+
+def streaming_legs(alg):
+    def legs(s, t):
+        partial = [((), alg.field.one)]
+        for pair in zip(s, t):
+            partial = [(key + (u,), x * (alg.roots[k] if c is None else c * alg.roots[k]))
+                       for key, x in partial for u, c, k in alg.mul_phased(*pair)]
+        return [(key, x, 0) for key, x in partial]
+    return legs
+
+
+def test_grouped_products_and_coproducts_equal_streaming_reference():
+    algs = [base_algebra(p) for p in (2, 3, 4)] + [extended_algebra(2)]
+    for alg in algs:
+        rng = random.Random(50 + alg.cartan_order)
+        for _ in range(6):
+            a, b = rich_elem(alg, rng), rich_elem(alg, rng)
+            assert (a * b).terms == streaming_products(alg, a.terms, b.terms, alg.mul_phased)
+            da, db = coproduct(a), coproduct(b)
+            assert (da * db).terms == streaming_products(alg, da.terms, db.terms, streaming_legs(alg))
+            assert antipode(a).terms == linalg.accumulate(
+                (u, c * k) for t, c in a.terms.items() for u, k in alg.antipode_mono(t).items())
+            for elem, leg in ((TensorElem(alg, 1, {(t,): c for t, c in a.terms.items()}), 0), (da, 0), (db, 1)):
+                assert elem.apply_delta(leg).terms == linalg.accumulate(
+                    (t[:leg] + u + t[leg + 1:], c * (alg.roots[k] if cu is None else cu))
+                    for t, c in elem.terms.items() for u, cu, k in alg.delta_mono(t[leg]))

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from uqslcat.cli import run
+from uqslcat.cli import MAX_DEGREE, run
 from uqslcat.qmodules import QMod, verify_module
 
 
@@ -137,3 +137,30 @@ def test_blocks_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["blocks"] == [{"s": 0, "dim": 4}, {"s": 1, "dim": 8}, {"s": 2, "dim": 4}]
+
+
+def test_degrees_above_the_bound_exit_one(capsys):
+    too_high = str(MAX_DEGREE + 1)
+    for argv, what in (
+        (["ext", "--p", "2", "--from", "X+:1", "--to", "X+:1", "--deg", too_high], f"degree {too_high}"),
+        (["ext", "--p", "2", "--from", "X+:1", "--to", "X+:1", "--deg", "100000"], "degree 100000"),
+        (["resolve", "--p", "2", "--family", "X+:1", "--length", too_high], f"length {too_high}"),
+        (["resolve", "--p", "2", "--family", "X+:1", "--length", "100000"], "length 100000"),
+        (["yoneda", "--p", "2", "--s", "1", "--word", ",".join(["x+:1"] * 600)], "word length 600"),
+    ):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1 and out == "" and err == f"error: {what} exceeds the bound {MAX_DEGREE}\n"
+    code, out, _ = run_capture(capsys, ["ext", "--p", "2", "--from", "X+:1", "--to", "X+:1", "--deg", str(MAX_DEGREE)])
+    assert code == 0 and out.strip() == str(MAX_DEGREE + 1)
+
+
+def test_bad_max_p_values_exit_one(capsys, monkeypatch):
+    for bad in ("0", "1", "-3"):
+        code, out, err = run_capture(capsys, ["build", "--p", "2", "--family", "X+:1", "--max-p", bad])
+        assert code == 1 and out == "" and err == f"error: --max-p must be at least 2, got {bad}\n"
+    monkeypatch.setenv("UQSLCAT_MAX_P", "abc")
+    code, out, err = run_capture(capsys, ["build", "--p", "2", "--family", "X+:1"])
+    assert code == 1 and out == "" and "UQSLCAT_MAX_P" in err and "'abc'" in err
+    monkeypatch.setenv("UQSLCAT_MAX_P", "1")
+    code, _, err = run_capture(capsys, ["build", "--p", "2", "--family", "X+:1"])
+    assert code == 1 and err == "error: UQSLCAT_MAX_P must be at least 2, got 1\n"

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uqslcat.cyclotomic import (CycField, CycNum, cyclotomic_polynomial,
-                                parse_cyc, q_parameter, qint)
+from uqslcat.cyclotomic import (CycField, CycNum, cyclotomic_polynomial, dot,
+                                parse_cyc, q_parameter, qint, sub_mul)
 
 ORDERS = [4, 6, 8, 10, 12]
 
@@ -141,3 +141,56 @@ def test_parse_forms():
         parse_cyc("q+", 4)
     with pytest.raises(ValueError):
         parse_cyc("foo", 4)
+
+
+# -- the fused product kernel against chains of * and + ----------------------------
+
+KERNEL_ORDERS = [1, 4, 6, 8, 10, 12]
+big = st.integers(2 ** 200, 2 ** 230).flatmap(lambda n: st.sampled_from([n, -n]))
+kernel_coeff = st.one_of(st.just(0), st.integers(-5, 5), big)
+kernel_den = st.one_of(st.sampled_from([1, 2, 3, 6, 35]), st.integers(2 ** 200, 2 ** 210))
+
+
+@st.composite
+def kernel_elements(draw, field):
+    """Elements with zero, small and 200-bit numerators over mixed denominators."""
+    if draw(st.integers(0, 5)) == 0:
+        return field.zero
+    return field.from_coeffs([Fraction(draw(kernel_coeff), draw(kernel_den)) for _ in range(field.degree)])
+
+
+def same_bits(a: CycNum, b: CycNum) -> bool:
+    return a.field is b.field and a.num == b.num and a.den == b.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_ORDERS), st.data())
+def test_dot_equals_naive_sum_of_products(order, data):
+    field = CycField(order)
+    pairs = data.draw(st.lists(st.tuples(kernel_elements(field), kernel_elements(field)), max_size=7))
+    naive = field.zero
+    for x, y in pairs:
+        naive = naive + x * y
+    assert same_bits(dot(field, pairs), naive)
+    assert same_bits(dot(field, iter(pairs)), naive)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_ORDERS), st.data())
+def test_sub_mul_equals_naive_update(order, data):
+    field = CycField(order)
+    x, f, y = (data.draw(kernel_elements(field)) for _ in range(3))
+    assert same_bits(sub_mul(x, f, y), x - f * y)
+
+
+def test_kernel_rejects_mixed_fields():
+    a, b = CycField(4).gen(), CycField(6).gen()
+    with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+        dot(CycField(4), [(a, a), (a, b)])
+    with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+        dot(CycField(4), [(b, b)])
+    for args in ((a, a, b), (a, b, a), (b, a, a)):
+        with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+            sub_mul(*args)
+    with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+        a * b

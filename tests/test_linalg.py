@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from uqslcat import linalg
 from uqslcat.cyclotomic import CycField
@@ -90,3 +91,86 @@ def test_sparse_nullspace():
     assert linalg.sparse_nullspace(f, reversed(entries), 3) == basis
     # equations that cancel leave every unit vector
     assert linalg.sparse_nullspace(f, [(("a", 0), one), (("a", 0), -one)], 2) == linalg.identity(f, 2)
+
+
+# -- the fused kernels against plain reference loops ---------------------------------
+
+
+def ref_mat_mul(a, b):
+    field = a[0][0].field
+    out = []
+    for row in a:
+        orow = []
+        for j in range(len(b[0])):
+            acc = field.zero
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def ref_rref(a):
+    """Gauss-Jordan with the first nonzero pivot and plain * and -; the
+    reduced echelon form is unique, so any pivot order gives it."""
+    mat = [row[:] for row in a]
+    pivots, r = [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        inv = mat[r][c].inv()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def bits(mat):
+    return [[(x.field.order, x.num, x.den) for x in row] for row in mat]
+
+
+def oracle_matrices():
+    """E, F and their products on scrambled modules at p = 2..4, and dense
+    random matrices with mixed denominators, at field orders 4, 6, 8."""
+    from conftest import scramble
+    from uqslcat.qmodules import build_p, direct_sum, irreducible
+
+    rng = random.Random(11)
+    out = []
+    for p in (2, 3, 4):
+        m = scramble(direct_sum(build_p(p, 1, 1), irreducible(p, -1, p - 1)), rng)
+        out += [m.mat_e, m.mat_f, ref_mat_mul(m.mat_e, m.mat_f)]
+        f = m.field
+        out.append([[f.from_coeffs([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                                    for _ in range(f.degree)]) if rng.random() < 0.6 else f.zero
+                     for _ in range(7)] for _ in range(5)])
+    return out
+
+
+def test_products_equal_reference_loops():
+    mats = oracle_matrices()
+    for a in mats:
+        for b in mats:
+            if len(a[0]) == len(b) and a[0][0].field is b[0][0].field:
+                assert bits(linalg.mat_mul(a, b)) == bits(ref_mat_mul(a, b))
+                for col in range(len(b[0])):
+                    v = [row[col] for row in b]
+                    assert bits([linalg.mat_vec(a, v)]) == bits([[row[0] for row in ref_mat_mul(a, [[y] for y in v])]])
+
+
+def test_rref_and_rowspace_equal_reference_elimination():
+    for a in oracle_matrices():
+        for mat in (a, linalg.transpose(a)):
+            red, pivots = linalg.rref(mat)
+            want, want_pivots = ref_rref(mat)
+            assert pivots == want_pivots and bits(red) == bits(want)
+            rs = linalg.RowSpace(mat[0][0].field, len(mat[0]))
+            ranks = [0] + [len(ref_rref(mat[:k + 1])[1]) for k in range(len(mat))]
+            assert [rs.add(row) for row in mat] == [ranks[k + 1] > ranks[k] for k in range(len(mat))]
+            assert rs.pivots == want_pivots and bits(rs.basis()) == bits(want[:len(want_pivots)])
