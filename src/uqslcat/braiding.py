@@ -183,6 +183,7 @@ def k_diagonal(m: QMod, sign: int = 1) -> list[CycNum]:
         else:
             raise ValueError("module weight admits no square root")
     kappa: list[int | None] = [None] * m.dim
+    mats = ((m.mat_e, 2), (m.mat_f, -2))
     for seed in range(m.dim):
         if kappa[seed] is not None:
             continue
@@ -190,7 +191,7 @@ def k_diagonal(m: QMod, sign: int = 1) -> list[CycNum]:
         stack = [seed]
         while stack:
             i = stack.pop()
-            for mat, step in ((m.mat_e, 2), (m.mat_f, -2)):
+            for mat, step in mats:
                 for j in range(m.dim):
                     if mat[j][i]:
                         want = (kappa[i] + step) % 8

@@ -29,9 +29,9 @@ Yoneda products lift cocycles through the resolutions as chain maps,
 solved degree by degree over those same top-vector maps.
 
 Every step works one weight space at a time.  A module's own grading (its
-weight spaces, q and the weight blocks of E and F) is read from the QMod,
-which builds it once; only module maps (certificates, cover maps,
-boundaries) are sliced here, by weight_blocks.
+weight spaces, q and the weight blocks of E and F) is what the QMod stores,
+and E and F act on vectors through QMod.apply; only module maps
+(certificates, cover maps, boundaries) are sliced here, by weight_blocks.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def _projective_generators(m: QMod, top: CycNum) -> list[list[CycNum]]:
     independent: the generators of a maximal projective part of that type."""
     socle = linalg.RowSpace(m.field, m.dim)
     return [v for v in weight_vectors(m, top)
-            if socle.add(linalg.mat_vec(m.mat_f, linalg.mat_vec(m.mat_e, v)))]
+            if socle.add(m.apply("F", m.apply("E", v)))]
 
 
 def _top_radical(m: QMod, a: int, s: int) -> linalg.RowSpace:
@@ -323,10 +323,10 @@ def _top_radical(m: QMod, a: int, s: int) -> linalg.RowSpace:
     lam, root = irreducible_weights(m.p, a, s)[0], CycField(2 * m.p).root_of_unity
     radical = linalg.RowSpace(m.field, m.dim)
     for v in weight_vectors(m, lam * root(2)):
-        radical.add(linalg.mat_vec(m.mat_f, v))
+        radical.add(m.apply("F", v))
     for v in weight_vectors(m, lam * root(-2 * s)):
         for _ in range(s):
-            v = linalg.mat_vec(m.mat_e, v)
+            v = m.apply("E", v)
         radical.add(v)
     return radical
 
@@ -407,21 +407,20 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
 
 def _graded_cover(m: QMod):
     """projective_cover with the weight blocks of its surjection."""
-    p, field = m.p, m.field
     cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
     for a in (1, -1):
-        for s in range(1, p + 1):
+        for s in range(1, m.p + 1):
             tops = _top_vectors(m, a, s)
             if not tops:
                 continue
             radical = _top_radical(m, a, s)
             gens = [v for v in tops if radical.add(v)]
             if gens:
-                pmod, top = _cover_of_simple(p, a, s)
+                pmod, top = _cover_of_simple(m.p, a, s)
                 cover_mods += [pmod] * len(gens)
                 cover_maps += maps_from_generator(pmod, top, m, gens)
                 content.append(((a, s), len(gens)))
-    cover = direct_sum(*cover_mods) if cover_mods else QMod(p, [], [], [], field=field)
+    cover = direct_sum(*cover_mods) if cover_mods else submodule(m, [])[0]
     sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
     blocks = _graded(sur, m.spaces, cover.spaces, "cover map is not graded")
     if sum(linalg.rank(blk) for blk in blocks.values()) != m.dim:
@@ -436,7 +435,7 @@ class Resolution:
     content: list[list[tuple[tuple[int, int], int]]] = dc_field(default_factory=list)
     boundaries: list = dc_field(default_factory=list)  # d_k: terms[k] -> terms[k-1], k >= 1
     augmentation: list = dc_field(default_factory=list)  # terms[0] -> module
-    _kernels: list = dc_field(default_factory=list)
+    _kernel: tuple | None = None  # (the kernel of the newest map, its embedding)
     _newest_blocks: dict = dc_field(default_factory=dict)  # weight blocks of the newest map
 
     def length(self) -> int:
@@ -446,11 +445,11 @@ class Resolution:
         if length < 0:
             raise ValueError("length must be >= 0")
         while self.length() < length:  # cover the newest kernel, or the module itself
-            src, emb = self._kernels[-1] if self.terms else (self.module, None)
+            src, emb = self._kernel if self.terms else (self.module, None)
             term, cover_map, content, blocks = _graded_cover(src)
             self.terms.append(term)
             self.content.append(content)
-            self._kernels.append(submodule(term, graded_kernel(term, blocks)))
+            self._kernel = submodule(term, graded_kernel(term, blocks))
             if emb is None:
                 self.augmentation, self._newest_blocks = cover_map, blocks
             else:  # the boundary to the previous term, through the kernel it covers

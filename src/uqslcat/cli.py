@@ -22,9 +22,9 @@ from .qmodules import CP1, QMod, family_label, regular_module, verify_module
 
 DEFAULT_MAX_P = 6
 # The largest n a W, M or O label may state: the module has dimension about
-# n p and dense E and F matrices, so n = 100000 at p = 2 runs out of memory,
-# while building M-:3:100 at p = 6 (dimension 597) takes 0.25 s (2-vCPU
-# x86-64 VM, Python 3.11).
+# n p and is built from dense E and F matrices, so n = 100000 at p = 2 runs out
+# of memory, while building M-:3:100 at p = 6 (dimension 597) takes 0.25 s
+# (2-vCPU x86-64 VM, Python 3.11).
 MAX_FAMILY_SIZE = 100
 # The largest Ext degree, resolution length or Yoneda word length: run time grows about
 # cubically, so resolve --p 6 --length 40 takes 10 s of CPU, --length 20 2.2 s and a
@@ -64,42 +64,24 @@ def parse_label(text: str, p: int) -> IndecLabel:
     head, _, rest = text.partition(":")
     if len(head) != 2 or head[0] not in "XWMOP" or head[1] not in "+-":
         raise ValueError(f"bad family label {text!r}: expected e.g. X+:1, W-:1:2, O+:1:1:1/0, P+:1")
-    fam = head[0]
-    a = 1 if head[1] == "+" else -1
-    parts = rest.split(":") if rest else []
-
-    def need(k):
-        if len(parts) != k:
-            raise ValueError(f"label {text!r} needs {k} parameter(s) after the family")
-
-    def size(n, least):
-        if not least <= n <= MAX_FAMILY_SIZE:
-            raise ValueError(f"family {fam} needs {least} <= n <= {MAX_FAMILY_SIZE}, got n={n}")
-
-    if fam == "X":
-        need(1)
-        s = int(parts[0])
-        if not 1 <= s <= p:
-            raise ValueError(f"irreducible needs 1 <= s <= p, got s={s} (p={p})")
-        return IndecLabel("X", a, s)
-    if fam == "P":
-        need(1)
-        s = int(parts[0])
-        if not 1 <= s <= p - 1:
-            raise ValueError(f"projective needs 1 <= s <= p-1, got s={s} (p={p})")
-        return IndecLabel("P", a, s)
+    fam, a = head[0], 1 if head[1] == "+" else -1
+    parts, need = rest.split(":") if rest else [], {"X": 1, "P": 1, "W": 2, "M": 2, "O": 3}[fam]
+    if len(parts) != need:
+        raise ValueError(f"label {text!r} needs {need} parameter(s) after the family")
+    for x in parts[:2]:  # s, and n for W, M and O: plain ASCII digits, as in parse_cyc
+        if not (x.isascii() and x.isdigit()):
+            raise ValueError(f"label {text!r} has {x!r} where digits 0-9 are expected")
+    s, n = int(parts[0]), int(parts[1]) if need > 1 else None
+    if not 1 <= s <= (p if fam == "X" else p - 1):
+        what = {"X": "irreducible", "P": "projective"}.get(fam, f"family {fam}")
+        raise ValueError(f"{what} needs 1 <= s <= {'p' if fam == 'X' else 'p-1'}, got s={s} (p={p})")
+    if fam in "XP":
+        return IndecLabel(fam, a, s)
+    least = 1 if fam == "O" else 2
+    if not least <= n <= MAX_FAMILY_SIZE:
+        raise ValueError(f"family {fam} needs {least} <= n <= {MAX_FAMILY_SIZE}, got n={n}")
     if fam in "WM":
-        need(2)
-        s, n = int(parts[0]), int(parts[1])
-        if not 1 <= s <= p - 1:
-            raise ValueError(f"family {fam} needs 1 <= s <= p-1, got s={s} (p={p})")
-        size(n, 2)
         return IndecLabel(fam, a, s, n)
-    need(3)
-    s, n = int(parts[0]), int(parts[1])
-    if not 1 <= s <= p - 1:
-        raise ValueError(f"family O needs 1 <= s <= p-1, got s={s} (p={p})")
-    size(n, 1)
     zparts = parts[2].split("/")
     if len(zparts) != 2:
         raise ValueError("z must be given as z1/z2 with '/'-free components")

@@ -489,17 +489,18 @@ def glued_form(m: QMod, sign: int, s_top: int, v0, v1):
         for v in vecs:
             for _ in range(length):
                 cols.append(v)
-                v = linalg.mat_vec(m.mat_f, v)
+                v = m.apply("F", v)
     if cols and linalg.rank(cols) != len(cols):
         raise ValueError("the highest-weight vectors generate dependent columns")
     sub, basis = submodule(m, cols)
     d0, d1 = len(v0), len(v1)
     top, soc = (lambda j, nu: j * s_top + nu), (lambda i, k: d0 * s_top + i * t + k)
-    rep = QuiverRep(d0, d1, [[sub.mat_f[soc(i, 0)][top(j, s_top - 1)] for j in range(d0)] for i in range(d1)],
-                    [[sub.mat_e[soc(i, t - 1)][top(j, 0)] for j in range(d0)] for i in range(d1)], field)
+    unit = linalg.identity(field, sub.dim)  # F on the bottom and E on the top of each top copy, in sub
+    r, rbar = ([sub.apply(g, unit[top(j, nu)]) for j in range(d0)] for g, nu in (("F", s_top - 1), ("E", 0)))
+    rep = QuiverRep(d0, d1, [[r[j][soc(i, 0)] for j in range(d0)] for i in range(d1)],
+                    [[rbar[j][soc(i, t - 1)] for j in range(d0)] for i in range(d1)], field)
     glued = build_glued(p, sign, s_top, rep)
-    if not (linalg.mat_eq(sub.mat_e, glued.mat_e) and linalg.mat_eq(sub.mat_f, glued.mat_f)
-            and sub.weights == glued.weights):
+    if not (sub.weights == glued.weights and all(sub.blocks(g) == glued.blocks(g) for g in "EF")):
         raise ValueError("the module is not one top glued over one socle along its representation")
     return rep, basis
 

@@ -1,23 +1,23 @@
 """Finite-dimensional modules of the restricted quantum sl(2).
 
-Every module carries exact matrices for E, F, K on a basis in which K is
-diagonal (K is always diagonalizable since K^2p = 1), so E maps the weight
-space M_lambda to M_(q^2 lambda), F maps it to M_(q^-2 lambda), and module
-maps preserve it.  A QMod owns this grading (weight spaces, q, the weight
-blocks of E and F), and every check and solve on it reads them; module maps
-are sliced by weight_blocks, which checks that no entry lies off them.  The
-families constructed here: the 2p irreducibles, the explicit two-step
-gluings with two modules on top / on the bottom, the projective covers, and
-the general gluing of m top copies with n socle copies along a pair of
-coefficient matrices, which realizes every indecomposable of semisimple
-length two.
+Every module lives on a basis in which K is diagonal (K is always
+diagonalizable since K^2p = 1), so E maps the weight space M_lambda to
+M_(q^2 lambda), F maps it to M_(q^-2 lambda), and module maps preserve it.
+A QMod stores E and F only as these weight blocks, fixed at construction,
+and every check and solve on it reads them; dense matrices are sliced once
+(module input) or derived on demand (views).  Module maps are sliced by
+weight_blocks, which checks that no entry lies off them.  The families
+constructed here: the 2p irreducibles, the explicit two-step gluings with
+two modules on top / on the bottom, the projective covers, and the general
+gluing of m top copies with n socle copies along a pair of coefficient
+matrices, which realizes every indecomposable of semisimple length two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from . import linalg
 from .algebra import AlgElem, base_algebra
@@ -27,9 +27,9 @@ from .cyclotomic import CycField, CycNum, json_field, json_value, qint
 # The largest p a module file may state: building the field Q(zeta_2p) alone
 # takes about a second at p = 5000 (2-vCPU x86-64 VM, Python 3.11).
 MAX_P = 1000
-# The largest dimension a module file may state (Reg(6) has 432): E and F are
-# dense, so loading and verifying dim 1000 (200 Steinberg modules at p = 5)
-# takes 2.7 s and 50 MB on the same VM, and both grow as dim^2.
+# The largest dimension a module file may state (Reg(6) has 432): a file is read
+# into dense E and F, so loading and verifying dim 1000 (200 Steinberg modules at
+# p = 5) takes 2.7 s and 50 MB on the same VM, and both grow as dim^2.
 MAX_DIM = 1000
 
 
@@ -87,78 +87,86 @@ class CP1:
 
 
 class QMod:
-    """A finite-dimensional module: exact E, F, K matrices on a
-    K-eigenbasis.  Its grading (spaces, q, blocks) is built on first use and
-    kept, so a module is not mutated once it has been used."""
+    """A module on a K-eigenbasis: p, the field, the weights (K's eigenvalues)
+    and E and F as weight blocks (see blocks), the one stored form of the
+    action.  All is fixed at construction, so a module is immutable.
+    QMod(p, mat_e, mat_f, weights) slices dense E and F once; a generator
+    with an entry off its blocks is kept as such, for verify_module to
+    report, and every other reader raises.  mat(gen) and mat_e, mat_f,
+    mat_k are dense views, derived on each call."""
 
     def __init__(self, p, mat_e, mat_f, weights, label=None, field=None):
-        self.p = p
-        self.field = field or (weights[0].field if weights else CycField(2 * p))
-        self.dim = len(weights)
-        self.mat_e = mat_e
-        self.mat_f = mat_f
-        self.weights = list(weights)
-        self.label = label
+        self._grade(p, field or (weights[0].field if weights else CycField(2 * p)), weights, label)
+        self._action = {gen: weight_blocks(mat, self.spaces, self.spaces, self._shift[gen])
+                        for gen, mat in (("E", mat_e), ("F", mat_f))}
 
-    @property
-    def mat_k(self):
-        mat = linalg.zeros(self.field, self.dim, self.dim)
-        for i, w in enumerate(self.weights):
-            mat[i][i] = w
-        return mat
+    @classmethod
+    def _from_blocks(cls, p, field, weights, e, f, label=None) -> "QMod":
+        """The module whose E and F have the weight blocks e and f, in the form
+        blocks returns; nothing is checked or copied."""
+        m = cls.__new__(cls)
+        m._grade(p, field, weights, label)
+        m._action = {"E": e, "F": f}
+        return m
 
-    def mat(self, gen: str):
-        if gen == "E":
-            return self.mat_e
-        if gen == "F":
-            return self.mat_f
-        if gen == "K":
-            return self.mat_k
-        raise ValueError(f"unknown generator {gen!r}")
-
-    def __repr__(self):
-        tag = f" {self.label}" if self.label else ""
-        return f"QMod(p={self.p}, dim={self.dim}{tag})"
-
-    @cached_property
-    def spaces(self) -> dict[CycNum, list[int]]:
-        """Each weight with the indices of the basis vectors of that weight."""
-        return weight_spaces(self.weights)
-
-    @cached_property
-    def q(self) -> CycNum:
-        """q = exp(i pi/p) in the field of the module."""
-        return CycField(2 * self.p).gen().embed(self.field.order)
-
-    @cached_property
-    def _gen_blocks(self) -> dict[str, dict | None]:
-        q2 = self.q * self.q
-        return {gen: weight_blocks(self.mat(gen), self.spaces, self.spaces, shift)
-                for gen, shift in (("E", q2), ("F", q2.inv()))}
+    def _grade(self, p, field, weights, label):
+        self.p, self.field, self.label = p, field, label
+        self.weights, self.dim = list(weights), len(weights)
+        self.spaces = weight_spaces(self.weights)  # each weight with the indices of its basis vectors
+        self.q = CycField(2 * p).gen().embed(field.order)  # q = exp(i pi/p) in the field
+        # q^2 and q^-2, by which E and F shift weights, and the basis indices of each block's rows
+        self._shift = {gen: field.root_of_unity(k * field.order // (2 * p)) for gen, k in (("E", 2), ("F", -2))}
+        self._rows = {gen: {lam: self.spaces.get(shift * lam, []) for lam in self.spaces}
+                      for gen, shift in self._shift.items()}
 
     def blocks(self, gen: str) -> dict:
         """lambda -> the block of E (gen "E") from M_lambda to M_(q^2 lambda), or
         of F to M_(q^-2 lambda), with no rows when that weight is missing;
         raises ValueError when the generator has an entry off these blocks."""
-        blocks = self._gen_blocks[gen]
+        blocks = self._action[gen]
         if blocks is None:
             raise ValueError("E or F has an entry off its weight blocks")
         return blocks
 
+    def apply(self, gen: str, v: list[CycNum]) -> list[CycNum]:
+        """E or F applied to the vector v, one weight block at a time."""
+        zero = self.field.zero
+        out = [zero] * self.dim
+        for lam, blk in self.blocks(gen).items():
+            part = [v[c] for c in self.spaces[lam]]
+            if blk and any(x is not zero and x for x in part):
+                for r, x in zip(self._rows[gen][lam], linalg.mat_vec(blk, part)):
+                    out[r] = x
+        return out
+
+    def mat(self, gen: str):
+        """The dense matrix of E, F or K, derived from the blocks."""
+        if gen == "K":
+            return [[w if i == j else self.field.zero for j in range(self.dim)] for i, w in enumerate(self.weights)]
+        if gen not in self._action:
+            raise ValueError(f"unknown generator {gen!r}")
+        out = linalg.zeros(self.field, self.dim, self.dim)
+        for lam, blk in self.blocks(gen).items():
+            for r, row in zip(self._rows[gen][lam], blk):
+                for c, x in zip(self.spaces[lam], row):
+                    out[r][c] = x
+        return out
+
+    mat_e = property(lambda self: self.mat("E"))
+    mat_f = property(lambda self: self.mat("F"))
+    mat_k = property(lambda self: self.mat("K"))
+
+    def __repr__(self):
+        tag = f" {self.label}" if self.label else ""
+        return f"QMod(p={self.p}, dim={self.dim}{tag})"
+
     def relabel(self, label):
-        return QMod(self.p, self.mat_e, self.mat_f, self.weights, label, self.field)
+        return QMod._from_blocks(self.p, self.field, self.weights, *self._action.values(), label)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        def sparse(mat):
-            return [
-                [i, j, x.to_json()]
-                for i, row in enumerate(mat)
-                for j, x in enumerate(row)
-                if x
-            ]
-
+        sparse = lambda mat: [[i, j, x.to_json()] for i, row in enumerate(mat) for j, x in enumerate(row) if x]
         return {
             "p": self.p,
             "dim": self.dim,
@@ -260,7 +268,7 @@ def verify_module(m: QMod) -> ModuleCheck:
     q2, q2inv = q * q, (q * q).inv()
     if any(w ** (2 * p) != field.one for w in spaces):
         violations.append("K eigenvalue is not a 2p-th root of unity")
-    e, f = m._gen_blocks["E"], m._gen_blocks["F"]  # None where m.blocks raises
+    e, f = m._action["E"], m._action["F"]  # None where m.blocks raises
     for name, blocks, shift in (("E", e, q2), ("F", f, q2inv)):
         if blocks is None:
             continue
@@ -437,40 +445,42 @@ def build_p(p: int, a, s: int) -> QMod:
 
 
 def direct_sum(*mods: QMod) -> QMod:
+    """The direct sum, its basis the summands' bases in order: each block of
+    E and F is block-diagonal over the summands at that weight."""
     if not mods:
         raise ValueError("direct sum of nothing")
-    p, field = mods[0].p, mods[0].field
-    for m in mods:
-        if m.p != p or m.field is not field:
-            raise ValueError("direct sum needs modules over the same algebra")
-    dim = sum(m.dim for m in mods)
-    mat_e = linalg.zeros(field, dim, dim)
-    mat_f = linalg.zeros(field, dim, dim)
-    weights = []
-    off = 0
-    for m in mods:
-        for i in range(m.dim):
-            for j in range(m.dim):
-                mat_e[off + i][off + j] = m.mat_e[i][j]
-                mat_f[off + i][off + j] = m.mat_f[i][j]
-        weights.extend(m.weights)
-        off += m.dim
-    return QMod(p, mat_e, mat_f, weights, field=field)
+    p, field, zero = mods[0].p, mods[0].field, mods[0].field.zero
+    if any(m.p != p or m.field is not field for m in mods):
+        raise ValueError("direct sum needs modules over the same algebra")
+    weights = [w for m in mods for w in m.weights]
+    spaces = weight_spaces(weights)
+
+    def blocks(gen):
+        out = {}
+        for lam, idx in spaces.items():
+            rows, off = [], 0
+            for m in mods:
+                n = len(m.spaces.get(lam, ()))
+                blk = m.blocks(gen)[lam] if n else [[]] * len(m.spaces.get(m._shift[gen] * lam, ()))
+                rows += [[zero] * off + row + [zero] * (len(idx) - off - n) for row in blk]
+                off += n
+            out[lam] = rows
+        return out
+
+    return QMod._from_blocks(p, field, weights, blocks("E"), blocks("F"))
 
 
 def tensor(a: QMod, b: QMod) -> QMod:
     """Tensor product along the coproduct: E acts as 1 (x) E + E (x) K,
     F as K^-1 (x) F + F (x) 1, K as K (x) K."""
-    if a.p != b.p:
-        raise ValueError("tensor needs the same p")
     field = a.field
+    if a.p != b.p or b.field is not field:
+        raise ValueError("tensor needs modules over the same algebra")
     ia, ib = linalg.identity(field, a.dim), linalg.identity(field, b.dim)
-    ka = a.mat_k
-    kb = b.mat_k
     ka_inv = linalg.zeros(field, a.dim, a.dim)
     for i, w in enumerate(a.weights):
         ka_inv[i][i] = w.inv()
-    mat_e = linalg.mat_add(linalg.kron(ia, b.mat_e), linalg.kron(a.mat_e, kb))
+    mat_e = linalg.mat_add(linalg.kron(ia, b.mat_e), linalg.kron(a.mat_e, b.mat_k))
     mat_f = linalg.mat_add(linalg.kron(ka_inv, b.mat_f), linalg.kron(a.mat_f, ib))
     weights = [wa * wb for wa in a.weights for wb in b.weights]
     return QMod(a.p, mat_e, mat_f, weights, field=field)
@@ -479,12 +489,14 @@ def tensor(a: QMod, b: QMod) -> QMod:
 def dual(m: QMod) -> QMod:
     """Contragredient module: x acts on the dual basis through the
     antipode, (x f)(v) = f(S(x) v), so E and F act by the transposes of
-    S(E) = -E K^-1 (the columns of E scaled by the inverse weights) and
-    S(F) = -K F (the rows of F scaled by the weights)."""
-    k_inv = [w.inv() for w in m.weights]
-    se_t = [[-(x * w) if x else x for x in col] for col, w in zip(zip(*m.mat_e), k_inv)]
-    sf_t = [[-(w * x) if x else x for x, w in zip(col, m.weights)] for col in zip(*m.mat_f)]
-    return QMod(m.p, se_t, sf_t, k_inv, field=m.field)
+    S(E) = -E K^-1 and S(F) = -K F.  Its weight lambda^-1 has the basis of
+    M_lambda, and its blocks there are -nu^-1 E_nu^T for nu = q^-2 lambda and
+    -lambda F_mu^T for mu = q^2 lambda."""
+    e, f, inv = m.blocks("E"), m.blocks("F"), {lam: lam.inv() for lam in m.spaces}
+    flip = lambda blk, c: [[-(x * c) if x else x for x in col] for col in zip(*blk)]
+    de = {inv[lam]: flip(e[nu], inv[nu]) if (nu := m._shift["F"] * lam) in e else [] for lam in m.spaces}
+    df = {inv[lam]: flip(f[mu], lam) if (mu := m._shift["E"] * lam) in f else [] for lam in m.spaces}
+    return QMod._from_blocks(m.p, m.field, [inv[w] for w in m.weights], de, df)
 
 
 def weight_character(m: QMod) -> dict[CycNum, int]:
@@ -534,9 +546,11 @@ def monomial_action(m: QMod, kdiag):
     """The action on m of the PBW monomials E^i F^j k^l, for a Cartan generator
     k acting by the diagonal kdiag (the weights when k = K): a function of
     (i, j, l) that builds each power of E and F, and each E^i F^j, once."""
+    mats = {"E": m.mat_e, "F": m.mat_f}
+
     @cache
     def power(gen, n):
-        return linalg.mat_mul(power(gen, n - 1), m.mat(gen)) if n else linalg.identity(m.field, m.dim)
+        return linalg.mat_mul(power(gen, n - 1), mats[gen]) if n else linalg.identity(m.field, m.dim)
 
     @cache
     def ef(i, j):
@@ -615,8 +629,10 @@ def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[lis
     cover or the Steinberg module and gen its top vector."""
     steps, reached = [], [gen]  # steps: (basis index, from index, generator, coefficient)
     for i in reached:
+        lam = src.weights[i]
+        k = src.spaces[lam].index(i)  # column k of each block at lambda is basis vector i
         for g in ("E", "F"):
-            col = [(r, row[i]) for r, row in enumerate(src.mat(g)) if row[i]]
+            col = [(r, row[k]) for r, row in zip(src._rows[g][lam], src.blocks(g)[lam]) if row[k]]
             if len(col) == 1 and col[0][0] not in reached:
                 reached.append(col[0][0])
                 steps.append((col[0][0], i, g, col[0][1].inv()))
@@ -626,7 +642,7 @@ def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[lis
     for v in images:
         cols = {gen: list(v)}
         for j, i, g, inv in steps:
-            cols[j] = [x * inv if x else x for x in linalg.mat_vec(dst.mat(g), cols[i])]
+            cols[j] = [x * inv if x else x for x in dst.apply(g, cols[i])]
         out.append([[cols[j][r] for j in range(src.dim)] for r in range(dst.dim)])
     return out
 
@@ -635,12 +651,13 @@ def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[Cyc
     """Restrict the action to the span of K-homogeneous columns; returns
     the submodule and the embedding matrix (dim x k).  One solve per weight
     mu expresses the images of the columns of weights q^-2 mu under E and
-    q^2 mu under F in the columns of weight mu.  Raises ValueError when a
-    column is not K-homogeneous, when E or F has an entry off its weight
-    blocks (m.blocks), or when the columns do not span a submodule."""
+    q^2 mu under F in the columns of weight mu: the submodule's blocks into
+    mu.  Raises ValueError when a column is not K-homogeneous, when E or F
+    has an entry off its weight blocks, or when the columns do not span a
+    submodule."""
     field, k = m.field, len(columns)
     if k == 0:
-        return QMod(m.p, [], [], [], field=field), [[] for _ in range(m.dim)]
+        return QMod._from_blocks(m.p, field, [], {}, {}), [[] for _ in range(m.dim)]
     emb = linalg.transpose(columns)
     weights = []
     for col in columns:
@@ -648,20 +665,20 @@ def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[Cyc
         if len(wset) != 1:
             raise ValueError("submodule basis vectors must be K-homogeneous")
         weights.append(wset.pop())
-    q2, spaces, sub = m.q ** 2, m.spaces, weight_spaces(weights)
-    acts = [(shift, m.blocks(gen), linalg.zeros(field, k, k)) for gen, shift in (("E", q2), ("F", q2.inv()))]
+    spaces, sub = m.spaces, weight_spaces(weights)
+    # E, then F: the factor from a target weight back to its source, the blocks of m, those of the submodule
+    acts = [(m._shift[back], m.blocks(gen), dict.fromkeys(sub, [])) for gen, back in (("E", "F"), ("F", "E"))]
     part = lambda lam: [[emb[i][j] for j in sub.get(lam, [])] for i in spaces[lam]]
     for mu in spaces:
-        srcs = [(out, blocks, mu / shift) for shift, blocks, out in acts if mu / shift in sub]
+        srcs = [(out, blocks, lam) for back, blocks, out in acts if (lam := back * mu) in sub]
         images = [linalg.mat_mul(blocks[lam], part(lam)) for _, blocks, lam in srcs]
         sol = linalg.solve(part(mu), [sum(rows, []) for rows in zip(*images)]) if srcs else []
         if sol is None:
             raise ValueError("the given columns do not span a submodule")
-        targets = [(out, j) for out, _, lam in srcs for j in sub[lam]]
-        for i, row in zip(sub.get(mu, []), sol):
-            for (out, j), x in zip(targets, row):
-                out[i][j] = x
-    return QMod(m.p, acts[0][2], acts[1][2], weights, field=field), emb
+        cut = len(sub[srcs[0][2]]) if srcs else 0  # sol has the first source's columns, then the second's
+        for i, (out, _, lam) in enumerate(srcs):
+            out[lam] = [row[cut:] if i else row[:cut] for row in sol]
+    return QMod._from_blocks(m.p, field, weights, acts[0][2], acts[1][2]), emb
 
 
 def _basis_vec(field, n, i):

@@ -9,7 +9,7 @@ from uqslcat.category import (IndecLabel, block_decompose, decompose, ext_basis_
                               minimal_resolution, projective_cover,
                               radical_series, semisimple_length, socle, yoneda)
 from uqslcat.kronecker import classify, functor_F
-from uqslcat.qmodules import (CP1, build_m2, build_o1, build_p, build_w2,
+from uqslcat.qmodules import (CP1, QMod, build_m2, build_o1, build_p, build_w2,
                               direct_sum, irreducible, regular_module, tensor,
                               verify_module)
 
@@ -410,7 +410,9 @@ def test_ext_classes_are_cocycles():
 
 
 def test_decompose_rejects_non_module():
-    m = irreducible(2, 1, 2)
-    m.mat_e[0][1] = m.mat_e[0][1] + m.field.one
+    x = irreducible(2, 1, 2)
+    mat_e = x.mat_e
+    mat_e[0][1] = mat_e[0][1] + x.field.one
+    m = QMod(x.p, mat_e, x.mat_f, x.weights, field=x.field)
     with pytest.raises(ValueError):
         decompose(m)

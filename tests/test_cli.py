@@ -164,3 +164,16 @@ def test_bad_max_p_values_exit_one(capsys, monkeypatch):
     monkeypatch.setenv("UQSLCAT_MAX_P", "1")
     code, _, err = run_capture(capsys, ["build", "--p", "2", "--family", "X+:1"])
     assert code == 1 and err == "error: UQSLCAT_MAX_P must be at least 2, got 1\n"
+
+
+@pytest.mark.parametrize("p, label", [(3, "X+: 3"), (3, "X+:٣"), (3, "W+:1:+2"), (11, "X+:1_0"),
+                                      (3, "X+:abc"), (3, "O-:1:2 :1/q"), (3, "P+:")])
+def test_label_numbers_are_plain_ascii_digits(capsys, p, label):
+    code, out, err = run_capture(capsys, ["build", "--p", str(p), "--max-p", str(p), "--family", label])
+    assert code == 1 and out == "" and err.count("\n") == 1 and repr(label) in err, err
+
+
+def test_labels_with_plain_digits_build(capsys):
+    for label, dim in (("X+:3", 3), ("W+:1:2", 4), ("O-:1:2:1/q", 6), ("P-:02", 6)):
+        code, out, _ = run_capture(capsys, ["build", "--p", "3", "--family", label])
+        assert code == 0 and out.startswith(f"{label} at p=3: dim {dim}\n"), out

@@ -47,8 +47,10 @@ def test_constructors_verify_and_have_right_dimensions():
 
 
 def test_verify_module_negative_control():
-    m = irreducible(3, 1, 2)
-    m.mat_e[0][1] = m.mat_e[0][1] + m.field.one
+    x = irreducible(3, 1, 2)
+    mat_e = x.mat_e
+    mat_e[0][1] = mat_e[0][1] + x.field.one
+    m = QMod(x.p, mat_e, x.mat_f, x.weights, field=x.field)
     chk = verify_module(m)
     assert not chk.ok
     assert any("[E,F]" in v for v in chk.violations)

@@ -5,17 +5,21 @@ and the certificate check work one weight space at a time.  These tests
 compare them with the dense computations they replace (the PBW Casimir's
 action matrix, a dense solve for the restricted action, the dual through
 diagonal matrices), and give each check a negative control that breaks
-exactly one relation.  The grading each module keeps (QMod.spaces, q and
-blocks) is compared with the dense slices it stands for."""
+exactly one relation.  The weight blocks each module stores (QMod.spaces,
+q and blocks) are compared with the dense slices they stand for, and a spy
+checks that the package paths neither scan a module they built nor derive
+its dense E or F."""
 
 import random
+import sys
 
 import pytest
 
 from test_weight_hom import random_labels, scrambled_sum, span
-from uqslcat import linalg
+from uqslcat import category, linalg, qmodules
 from uqslcat.algebra import casimir
-from uqslcat.category import _top_vectors, _verify_certificate, block_decompose, decompose
+from uqslcat.category import (_top_vectors, _verify_certificate, block_decompose, decompose, ext_basis_x,
+                              ext_dim, minimal_resolution, yoneda)
 from uqslcat.cyclotomic import CycField
 from uqslcat.kronecker import ClassificationError, QuiverRep
 from uqslcat.qmodules import (CP1, QMod, action_matrix, build_glued, build_m2, build_o1, build_p, build_w2,
@@ -81,24 +85,23 @@ def _swap_module(gen: str) -> QMod:
 def _off_weight(gen: str) -> QMod:
     """X+_3 at p = 3 with an entry of gen joining a_0 (weight q^2) and a_2
     (weight q^-2), which neither E nor F may join."""
-    m = irreducible(3, 1, 3)
+    x = irreducible(3, 1, 3)
+    mats = {"E": x.mat_e, "F": x.mat_f}
     i, j = (0, 2) if gen == "E" else (2, 0)
-    m.mat(gen)[i][j] = m.field.one
-    return m
+    mats[gen][i][j] = x.field.one
+    return QMod(x.p, mats["E"], mats["F"], x.weights, field=x.field)
 
 
 def _weight_off_the_roots() -> QMod:
-    m = irreducible(2, 1, 1)
-    m.weights[0] = m.field.from_fraction(2)
-    return m
+    x = irreducible(2, 1, 1)
+    return QMod(x.p, x.mat_e, x.mat_f, [x.field.from_fraction(2)], field=x.field)
 
 
 def _commutator_defect() -> QMod:
     """A module of dimension 12 with X+_1 moved to weight q, which X+_2 also
     has: E = F = 0 there, so [E, F] fails on that one weight space alone."""
-    m = direct_sum(irreducible(3, 1, 1), build_p(3, 1, 1), irreducible(3, 1, 2), irreducible(3, 1, 3))
-    m.weights[0] = CycField(6).gen()
-    return m
+    x = direct_sum(irreducible(3, 1, 1), build_p(3, 1, 1), irreducible(3, 1, 2), irreducible(3, 1, 3))
+    return QMod(x.p, x.mat_e, x.mat_f, [CycField(6).gen()] + x.weights[1:], field=x.field)
 
 
 @pytest.mark.parametrize("build, violation", [
@@ -166,6 +169,8 @@ def graded_sources():
                 build_o1(3, 1, 1, CP1.of(3, 1, 2)), p_mod, soc)
     yield from (direct_sum(x, p_mod), tensor(x, p_mod), dual(p_mod))
     yield from (regular_module(2), coerce_field(build_p(2, 1, 1), 8), QMod.from_json(glued.to_json()))
+    yield from (glued.relabel("G"), submodule(p_mod, [])[0], dual(dual(glued)),
+                coerce_field(direct_sum(irreducible(2, 1, 2), build_p(2, -1, 1)), 8))
     rng = random.Random(5)
     yield scrambled_sum(3, random_labels(3, rng, 3), rng)
 
@@ -194,3 +199,79 @@ def test_off_block_action_fails_with_one_message():
                     lambda: _top_vectors(m, 1, 3)):
             with pytest.raises(ValueError, match="^E or F has an entry off its weight blocks$"):
                 run()
+
+
+def test_off_block_module_is_reported_by_verify_module_and_refused_elsewhere():
+    # the dense constructor keeps a generator with an off-block entry as such:
+    # verify_module names it, and every reader of that generator raises
+    for gen, violation in (("E", "KEK^-1 != q^2 E"), ("F", "KFK^-1 != q^-2 F")):
+        m = _off_weight(gen)
+        assert violation in verify_module(m).violations
+        view = (lambda: m.mat_e) if gen == "E" else (lambda: m.mat_f)
+        for run in (view, lambda: m.mat(gen), lambda: m.blocks(gen), lambda: m.apply(gen, m.mat_k[0]),
+                    lambda: m.to_json(), lambda: direct_sum(m, m), lambda: dual(m)):
+            with pytest.raises(ValueError, match="^E or F has an entry off its weight blocks$"):
+                run()
+        assert verify_module(m.relabel("broken")).violations == verify_module(m).violations
+
+
+def test_direct_sum_blocks_are_block_diagonal():
+    rng = random.Random(17)
+    parts = [irreducible(3, 1, 2), scrambled_sum(3, random_labels(3, rng, 2), rng), build_p(3, -1, 1), dual(build_w2(3, 1, 1))]
+    m = direct_sum(*parts)
+    for gen in ("E", "F", "K"):
+        want, off = linalg.zeros(m.field, m.dim, m.dim), 0
+        for part in parts:
+            for i, row in enumerate(part.mat(gen)):
+                want[off + i][off:off + part.dim] = row
+            off += part.dim
+        assert linalg.mat_eq(m.mat(gen), want), gen
+    assert verify_module(m).ok
+
+
+def test_tensor_needs_modules_over_the_same_field():
+    x = irreducible(2, 1, 2)
+    with pytest.raises(ValueError, match="^tensor needs modules over the same algebra$"):
+        tensor(coerce_field(x, 8), x)
+    with pytest.raises(ValueError, match="^tensor needs modules over the same algebra$"):
+        tensor(irreducible(3, 1, 2), x)
+
+
+def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypatch):
+    """weight_blocks runs only in the dense constructor, called by the
+    canonical builders, and on module maps (category._graded); no E or F
+    view is derived at all, so no module built by direct_sum, submodule,
+    dual or relabel derives one."""
+    rng = random.Random(713)
+    sums = [scrambled_sum(p, random_labels(p, rng, rng.randint(1, 4)), rng) for p in (2, 3) * 5]
+    reg = regular_module(3)
+    scans, views = [], []
+    real_blocks, real_mat = qmodules.weight_blocks, QMod.mat
+
+    def spy_blocks(mat, rows, cols, shift=None):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension: look at the function it runs in
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        scans.append((caller, frame.f_back.f_code.co_name if caller == "__init__" else shift))
+        return real_blocks(mat, rows, cols, shift)
+
+    def spy_mat(self, gen):
+        if gen != "K":
+            views.append((self, gen))
+        return real_mat(self, gen)
+
+    monkeypatch.setattr(qmodules, "weight_blocks", spy_blocks)
+    monkeypatch.setattr(category, "weight_blocks", spy_blocks)
+    monkeypatch.setattr(QMod, "mat", spy_mat)
+    for m in sums + [reg]:
+        decompose(m)
+    minimal_resolution(irreducible(5, 1, 1), 5)
+    category._resolution.cache_clear()  # so that ext_dim and yoneda resolve afresh under the spies
+    assert ext_dim(3, (1, 1), (-1, 2), 3) == 4
+    gens = ext_basis_x(3, 1, 1)
+    assert not yoneda(gens[(1, 2)], yoneda(gens[(-1, 1)], gens[(1, 1)])).is_zero()
+    assert views == []
+    assert {caller for caller, _ in scans} == {"__init__", "_graded"}
+    assert {how for caller, how in scans if caller == "__init__"} <= {"irreducible", "build_glued", "build_p"}
+    assert {how for caller, how in scans if caller == "_graded"} == {None}  # module maps, which keep weights
