@@ -17,7 +17,7 @@ import sys
 from . import braiding, category, kronecker, qmodules
 from .algebra import center_basis, verify_hopf
 from .category import ClassificationError, IndecLabel
-from .cyclotomic import json_field, parse_cyc
+from .cyclotomic import MAX_DIGITS, json_field, parse_cyc, quoted
 from .qmodules import CP1, QMod, family_label, regular_module, verify_module
 
 DEFAULT_MAX_P = 6
@@ -63,14 +63,16 @@ def _check_p(p: int, args) -> None:
 def parse_label(text: str, p: int) -> IndecLabel:
     head, _, rest = text.partition(":")
     if len(head) != 2 or head[0] not in "XWMOP" or head[1] not in "+-":
-        raise ValueError(f"bad family label {text!r}: expected e.g. X+:1, W-:1:2, O+:1:1:1/0, P+:1")
+        raise ValueError(f"bad family label {quoted(text)}: expected e.g. X+:1, W-:1:2, O+:1:1:1/0, P+:1")
     fam, a = head[0], 1 if head[1] == "+" else -1
     parts, need = rest.split(":") if rest else [], {"X": 1, "P": 1, "W": 2, "M": 2, "O": 3}[fam]
     if len(parts) != need:
-        raise ValueError(f"label {text!r} needs {need} parameter(s) after the family")
+        raise ValueError(f"label {quoted(text)} needs {need} parameter(s) after the family")
     for x in parts[:2]:  # s, and n for W, M and O: plain ASCII digits, as in parse_cyc
         if not (x.isascii() and x.isdigit()):
-            raise ValueError(f"label {text!r} has {x!r} where digits 0-9 are expected")
+            raise ValueError(f"label {quoted(text)} has {quoted(x)} where digits 0-9 are expected")
+        if len(x) > MAX_DIGITS:
+            raise ValueError(f"label {quoted(text)} has a number of {len(x)} digits, above the bound {MAX_DIGITS}")
     s, n = int(parts[0]), int(parts[1]) if need > 1 else None
     if not 1 <= s <= (p if fam == "X" else p - 1):
         what = {"X": "irreducible", "P": "projective"}.get(fam, f"family {fam}")
@@ -85,8 +87,10 @@ def parse_label(text: str, p: int) -> IndecLabel:
     zparts = parts[2].split("/")
     if len(zparts) != 2:
         raise ValueError("z must be given as z1/z2 with '/'-free components")
-    z1 = parse_cyc(zparts[0], 2 * p)
-    z2 = parse_cyc(zparts[1], 2 * p)
+    try:
+        z1, z2 = (parse_cyc(z, 2 * p) for z in zparts)
+    except ValueError as err:
+        raise ValueError(f"label {quoted(text)}: {err}") from None
     if not z1 and not z2:
         raise ValueError("z components must not both be zero")
     return IndecLabel("O", a, s, n, CP1(z1, z2))

@@ -515,13 +515,20 @@ def qint(p: int, n: int) -> CycNum:
 _TOKEN = re.compile(r"\s*([0-9]+|[qz]|\^|\*|\+|\-|/|\(|\))")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 MAX_EXPONENT = 1000
+MAX_DIGITS = 100  # of one number in a field element or a label; int() refuses above 4300
+
+
+def quoted(text: str) -> str:
+    """text quoted, cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def parse_cyc(text: str, order: int) -> CycNum:
     """Parse an exact field-element expression such as ``1``, ``-1/2``,
     ``q^2``, ``2*q-1`` or ``(1+q)^2``.  ``q`` (or ``z``) denotes the
     canonical generator of Q(zeta_order).  The exponent of a power, times
-    those of the powers around it, is at most MAX_EXPONENT."""
+    those of the powers around it, is at most MAX_EXPONENT, and a number
+    has at most MAX_DIGITS digits."""
     field = CycField(order)
     nested = 1  # largest exponent product among the powers parsed so far
     tokens = []
@@ -529,7 +536,10 @@ def parse_cyc(text: str, order: int) -> CycNum:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ValueError(f"bad character in field element: {text[pos:]!r}")
+            raise ValueError(f"bad character in field element: {quoted(text[pos:])}")
+        if len(m.group(1)) > MAX_DIGITS:
+            raise ValueError(f"field element {quoted(text)} has a number of {len(m.group(1))} digits, "
+                             f"above the bound {MAX_DIGITS}")
         tokens.append(m.group(1))
         pos = m.end()
     tokens.append(None)
@@ -614,5 +624,5 @@ def parse_cyc(text: str, order: int) -> CycNum:
 
     value = parse_expr()
     if peek() is not None:
-        raise ValueError(f"trailing input in field element: {text!r}")
+        raise ValueError(f"trailing input in field element: {quoted(text)}")
     return value

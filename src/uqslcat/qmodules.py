@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 from . import linalg
 from .algebra import AlgElem, base_algebra
@@ -89,7 +90,8 @@ class CP1:
 class QMod:
     """A module on a K-eigenbasis: p, the field, the weights (K's eigenvalues)
     and E and F as weight blocks (see blocks), the one stored form of the
-    action.  All is fixed at construction, so a module is immutable.
+    action.  All is fixed at construction, so a module is immutable: the
+    weights are a tuple and the weight spaces a read-only mapping.
     QMod(p, mat_e, mat_f, weights) slices dense E and F once; a generator
     with an entry off its blocks is kept as such, for verify_module to
     report, and every other reader raises.  mat(gen) and mat_e, mat_f,
@@ -111,8 +113,8 @@ class QMod:
 
     def _grade(self, p, field, weights, label):
         self.p, self.field, self.label = p, field, label
-        self.weights, self.dim = list(weights), len(weights)
-        self.spaces = weight_spaces(self.weights)  # each weight with the indices of its basis vectors
+        self.weights, self.dim = tuple(weights), len(weights)
+        self.spaces = MappingProxyType(weight_spaces(self.weights))  # each weight with the indices of its basis vectors
         self.q = CycField(2 * p).gen().embed(field.order)  # q = exp(i pi/p) in the field
         # q^2 and q^-2, by which E and F shift weights, and the basis indices of each block's rows
         self._shift = {gen: field.root_of_unity(k * field.order // (2 * p)) for gen, k in (("E", 2), ("F", -2))}
@@ -217,12 +219,12 @@ class QMod:
 # -- weight spaces ------------------------------------------------------------------
 
 
-def weight_spaces(weights) -> dict[CycNum, list[int]]:
+def weight_spaces(weights) -> dict[CycNum, tuple[int, ...]]:
     """Each weight with the indices of the basis vectors of that weight."""
     out: dict[CycNum, list[int]] = {}
     for i, w in enumerate(weights):
         out.setdefault(w, []).append(i)
-    return out
+    return {w: tuple(idx) for w, idx in out.items()}
 
 
 def weight_blocks(mat, rows, cols, shift=None) -> dict | None:

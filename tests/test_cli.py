@@ -177,3 +177,21 @@ def test_labels_with_plain_digits_build(capsys):
     for label, dim in (("X+:3", 3), ("W+:1:2", 4), ("O-:1:2:1/q", 6), ("P-:02", 6)):
         code, out, _ = run_capture(capsys, ["build", "--p", "3", "--family", label])
         assert code == 0 and out.startswith(f"{label} at p=3: dim {dim}\n"), out
+
+
+@pytest.mark.parametrize("label", ["X+:" + "1" * 5000, "W+:1:" + "2" * 5000, "O+:1:1:" + "1" * 5000 + "/1",
+                                   "O+:1:1:1/q^" + "9" * 5000])
+def test_overlong_label_numbers_exit_one(capsys, label):
+    """A number above int()'s 4300-digit limit once surfaced Python's own
+    message, which named neither the label nor the field element."""
+    code, out, err = run_capture(capsys, ["build", "--p", "3", "--family", label])
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert repr(label[:40]) in err and "5000 digits" in err and len(err) < 300, err
+
+
+def test_numbers_up_to_the_digit_bound_parse(capsys):
+    from uqslcat.cyclotomic import MAX_DIGITS
+    long_one = "0" * (MAX_DIGITS - 1) + "1"
+    for label in ("X+:" + long_one, "O+:1:1:" + long_one + "/1"):
+        code, out, err = run_capture(capsys, ["build", "--p", "3", "--family", label])
+        assert code == 0, err

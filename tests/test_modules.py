@@ -60,12 +60,12 @@ def test_irreducible_action_values():
     # dimension-2 module at p=2: weights (i, -i), E a_1 = [1][1] a_0 = a_0
     m = irreducible(2, 1, 2)
     f = m.field
-    assert m.weights == [f.gen(), f.gen().inv()]
+    assert list(m.weights) == [f.gen(), f.gen().inv()]
     assert m.mat_e[0][1] == f.one
     # trivial module
     t = irreducible(3, 1, 1)
     assert linalg.is_zero_mat(t.mat_e) and linalg.is_zero_mat(t.mat_f)
-    assert t.weights == [t.field.one]
+    assert list(t.weights) == [t.field.one]
     # sign - flips the E coefficient
     m = irreducible(3, -1, 2)
     assert m.mat_e[0][1] == -qint(3, 1) * qint(3, 1)
@@ -267,6 +267,19 @@ def test_module_serialization_roundtrip():
     assert linalg.mat_eq(m2.mat_e, m.mat_e)
     assert linalg.mat_eq(m2.mat_f, m.mat_f)
     assert m2.weights == m.weights
+
+
+def test_grading_cannot_be_mutated():
+    """Assigning a weight once desynchronized it from the stored blocks:
+    verify_module read the old grading while to_json wrote the new one."""
+    m = irreducible(2, 1, 1)
+    with pytest.raises(TypeError):
+        m.weights[0] = m.field.from_fraction(2)
+    with pytest.raises(TypeError):
+        m.spaces[m.field.from_fraction(2)] = (0,)
+    with pytest.raises(AttributeError):
+        m.spaces[m.weights[0]].append(1)
+    assert verify_module(m).ok and m.to_json()["weights"] == [m.field.one.to_json()]
 
 
 def test_coerce_field():

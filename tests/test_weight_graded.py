@@ -66,7 +66,7 @@ def test_dual_matches_the_product_with_diagonal_matrices():
         for i, w in enumerate(m.weights):
             k[i][i], k_inv[i][i] = w, w.inv()
         d = dual(m)
-        assert d.weights == [w.inv() for w in m.weights]
+        assert list(d.weights) == [w.inv() for w in m.weights]
         assert d.mat_e == linalg.transpose(linalg.mat_neg(linalg.mat_mul(m.mat_e, k_inv)))
         assert d.mat_f == linalg.transpose(linalg.mat_neg(linalg.mat_mul(k, m.mat_f)))
 
@@ -101,7 +101,7 @@ def _commutator_defect() -> QMod:
     """A module of dimension 12 with X+_1 moved to weight q, which X+_2 also
     has: E = F = 0 there, so [E, F] fails on that one weight space alone."""
     x = direct_sum(irreducible(3, 1, 1), build_p(3, 1, 1), irreducible(3, 1, 2), irreducible(3, 1, 3))
-    return QMod(x.p, x.mat_e, x.mat_f, [CycField(6).gen()] + x.weights[1:], field=x.field)
+    return QMod(x.p, x.mat_e, x.mat_f, [CycField(6).gen(), *x.weights[1:]], field=x.field)
 
 
 @pytest.mark.parametrize("build, violation", [
