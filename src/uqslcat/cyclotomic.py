@@ -10,6 +10,12 @@ Products share one kernel (`_mul_into`, then `_reduce`): `__mul__`, the
 sum of products `dot` and the update x - f*y `sub_mul` each reduce modulo
 Phi_N and normalize once; the canonical form makes sums order-free.
 
+Rational operands take a path on plain integers: when the coefficient tail
+num[1:] of every operand is zero (`CycField.ztail`), `__mul__`, `dot`,
+`sub_mul` and `inv` compute on the numerator and denominator alone and
+return the same gcd-normalized element.  Every zero the field builds is
+the one shared `field.zero`, so `x is field.zero` is an exact zero test.
+
 The quantum parameter of the p-th root-of-unity quantum group is
 q = zeta_{2p} = exp(i*pi/p); the braiding computations at p=2 live in the
 bigger field Q(zeta_8), reached through `embed`.
@@ -18,6 +24,7 @@ bigger field Q(zeta_8), reached through `embed`.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -95,8 +102,9 @@ class CycField:
                 row = [a + top * b for a, b in zip(row, red[0])]
             red.append(tuple(row))
         self.red = red
-        self.zero = CycNum(self, (0,) * self.degree, 1)
-        self.one = CycNum(self, (1,) + (0,) * (self.degree - 1), 1)
+        self.ztail = (0,) * (self.degree - 1)  # the coefficient tail of a rational element
+        self.zero = CycNum(self, (0,) + self.ztail, 1)
+        self.one = CycNum(self, (1,) + self.ztail, 1)
 
     # -- constructors ---------------------------------------------------
 
@@ -118,8 +126,7 @@ class CycField:
 
     def from_fraction(self, a) -> "CycNum":
         a = Fraction(a)
-        num = [a.numerator] + [0] * (self.degree - 1)
-        return CycNum(self, tuple(num), a.denominator)
+        return _rational(self, a.numerator, a.denominator)
 
     def from_coeffs(self, coeffs) -> "CycNum":
         """Element from a length-degree list of rationals."""
@@ -152,14 +159,34 @@ def _reduce(field: CycField, acc: list[int], den: int) -> "CycNum":
             for i, ri in enumerate(red[k - deg]):
                 if ri:
                     acc[i] += ck * ri
-    num = acc[:deg]
-    return _make(field, num, den) if any(num) else field.zero
+    return _make(field, acc[:deg], den)
 
 
 def dot(field: CycField, pairs) -> "CycNum":
     """The sum of x * y over the (x, y) pairs of elements of field, formed
-    over one common denominator and reduced and normalized once."""
-    acc, den = [0] * (2 * field.degree - 1), 1
+    over one common denominator and reduced and normalized once; on
+    integers alone while every operand is rational."""
+    zt, acc, den = field.ztail, 0, 1
+    pairs = iter(pairs)
+    for x, y in pairs:
+        if x.field is not field or y.field is not field:
+            raise ValueError(f"mismatched cyclotomic orders {x.order} and {y.order} in a sum over {field}")
+        if x.num[1:] != zt or y.num[1:] != zt:
+            acc = [acc] + [0] * (2 * field.degree - 2)
+            return _dot_vec(field, acc, den, itertools.chain([(x, y)], pairs))
+        d, c = x.den * y.den, x.num[0] * y.num[0]
+        if d == den:
+            acc += c
+        elif den % d == 0:
+            acc += c * (den // d)
+        else:
+            new = math.lcm(den, d)
+            acc, den = acc * (new // den) + c * (new // d), new
+    return _rational(field, acc, den)
+
+
+def _dot_vec(field: CycField, acc: list[int], den: int, pairs) -> "CycNum":
+    # the rest of `dot` on coefficient vectors: acc / den plus the products of pairs
     for x, y in pairs:
         if x.field is not field or y.field is not field:
             raise ValueError(f"mismatched cyclotomic orders {x.order} and {y.order} in a sum over {field}")
@@ -180,12 +207,29 @@ def sub_mul(x: "CycNum", f: "CycNum", y: "CycNum") -> "CycNum":
         raise ValueError(f"mismatched cyclotomic orders {x.order}, {f.order} and {y.order}")
     d = f.den * y.den
     den = x.den if d == x.den else math.lcm(x.den, d)
+    zt = field.ztail
+    if x.num[1:] == zt and f.num[1:] == zt and y.num[1:] == zt:
+        return _rational(field, x.num[0] * (den // x.den) - f.num[0] * y.num[0] * (den // d), den)
     acc = [a * (den // x.den) for a in x.num] + [0] * (field.degree - 1)
     _mul_into(acc, [-a * (den // d) for a in f.num], y.num)
     return _reduce(field, acc, den)
 
 
+def _rational(field: CycField, n: int, den: int) -> "CycNum":
+    # n / den as a normalized rational element of field
+    if not n:
+        return field.zero
+    if den < 0:
+        n, den = -n, -den
+    g = math.gcd(n, den)
+    if g > 1:
+        n, den = n // g, den // g
+    return CycNum(field, (n,) + field.ztail, den)
+
+
 def _make(field: CycField, num: list[int], den: int) -> "CycNum":
+    if not any(num):
+        return field.zero
     if den < 0:
         num = [-a for a in num]
         den = -den
@@ -259,6 +303,8 @@ class CycNum:
     __radd__ = __add__
 
     def __neg__(self):
+        if self is self.field.zero:
+            return self
         return CycNum(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
@@ -278,10 +324,11 @@ class CycNum:
         if o is None:
             return NotImplemented
         f = self.field
-        if not any(self.num) or not any(o.num):
-            return f.zero
+        an, bn = self.num, o.num
+        if an[1:] == f.ztail == bn[1:]:
+            return _rational(f, an[0] * bn[0], self.den * o.den)
         acc = [0] * (2 * f.degree - 1)
-        _mul_into(acc, self.num, o.num)
+        _mul_into(acc, an, bn)
         return _reduce(f, acc, self.den * o.den)
 
     __rmul__ = __mul__
@@ -289,6 +336,8 @@ class CycNum:
     def inv(self) -> "CycNum":
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
+        if self.num[1:] == self.field.ztail:
+            return _rational(self.field, self.den, self.num[0])
         u = _inv_core(self.field, self.num)
         # (num/den)^-1 = den * (num)^-1
         return u * self.den

@@ -5,10 +5,21 @@ exact, there is no floating point anywhere.
 
 Each product entry is one `cyclotomic.dot` over its nonzero pairs, each
 elimination update one `sub_mul`: an entry is reduced and normalized once.
+Zero entries are skipped by identity with the field's shared zero.
+
+When every entry is rational, `rref` eliminates on integer rows instead
+(integer-preserving elimination, as in Bareiss, Math. Comp. 22, 1968):
+each row is scaled by the lcm of its denominators, the pivot is the
+entry of smallest absolute value, a row is updated as
+pv*row - f*pivot_row and divided by its integer content, and field
+elements are built only at the end, each row divided by its pivot.  The
+reduced echelon form is unique, so both paths return the same matrix;
+`nullspace`, `rank`, `solve` and `inverse` go through `rref`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import CycField, CycNum, dot, sub_mul
@@ -93,13 +104,13 @@ def mat_mul(a, b):
     if not a or not b:
         return []
     field, ncols = a[0][0].field, len(b[0])
-    zero = field.zero  # most zero entries are this one object: skip them by identity
-    brows = [[(j, y) for j, y in enumerate(row) if y is not zero and y] for row in b]
+    zero = field.zero  # every zero entry is this one object: skip them by identity
+    brows = [[(j, y) for j, y in enumerate(row) if y is not zero] for row in b]
     out = []
     for row in a:
         pairs: dict[int, list] = {}
         for k, x in enumerate(row):
-            if x is not zero and x:
+            if x is not zero:
                 for j, y in brows[k]:
                     pairs.setdefault(j, []).append((x, y))
         orow = [zero] * ncols
@@ -113,8 +124,8 @@ def mat_vec(a, v):
     if not a:
         return []
     field, zero = v[0].field, v[0].field.zero
-    nz = [(k, y) for k, y in enumerate(v) if y is not zero and y]
-    return [_entry(field, [(x, y) for k, y in nz if (x := row[k]) is not zero and x]) for row in a]
+    nz = [(k, y) for k, y in enumerate(v) if y is not zero]
+    return [_entry(field, [(x, y) for k, y in nz if (x := row[k]) is not zero]) for row in a]
 
 
 def mat_eq(a, b) -> bool:
@@ -159,9 +170,13 @@ def _sub_row(row, f, nz):
 
 def rref(a) -> tuple[list[list[CycNum]], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    if not a or not a[0]:
+        return mat_copy(a), []
+    field = a[0][0].field
+    zero, zt = field.zero, field.ztail
+    if all(x is zero or x.field is field and x.num[1:] == zt for row in a for x in row):
+        return _rref_rational(field, a)
     mat = mat_copy(a)
-    if not mat:
-        return mat, []
     nrows, ncols = len(mat), len(mat[0])
     pivots = []
     r = 0
@@ -193,6 +208,67 @@ def rref(a) -> tuple[list[list[CycNum]], list[int]]:
         pivots.append(c)
         r += 1
     return mat, pivots
+
+
+def _rref_rational(field: CycField, mat) -> tuple[list[list[CycNum]], list[int]]:
+    # rref of a matrix of rational elements of field, on integer rows
+    nrows, ncols = len(mat), len(mat[0])
+    rows = []
+    for row in mat:
+        den = math.lcm(*(x.den for x in row))
+        rows.append([x.num[0] * (den // x.den) for x in row])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        best = None
+        for i in range(r, nrows):
+            v = abs(rows[i][c])
+            if v and (best is None or v < best[0]):
+                best = (v, i)
+                if v == 1:
+                    break
+        if best is None:
+            continue
+        i = best[1]
+        prow = rows[i] if rows[i][c] > 0 else [-v for v in rows[i]]
+        rows[i] = rows[r]
+        rows[r] = prow
+        pv = prow[c]
+        nz = [(k, y) for k in range(c, ncols) if (y := prow[k])]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            if a > 1:
+                row = [a * v for v in row]
+            for k, y in nz:
+                row[k] -= b * y
+            g = math.gcd(*row)
+            rows[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+    zero, zt = field.zero, field.ztail
+    made = {(1, 1): field.one}  # one element per value, as the input shares its entries
+    out = []
+    for row, c in zip(rows, pivots):
+        pv = row[c]
+        orow = []
+        for v in row:
+            if v:
+                g = math.gcd(v, pv)
+                key = (v // g, pv // g)
+                x = made.get(key)
+                if x is None:
+                    x = made[key] = CycNum(field, (key[0],) + zt, key[1])
+                orow.append(x)
+            else:
+                orow.append(zero)
+        out.append(orow)
+    out += [[zero] * ncols for _ in range(nrows - len(pivots))]
+    return out, pivots
 
 
 def rank(a) -> int:
@@ -239,11 +315,7 @@ def solve(a, b):
     field = a[0][0].field
     n = len(a[0])
     k = len(b[0]) if b else 0
-    aug = hstack(a, b)
-    red, pivots = rref(aug)
-    for r in range(len(red)):
-        if all(not red[r][c] for c in range(n)) and any(red[r][c] for c in range(n, n + k)):
-            return None
+    red, pivots = rref(hstack(a, b))
     x = zeros(field, n, k)
     for r, pc in enumerate(pivots):
         if pc >= n:
@@ -266,12 +338,14 @@ def solve_combination(images, rhs):
 
 
 def inverse(a):
-    field = a[0][0].field
+    """The inverse of a nonempty square matrix, from one elimination of [a | I]."""
     n = len(a)
-    sol = solve(a, identity(field, n))
-    if sol is None or rank(a) != n:
+    if not n or any(len(row) != n for row in a):
+        raise ValueError(f"inverse needs a nonempty square matrix, got {n} x {len(a[0]) if n else 0}")
+    red, pivots = rref(hstack(a, identity(a[0][0].field, n)))
+    if pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
-    return sol
+    return [row[n:] for row in red]
 
 
 def charpoly(a) -> list[CycNum]:

@@ -136,7 +136,7 @@ class QMod:
         out = [zero] * self.dim
         for lam, blk in self.blocks(gen).items():
             part = [v[c] for c in self.spaces[lam]]
-            if blk and any(x is not zero and x for x in part):
+            if blk and any(x is not zero for x in part):
                 for r, x in zip(self._rows[gen][lam], linalg.mat_vec(blk, part)):
                     out[r] = x
         return out

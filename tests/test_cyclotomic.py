@@ -153,10 +153,14 @@ kernel_den = st.one_of(st.sampled_from([1, 2, 3, 6, 35]), st.integers(2 ** 200, 
 
 @st.composite
 def kernel_elements(draw, field):
-    """Elements with zero, small and 200-bit numerators over mixed denominators."""
+    """Elements with zero, small and 200-bit numerators over mixed denominators;
+    about half of them rational, so both paths of the kernel run."""
     if draw(st.integers(0, 5)) == 0:
         return field.zero
-    return field.from_coeffs([Fraction(draw(kernel_coeff), draw(kernel_den)) for _ in range(field.degree)])
+    coeffs = [Fraction(draw(kernel_coeff), draw(kernel_den)) for _ in range(field.degree)]
+    if draw(st.booleans()):
+        coeffs[1:] = [0] * (field.degree - 1)
+    return field.from_coeffs(coeffs)
 
 
 def same_bits(a: CycNum, b: CycNum) -> bool:
@@ -184,13 +188,61 @@ def test_sub_mul_equals_naive_update(order, data):
 
 
 def test_kernel_rejects_mixed_fields():
-    a, b = CycField(4).gen(), CycField(6).gen()
-    with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
-        dot(CycField(4), [(a, a), (a, b)])
-    with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
-        dot(CycField(4), [(b, b)])
-    for args in ((a, a, b), (a, b, a), (b, a, a)):
+    # generators take the vector path, the ones the rational path
+    for a, b in ((CycField(4).gen(), CycField(6).gen()), (CycField(4).one, CycField(6).one)):
         with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
-            sub_mul(*args)
+            dot(CycField(4), [(a, a), (a, b)])
+        with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+            dot(CycField(4), [(b, b)])
+        for args in ((a, a, b), (a, b, a), (b, a, a)):
+            with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+                sub_mul(*args)
+        with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+            a * b
+    # a field mismatch after the sum has left the rational path
+    f4 = CycField(4)
     with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
-        a * b
+        dot(f4, [(f4.one, f4.one), (f4.gen(), f4.one), (f4.one, CycField(6).one)])
+
+
+@st.composite
+def rationals(draw):
+    return Fraction(draw(kernel_coeff), draw(kernel_den)) if draw(st.integers(0, 5)) else Fraction(0)
+
+
+def as_rational(field, r: Fraction) -> tuple:
+    # the normalized representation of r, built without the field's arithmetic
+    return (field, (r.numerator,) + (0,) * (field.degree - 1), r.denominator)
+
+
+def rep(x: CycNum) -> tuple:
+    return (x.field, x.num, x.den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_ORDERS), st.lists(rationals(), min_size=3, max_size=9))
+def test_rational_path_equals_fraction_arithmetic(order, fracs):
+    field = CycField(order)
+    a, b, c = fracs[:3]
+    x, y, z = (field.from_fraction(r) for r in (a, b, c))
+    assert rep(x) == as_rational(field, a)
+    assert rep(x * y) == as_rational(field, a * b)
+    assert rep(sub_mul(x, y, z)) == as_rational(field, a - b * c)
+    if a:
+        assert rep(x.inv()) == as_rational(field, 1 / a)
+    pairs = list(zip(fracs, reversed(fracs)))
+    assert rep(dot(field, [(field.from_fraction(u), field.from_fraction(v)) for u, v in pairs])) == \
+        as_rational(field, sum((u * v for u, v in pairs), Fraction(0)))
+
+
+def test_every_zero_is_the_shared_zero():
+    for order in KERNEL_ORDERS:
+        f = CycField(order)
+        for a in (f.from_fraction(Fraction(-3, 7)), f.gen() + Fraction(1, 2)):
+            assert a - a is f.zero
+            assert a * 0 is f.zero and f.zero * a is f.zero
+            assert sub_mul(a, f.one, a) is f.zero
+            assert dot(f, [(a, f.one), (-a, f.one)]) is f.zero
+        assert -f.zero is f.zero
+        assert f.from_fraction(0) is f.zero
+        assert f.from_coeffs([0] * f.degree) is f.zero

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from uqslcat import linalg
 from uqslcat.cyclotomic import CycField
 from uqslcat.polys import roots_in_field
@@ -40,11 +42,27 @@ def test_solve_and_inverse():
         assert linalg.mat_eq(linalg.mat_mul(a, inv), linalg.identity(f, n))
 
 
+def test_inverse_rejects_what_is_not_invertible():
+    f = CycField(4)
+    one, i = f.one, f.gen()
+    for bad in ([[one, f.zero]], [[one], [i]], [], [[one, i], [one]]):
+        with pytest.raises(ValueError, match="nonempty square"):
+            linalg.inverse(bad)
+    for singular in ([[one, i], [i, -one]], [[one, one], [one, one]], [[f.zero]]):
+        with pytest.raises(ValueError, match="not invertible"):
+            linalg.inverse(singular)
+    a = [[one, i], [f.zero, one + i]]
+    assert linalg.mat_eq(linalg.mat_mul(a, linalg.inverse(a)), linalg.identity(f, 2))
+
+
 def test_solve_detects_inconsistency():
     f = CycField(4)
     a = [[f.one, f.one], [f.one, f.one]]
     b = [[f.one], [f.zero]]
     assert linalg.solve(a, b) is None
+    i = f.gen()
+    assert linalg.solve([[f.one, i], [i, -f.one]], [[f.zero, f.one], [f.zero, f.zero]]) is None
+    assert linalg.solve([[f.zero]], [[i]]) is None
 
 
 def test_charpoly_roots():
@@ -131,13 +149,35 @@ def ref_rref(a):
     return mat, pivots
 
 
+def frac_rref(a):
+    """Gauss-Jordan on fractions.Fraction, for matrices of rational elements."""
+    mat = [[x.as_fraction() for x in row] for row in a]
+    pivots, r = [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
 def bits(mat):
     return [[(x.field.order, x.num, x.den) for x in row] for row in mat]
 
 
 def oracle_matrices():
     """E, F and their products on scrambled modules at p = 2..4, and dense
-    random matrices with mixed denominators, at field orders 4, 6, 8."""
+    random matrices with mixed denominators, at field orders 4, 6, 8; per
+    field also rational matrices with entries of 100 bits and more and with
+    dependent rows, matrices with zero rows and columns, 1 x n and n x 1
+    shapes, and a rational matrix with one irrational entry."""
     from conftest import scramble
     from uqslcat.qmodules import build_p, direct_sum, irreducible
 
@@ -150,6 +190,20 @@ def oracle_matrices():
         out.append([[f.from_coeffs([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
                                     for _ in range(f.degree)]) if rng.random() < 0.6 else f.zero
                      for _ in range(7)] for _ in range(5)])
+        big = [[f.from_fraction(Fraction(rng.getrandbits(120) - 2 ** 119, rng.choice((1, 3, 2 ** 100 + 7))))
+                if rng.random() < 0.8 else f.zero for _ in range(6)] for _ in range(4)]
+        big.append([x * Fraction(2, 3) + y for x, y in zip(big[0], big[2])])
+        out.append(big)
+        small = [[f.from_fraction(Fraction(rng.randint(-3, 3), rng.choice((1, 2)))) for _ in range(5)]
+                 for _ in range(4)]
+        for row in small:
+            row[1] = row[3] = f.zero
+        small[2] = [f.zero] * 5
+        out.append(small)
+        out += [small[:1], [row[:1] for row in big]]
+        mixed = [row[:] for row in small]
+        mixed[0][0] = f.gen() + 1
+        out.append(mixed)
     return out
 
 
@@ -170,6 +224,12 @@ def test_rref_and_rowspace_equal_reference_elimination():
             red, pivots = linalg.rref(mat)
             want, want_pivots = ref_rref(mat)
             assert pivots == want_pivots and bits(red) == bits(want)
+            if all(x.is_rational() for row in mat for x in row):
+                f = mat[0][0].field
+                fracs, frac_pivots = frac_rref(mat)
+                assert frac_pivots == pivots
+                assert bits(red) == [[(f.order, (x.numerator,) + f.ztail, x.denominator) for x in row]
+                                     for row in fracs]
             rs = linalg.RowSpace(mat[0][0].field, len(mat[0]))
             ranks = [0] + [len(ref_rref(mat[:k + 1])[1]) for k in range(len(mat))]
             assert [rs.add(row) for row in mat] == [ranks[k + 1] > ranks[k] for k in range(len(mat))]
