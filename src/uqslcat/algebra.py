@@ -17,6 +17,16 @@ Tensor products add k across legs; each output term is one pair, taken
 from a per-call table of zeta^k times the right-hand coefficient, in the
 one `dot` that sums its output key.  The cached coproducts of monomials
 are phase-indexed the same way.
+
+There is one product routine, `_dict_mul`: it sums the products of a list
+of pairs of dicts, with one `dot` per output key over every pair, and a
+plain product is its one-pair case.  The coproduct and antipode of
+E^i F^j C^l are built once per core E^i F^j and reached for each l by a
+Cartan shift: Delta(E^i F^j C^l) = Delta(E^i F^j) (C^l (x) C^l) adds l to
+the Cartan power of both legs, and S(E^i F^j C^l) = C^-l S(E^i F^j) is
+one left product by a Cartan monomial.  The antipode law m(S (x) id)
+Delta(x) sums S(u) * rest_u over every monomial u on the first leg as one
+such summed product, and likewise m(id (x) S).
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycField, CycNum
+from .cyclotomic import CycField, CycNum, InternalError
 from .linalg import accumulate, accumulate_dot, nullspace
 
 Term = tuple[int, int, int]  # (E power, F power, Cartan power)
@@ -170,25 +180,34 @@ class QuantumAlgebra:
         return dE, dF
 
     def delta_mono(self, term: Term) -> list[tuple[tuple[Term, Term], CycNum | None, int]]:
+        """Delta(E^i F^j C^l), built once per core E^i F^j and shifted by
+        C^l (x) C^l for each l."""
         cached = self._delta_cache.get(term)
         if cached is None:
-            cached = self._delta_cache[term] = _delta_monomial(self, term, *self.delta_gens())
+            i, j, l = term
+            cached = self._delta_cache[term] = (_cartan_shift(self, self.delta_mono((i, j, 0)), l) if l
+                                                else _delta_monomial(self, term, *self.delta_gens()))
         return cached
 
     def antipode_mono(self, term: Term) -> dict[Term, CycNum]:
+        """S(E^i F^j C^l) = C^-l S(E^i F^j): one left product by a Cartan
+        monomial on the core, which is built once per (i, j)."""
         cached = self._antipode_cache.get(term)
         if cached is not None:
             return cached
         i, j, l = term
-        co, kk = self.cartan_order, self.kk
-        # S(E^i F^j C^l) = C^-l (-KF)^j (-E K^-1)^i, with KF = q^-2 FK
-        acc = {(0, 0, (-l) % co): self.field.one}
-        sF = {(0, 1, kk): -self.qpow(-2)}
-        sE = {(1, 0, (-kk) % co): -self.field.one}
-        for _ in range(j):
-            acc = _dict_mul(self, acc, sF)
-        for _ in range(i):
-            acc = _dict_mul(self, acc, sE)
+        co, kk, one = self.cartan_order, self.kk, self.field.one
+        if l:
+            acc = _dict_mul(self, [({(0, 0, (-l) % co): one}, self.antipode_mono((i, j, 0)))])
+        else:
+            # S(E^i F^j) = (-KF)^j (-E K^-1)^i, with KF = q^-2 FK
+            acc = {(0, 0, 0): one}
+            sF = {(0, 1, kk): -self.qpow(-2)}
+            sE = {(1, 0, (-kk) % co): -one}
+            for _ in range(j):
+                acc = _dict_mul(self, [(acc, sF)])
+            for _ in range(i):
+                acc = _dict_mul(self, [(acc, sE)])
         self._antipode_cache[term] = acc
         return acc
 
@@ -197,21 +216,24 @@ class QuantumAlgebra:
         return term[0] == 0 and term[1] == 0
 
 
-def _dict_mul(alg: QuantumAlgebra, a: dict, b: dict, product=None) -> dict:
-    """Sum of c1 * c2 * product(s, t) over the terms s, c1 of a and t, c2 of
-    b, where product (alg.mul_phased by default) gives triples key, c, k for
-    c * zeta^k * key; c1 meets c2 * zeta^k from a per-call table, one `dot` per key."""
+def _dict_mul(alg: QuantumAlgebra, pairs, product=None) -> dict:
+    """Sum over the (a, b) pairs of dicts of every c1 * c2 * product(s, t),
+    for the terms s, c1 of a and t, c2 of b, where product (alg.mul_phased by
+    default) gives triples key, c, k for c * zeta^k * key.  c1 meets
+    c2 * zeta^k from a table per term of b, and each output key is one `dot`
+    over every pair."""
     n, roots, product = alg.field.order, alg.roots, product or alg.mul_phased
-    right = [(t, c2, [None] * n) for t, c2 in b.items()]
 
     def terms():
-        for s, c1 in a.items():
-            for t, c2, rot in right:
-                for key, c, k in product(s, t):
-                    z = rot[k]
-                    if z is None:
-                        z = rot[k] = c2 * roots[k]
-                    yield key, c1, z if c is None else z * c
+        for a, b in pairs:
+            right = [(t, c2, [None] * n) for t, c2 in b.items()]
+            for s, c1 in a.items():
+                for t, c2, rot in right:
+                    for key, c, k in product(s, t):
+                        z = rot[k]
+                        if z is None:
+                            z = rot[k] = c2 * roots[k]
+                        yield key, c1, z if c is None else z * c
 
     return accumulate_dot(alg.field, terms())
 
@@ -234,7 +256,7 @@ def _tensor_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
                        for key, c, k in partial for u, cu, ku in d]
         return [(key, c, k % n) for key, c, k in partial]
 
-    return _dict_mul(alg, a, b, legs)
+    return _dict_mul(alg, [(a, b)], legs)
 
 
 def _tensor_power(alg: QuantumAlgebra, d: dict, n: int) -> dict:
@@ -249,10 +271,17 @@ def _delta_monomial(alg: QuantumAlgebra, term: Term, dE: dict, dF: dict) -> list
     the given coproducts of E and F, as phase-indexed triples (u1, u2), c, k
     like those of core_fe."""
     i, j, l = term
-    co, phase = alg.cartan_order, alg._phase_of
+    phase = alg._phase_of
     out = _tensor_mul(alg, _tensor_power(alg, dE, i), _tensor_power(alg, dF, j))
-    return [(((e1, f1, (m1 + l) % co), (e2, f2, (m2 + l) % co)), *((None, phase[c]) if c in phase else (c, 0)))
-            for ((e1, f1, m1), (e2, f2, m2)), c in out.items()]
+    return _cartan_shift(alg, [(u, *((None, phase[c]) if c in phase else (c, 0))) for u, c in out.items()], l)
+
+
+def _cartan_shift(alg: QuantumAlgebra, triples: list, l: int) -> list:
+    """Phase-indexed coproduct triples times C^l (x) C^l on the right, which
+    adds l to the Cartan power of both legs."""
+    co = alg.cartan_order
+    return [(((e1, f1, (m1 + l) % co), (e2, f2, (m2 + l) % co)), c, k)
+            for ((e1, f1, m1), (e2, f2, m2)), c, k in triples]
 
 
 class AlgElem:
@@ -313,7 +342,7 @@ class AlgElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.alg, _dict_mul(self.alg, self.terms, o.terms))
+        return AlgElem(self.alg, _dict_mul(self.alg, [(self.terms, o.terms)]))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
@@ -392,8 +421,18 @@ class TensorElem:
     def __bool__(self):
         return bool(self.terms)
 
+    def _coerce(self, other):
+        if not isinstance(other, TensorElem):
+            return None
+        if other.alg is not self.alg:
+            raise ValueError("elements from different algebras")
+        if other.legs != self.legs:
+            raise ValueError(f"tensor elements with {self.legs} and {other.legs} legs")
+        return other
+
     def __add__(self, other):
-        assert self.legs == other.legs and self.alg is other.alg
+        if self._coerce(other) is None:
+            return NotImplemented
         return TensorElem(self.alg, self.legs, accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
@@ -409,7 +448,8 @@ class TensorElem:
         return TensorElem(self.alg, self.legs, {t: v * c for t, v in self.terms.items()})
 
     def __mul__(self, other):
-        assert self.legs == other.legs and self.alg is other.alg
+        if self._coerce(other) is None:
+            return NotImplemented
         return TensorElem(self.alg, self.legs, _tensor_mul(self.alg, self.terms, other.terms))
 
     def __eq__(self, other):
@@ -495,15 +535,14 @@ class TensorElem:
         return TensorElem(alg, int(data["legs"]), terms)
 
     def multiply_legs_with_antipode(self, apply_s_to: int) -> AlgElem:
-        """m(S (x) id) or m(id (x) S) on a two-leg element, with one product
-        per distinct monomial on the leg that S acts on."""
-        alg, groups, out = self.alg, {}, {}
+        """m(S (x) id) or m(id (x) S) on a two-leg element: the terms are
+        grouped by their monomial u on the leg that S acts on, and the sum of
+        S(u) * rest_u (or rest_u * S(u)) over every u is one summed product."""
+        alg, groups = self.alg, {}
         for t, c in self.terms.items():
             groups.setdefault(t[apply_s_to], {})[t[1 - apply_s_to]] = c
-        for u, rest in groups.items():
-            s = alg.antipode_mono(u)
-            accumulate((_dict_mul(alg, s, rest) if apply_s_to == 0 else _dict_mul(alg, rest, s)).items(), out)
-        return AlgElem(alg, out)
+        pairs = [(alg.antipode_mono(u), rest) for u, rest in groups.items()]
+        return AlgElem(alg, _dict_mul(alg, pairs if apply_s_to == 0 else [(b, a) for a, b in pairs]))
 
 
 # -- Hopf operations on elements ------------------------------------------------
@@ -673,7 +712,8 @@ def casimir(p: int, alg: QuantumAlgebra | None = None) -> CasimirData:
     s_inv = ((alg.qpow(1) - alg.qpow(-1)) ** 2).inv()
     c1 = alg.E * alg.F + (alg.K * alg.qpow(-1) + alg.K_inv * alg.qpow(1)) * s_inv
     c2 = alg.F * alg.E + (alg.K * alg.qpow(1) + alg.K_inv * alg.qpow(-1)) * s_inv
-    assert c1 == c2, "the two normal-ordered forms of the Casimir must agree"
+    if c1 != c2:
+        raise InternalError("the two normal-ordered forms of the Casimir disagree")
     roots = [(alg.qpow(j) + alg.qpow(-j)) * s_inv for j in range(p + 1)]
     mults = tuple([1] + [2] * (p - 1) + [1])
     return CasimirData(c1, roots, mults)

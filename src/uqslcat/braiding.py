@@ -17,7 +17,7 @@ from . import linalg
 from .algebra import (AlgElem, QuantumAlgebra, TensorElem, base_algebra,
                       center_basis, coproduct, counit, extended_algebra,
                       verify_hopf)
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, InternalError
 from .qmodules import QMod, coerce_field, family_label, monomial_action
 
 
@@ -67,7 +67,7 @@ def r_matrix_inverse(p: int = 2) -> TensorElem:
     y = r - h
     rinv = hinv - hinv * y * hinv
     if r * rinv != TensorElem.unit(alg, 2) or rinv * r != TensorElem.unit(alg, 2):
-        raise AssertionError("closed-form R inverse failed verification")
+        raise InternalError("closed-form R inverse failed verification")
     return rinv
 
 
@@ -84,7 +84,7 @@ def verify_quasitriangular(p: int = 2) -> dict[str, bool]:
     try:
         r_matrix_inverse(2)
         report["invertible"] = True
-    except AssertionError:
+    except InternalError:
         report["invertible"] = False
     ok = True
     for gen in (alg.E, alg.F, alg.cartan):
@@ -117,7 +117,7 @@ def ribbon(p: int = 2) -> AlgElem:
     post = (K + fe * (i * 2)) * (one - K2)
     v = (pre + post) * (z8.inv() * Fraction(1, 2))
     if any(l % 2 for (_, _, l) in v.terms):
-        raise AssertionError("ribbon element must have even Cartan powers")
+        raise InternalError("ribbon element must have even Cartan powers")
     return v
 
 
@@ -267,6 +267,6 @@ def ribbon_scalars(p: int = 2) -> dict[str, CycNum]:
                 for j in range(m.dim):
                     expect = scalar if i == j else m.field.zero
                     if act[i][j] != expect:
-                        raise AssertionError("ribbon element acts non-scalar on an irreducible")
+                        raise InternalError("ribbon element acts non-scalar on an irreducible")
             out[family_label("X", a, s)] = scalar
     return out

@@ -4,7 +4,8 @@ Module labels use the grammar  X+:s  W-:s:n  M+:s:n  O+:s:n:z1/z2  P+:s
 (plus ``Reg`` for the left regular module).  The z components are
 integer-coefficient polynomials in q with no '/' inside; scale a point
 of the projective line to clear denominators.  Exit codes: 0 success,
-1 domain error, 2 internal classification failure.
+1 domain error, 2 internal failure (a self-check of the package did not
+hold, such as a decomposition certificate).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import sys
 
 from . import braiding, category, kronecker, qmodules
 from .algebra import center_basis, verify_hopf
-from .category import ClassificationError, IndecLabel
-from .cyclotomic import MAX_DIGITS, json_field, parse_cyc, quoted
+from .category import IndecLabel
+from .cyclotomic import MAX_DIGITS, InternalError, json_field, parse_cyc, quoted
 from .qmodules import CP1, QMod, family_label, regular_module, verify_module
 
 DEFAULT_MAX_P = 6
@@ -398,8 +399,8 @@ def run(argv) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except ClassificationError as exc:
-        print(f"internal classification failure: {exc}", file=sys.stderr)
+    except InternalError as exc:
+        print(f"internal failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

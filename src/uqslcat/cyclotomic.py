@@ -14,7 +14,9 @@ Rational operands take a path on plain integers: when the coefficient tail
 num[1:] of every operand is zero (`CycField.ztail`), `__mul__`, `dot`,
 `sub_mul` and `inv` compute on the numerator and denominator alone and
 return the same gcd-normalized element.  Every zero the field builds is
-the one shared `field.zero`, so `x is field.zero` is an exact zero test.
+the one shared `field.zero`, so `x is field.zero` is an exact zero test,
+and `bool(x)` is that identity test rather than a scan of the
+coefficients.
 
 The quantum parameter of the p-th root-of-unity quantum group is
 q = zeta_{2p} = exp(i*pi/p); the braiding computations at p=2 live in the
@@ -31,10 +33,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+class InternalError(RuntimeError):
+    """A self-check failed: the package computed something that its own
+    theory rules out.  This is a bug, never a fault of the input."""
+
+
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     # Exact division of integer polynomials (ascending coefficients),
     # valid only when den is monic.
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise InternalError("integer polynomial division needs a monic divisor")
     num = list(num)
     q = [0] * (max(len(num) - len(den) + 1, 0))
     for k in range(len(num) - len(den), -1, -1):
@@ -61,7 +69,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             q, r = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
-            assert r == [0], "x^n - 1 must be divisible by Phi_d"
+            if r != [0]:
+                raise InternalError(f"x^{n} - 1 is not divisible by Phi_{d}")
             poly = q
     return tuple(poly)
 
@@ -90,7 +99,8 @@ class CycField:
         self.order = order
         self.phi_poly = cyclotomic_polynomial(order)
         self.degree = len(self.phi_poly) - 1
-        assert self.degree == _euler_phi(order)
+        if self.degree != _euler_phi(order):
+            raise InternalError(f"Phi_{order} does not have degree phi({order})")
         # reduction rows: x^(degree+k) = sum_i red[k][i] * x^i
         red = []
         row = [-c for c in self.phi_poly[:-1]]
@@ -126,7 +136,7 @@ class CycField:
 
     def from_fraction(self, a) -> "CycNum":
         a = Fraction(a)
-        return _rational(self, a.numerator, a.denominator)
+        return rational(self, a.numerator, a.denominator)
 
     def from_coeffs(self, coeffs) -> "CycNum":
         """Element from a length-degree list of rationals."""
@@ -182,7 +192,7 @@ def dot(field: CycField, pairs) -> "CycNum":
         else:
             new = math.lcm(den, d)
             acc, den = acc * (new // den) + c * (new // d), new
-    return _rational(field, acc, den)
+    return rational(field, acc, den)
 
 
 def _dot_vec(field: CycField, acc: list[int], den: int, pairs) -> "CycNum":
@@ -209,14 +219,14 @@ def sub_mul(x: "CycNum", f: "CycNum", y: "CycNum") -> "CycNum":
     den = x.den if d == x.den else math.lcm(x.den, d)
     zt = field.ztail
     if x.num[1:] == zt and f.num[1:] == zt and y.num[1:] == zt:
-        return _rational(field, x.num[0] * (den // x.den) - f.num[0] * y.num[0] * (den // d), den)
+        return rational(field, x.num[0] * (den // x.den) - f.num[0] * y.num[0] * (den // d), den)
     acc = [a * (den // x.den) for a in x.num] + [0] * (field.degree - 1)
     _mul_into(acc, [-a * (den // d) for a in f.num], y.num)
     return _reduce(field, acc, den)
 
 
-def _rational(field: CycField, n: int, den: int) -> "CycNum":
-    # n / den as a normalized rational element of field
+def rational(field: CycField, n: int, den: int) -> "CycNum":
+    """n / den as a normalized rational element of field."""
     if not n:
         return field.zero
     if den < 0:
@@ -241,7 +251,11 @@ def _make(field: CycField, num: list[int], den: int) -> "CycNum":
 
 
 class CycNum:
-    """An element of Q(zeta_N); immutable and hashable."""
+    """An element of Q(zeta_N); immutable and hashable.
+
+    Only the field's constructors (`CycField` and the normalizing helpers
+    of this module) may build elements: they return the shared
+    `field.zero` for every zero, which `__bool__` relies on."""
 
     __slots__ = ("field", "num", "den", "_hash")
 
@@ -254,7 +268,7 @@ class CycNum:
     # -- basic predicates -----------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.num)
+        return self is not self.field.zero
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -326,7 +340,7 @@ class CycNum:
         f = self.field
         an, bn = self.num, o.num
         if an[1:] == f.ztail == bn[1:]:
-            return _rational(f, an[0] * bn[0], self.den * o.den)
+            return rational(f, an[0] * bn[0], self.den * o.den)
         acc = [0] * (2 * f.degree - 1)
         _mul_into(acc, an, bn)
         return _reduce(f, acc, self.den * o.den)
@@ -337,7 +351,7 @@ class CycNum:
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
         if self.num[1:] == self.field.ztail:
-            return _rational(self.field, self.den, self.num[0])
+            return rational(self.field, self.den, self.num[0])
         u = _inv_core(self.field, self.num)
         # (num/den)^-1 = den * (num)^-1
         return u * self.den

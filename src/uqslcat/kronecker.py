@@ -29,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import CycField, CycNum, dot, json_field, json_value
+from .cyclotomic import CycField, CycNum, InternalError, dot, json_field, json_value
 from .polys import roots_in_field
 from .qmodules import CP1, QMod, block_index, build_glued, irreducible_weights, submodule, \
     weight_vectors
 
 
-class ClassificationError(RuntimeError):
+class ClassificationError(InternalError):
     """Internal failure: the structure theory promised something the
     computation could not realize."""
 
@@ -142,7 +142,8 @@ def canonical_rep(field: CycField, kind: str, n: int, z: CP1 | None = None) -> Q
             rb[i + 1][i] = one
         return QuiverRep(n, n + 1, r, rb, field)
     if kind == "regular":
-        assert z is not None and n >= 1
+        if z is None or n < 1:
+            raise ValueError("a regular block needs a point z and n >= 1")
         jordan = linalg.zeros(field, n, n)
         ident = linalg.identity(field, n)
         if z.z1:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycField, CycNum, dot, sub_mul
+from .cyclotomic import CycField, CycNum, dot, rational, sub_mul
 
 
 def accumulate(pairs, out: dict | None = None) -> dict:
@@ -250,7 +250,7 @@ def _rref_rational(field: CycField, mat) -> tuple[list[list[CycNum]], list[int]]
             g = math.gcd(*row)
             rows[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
-    zero, zt = field.zero, field.ztail
+    zero = field.zero
     made = {(1, 1): field.one}  # one element per value, as the input shares its entries
     out = []
     for row, c in zip(rows, pivots):
@@ -262,7 +262,7 @@ def _rref_rational(field: CycField, mat) -> tuple[list[list[CycNum]], list[int]]
                 key = (v // g, pv // g)
                 x = made.get(key)
                 if x is None:
-                    x = made[key] = CycNum(field, (key[0],) + zt, key[1])
+                    x = made[key] = rational(field, *key)
                 orow.append(x)
             else:
                 orow.append(zero)

@@ -21,7 +21,7 @@ import math
 import random
 from fractions import Fraction
 
-from .cyclotomic import CycField, CycNum, dot, sub_mul
+from .cyclotomic import CycField, CycNum, InternalError, dot, sub_mul
 
 
 def ptrim(p: list[CycNum]) -> list[CycNum]:
@@ -113,7 +113,7 @@ def galois_norm(p) -> list[Fraction]:
     out = []
     for c in prod:
         if not c.is_rational():
-            raise AssertionError("Galois norm must have rational coefficients")
+            raise InternalError("Galois norm must have rational coefficients")
         out.append(c.as_fraction())
     return out
 
@@ -400,7 +400,8 @@ def factor_rational(coeffs) -> list[tuple[list[Fraction], int]]:
             while (q := _quo(f, g)) is not None:
                 f, k = q, k + 1
             found.append((g, k))
-    assert f == [1], "the factors must multiply back to the input"
+    if f != [1]:
+        raise InternalError("the rational factors do not multiply back to the input")
     found.sort(key=lambda gk: (len(gk[0]), gk[1], gk[0][::-1]))
     return [([Fraction(c, g[-1]) for c in g], k) for g, k in found]
 
@@ -422,7 +423,7 @@ def factor_squarefree(p) -> list[list[CycNum]]:
         if _squarefree_part(f) == f:
             break
     else:  # pragma: no cover - theory guarantees a good shift exists
-        raise AssertionError("no squarefree Galois norm found")
+        raise InternalError("no squarefree Galois norm found")
     factors = []
     remaining = shifted
     for fac_q, _ in factor_rational(norm):
@@ -434,7 +435,8 @@ def factor_squarefree(p) -> list[list[CycNum]]:
     prod = [field.one]
     for f in factors:
         prod = pmul(prod, f)
-    assert prod == p, "factorization must multiply back to the input"
+    if prod != p:
+        raise InternalError("the factors over the field do not multiply back to the input")
     return factors
 
 
@@ -452,7 +454,8 @@ def roots_in_field(p) -> tuple[list[tuple[CycNum, int]], list[list[CycNum]]]:
     for fac in factor_squarefree(sqfree):
         if pdeg(fac) == 1:
             root = -fac[0]
-            assert not peval(p, root)
+            if peval(p, root):
+                raise InternalError("a linear factor's root is not a root of the polynomial")
             mult = 0
             rem = p
             while True:

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .algebra import AlgElem, base_algebra
-from .cyclotomic import CycField, CycNum, json_field, json_value, qint
+from .cyclotomic import CycField, CycNum, InternalError, json_field, json_value, qint
 
 
 # The largest p a module file may state: building the field Q(zeta_2p) alone
@@ -540,7 +540,8 @@ def regular_module(p: int) -> QMod:
     for i in range(dim):
         for j in range(dim):
             expect = weights[i] if i == j else field.zero
-            assert mat_k[i][j] == expect, "Fourier basis must diagonalize K"
+            if mat_k[i][j] != expect:
+                raise InternalError("the Fourier basis does not diagonalize K")
     return QMod(p, mat_e, mat_f, weights, label="Reg", field=field)
 
 

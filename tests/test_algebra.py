@@ -1,12 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from uqslcat import linalg
-from uqslcat.algebra import (AlgElem, TensorElem, antipode, base_algebra,
-                             casimir, center_basis, coproduct, counit,
-                             extended_algebra, verify_hopf)
+from uqslcat.algebra import (AlgElem, QuantumAlgebra, TensorElem, _delta_monomial,
+                             antipode, base_algebra, casimir, center_basis,
+                             coproduct, counit, extended_algebra, verify_hopf)
 from uqslcat.qmodules import action_matrix, build_p, direct_sum, irreducible
 
 
@@ -132,6 +134,35 @@ def test_hopf_negative_control():
     assert bad & {"coassociativity", "antipode_law"}
 
 
+def test_hopf_negative_control_per_monomial():
+    # a wrong S on one monomial with a Cartan power, while its core E^i F^j
+    # is right, must fail the antipode law: S is checked on every monomial
+    alg = QuantumAlgebra(2)
+    assert verify_hopf(2, alg=alg).passed
+    bad = (1, 0, 1)
+    alg._antipode_cache[bad] = {t: -c for t, c in alg.antipode_mono(bad).items()}
+    rep = verify_hopf(2, alg=alg)
+    assert {k for k, v in rep.axioms.items() if not v} == {"antipode_law"}
+    assert rep.failures == ["antipode law fails on (1, 0, 1)"]
+
+
+def test_tensor_elements_of_different_shapes_are_rejected():
+    alg = base_algebra(2)
+    d2 = coproduct(alg.E)
+    d3 = d2.apply_delta(0)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="tensor elements with 2 and 3 legs"):
+            op(d2, d3)
+        with pytest.raises(ValueError, match="different algebras"):
+            op(d2, coproduct(base_algebra(3).E))
+    # the check is a raise, not an assert, so it holds under python -O
+    code = ("from uqslcat.algebra import base_algebra, coproduct\n"
+            "d = coproduct(base_algebra(2).E)\n"
+            "try:\n    d + d.apply_delta(0)\nexcept ValueError:\n    print('rejected')")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "rejected"
+
+
 def test_casimir_forms_and_roots():
     cd = casimir(2)
     # beta values at p = 2 from (q^j + q^-j)/(q - q^-1)^2 at q = i
@@ -231,7 +262,34 @@ def streaming_legs(alg):
     return legs
 
 
+def streaming_legs_with_antipode(alg, d: TensorElem, leg: int) -> dict:
+    """m(S (x) id) d or m(id (x) S) d, one streamed product per term of d."""
+    def terms():
+        for (u1, u2), c in d.terms.items():
+            a, b = (alg.antipode_mono(u1), {u2: c}) if leg == 0 else ({u1: c}, alg.antipode_mono(u2))
+            yield from streaming_products(alg, a, b, alg.mul_phased).items()
+    return linalg.accumulate(terms())
+
+
+def direct_antipode(alg, term) -> dict:
+    """S(E^i F^j C^l) = C^-l (-KF)^j (-E K^-1)^i, one factor at a time."""
+    i, j, l = term
+    co, kk, one = alg.cartan_order, alg.kk, alg.field.one
+    acc = {(0, 0, -l % co): one}
+    for _ in range(j):
+        acc = streaming_products(alg, acc, {(0, 1, kk): -alg.qpow(-2)}, alg.mul_phased)
+    for _ in range(i):
+        acc = streaming_products(alg, acc, {(1, 0, -kk % co): -one}, alg.mul_phased)
+    return acc
+
+
 def test_grouped_products_and_coproducts_equal_streaming_reference():
+    # the per-core coproducts and antipodes against a build of each monomial
+    for alg in [base_algebra(p) for p in (2, 3, 4, 5)] + [extended_algebra(2)]:
+        for t in alg.basis_terms():
+            direct = _delta_monomial(alg, t, *alg.delta_gens())
+            assert {u: (c, k) for u, c, k in alg.delta_mono(t)} == {u: (c, k) for u, c, k in direct}
+            assert alg.antipode_mono(t) == direct_antipode(alg, t)
     algs = [base_algebra(p) for p in (2, 3, 4)] + [extended_algebra(2)]
     for alg in algs:
         rng = random.Random(50 + alg.cartan_order)
@@ -242,6 +300,9 @@ def test_grouped_products_and_coproducts_equal_streaming_reference():
             assert (da * db).terms == streaming_products(alg, da.terms, db.terms, streaming_legs(alg))
             assert antipode(a).terms == linalg.accumulate(
                 (u, c * k) for t, c in a.terms.items() for u, k in alg.antipode_mono(t).items())
+            for d in (da, db):
+                for leg in (0, 1):
+                    assert d.multiply_legs_with_antipode(leg).terms == streaming_legs_with_antipode(alg, d, leg)
             for elem, leg in ((TensorElem(alg, 1, {(t,): c for t, c in a.terms.items()}), 0), (da, 0), (db, 1)):
                 assert elem.apply_delta(leg).terms == linalg.accumulate(
                     (t[:leg] + u + t[leg + 1:], c * (alg.roots[k] if cu is None else cu))

@@ -3,7 +3,10 @@ import os
 
 import pytest
 
+from uqslcat import cli
 from uqslcat.cli import MAX_DEGREE, run
+from uqslcat.cyclotomic import InternalError
+from uqslcat.kronecker import ClassificationError
 from uqslcat.qmodules import QMod, verify_module
 
 
@@ -195,3 +198,12 @@ def test_numbers_up_to_the_digit_bound_parse(capsys):
     for label in ("X+:" + long_one, "O+:1:1:" + long_one + "/1"):
         code, out, err = run_capture(capsys, ["build", "--p", "3", "--family", label])
         assert code == 0, err
+
+
+@pytest.mark.parametrize("error", [InternalError, ClassificationError])
+def test_internal_failures_exit_two_with_one_line(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("a self-check did not hold")
+    monkeypatch.setattr(cli, "verify_hopf", fail)
+    code, out, err = run_capture(capsys, ["verify", "--p", "2", "--hopf"])
+    assert code == 2 and out == "" and err == "internal failure: a self-check did not hold\n"

@@ -1,9 +1,11 @@
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uqslcat import linalg
 from uqslcat.cyclotomic import (CycField, CycNum, cyclotomic_polynomial, dot,
                                 parse_cyc, q_parameter, qint, sub_mul)
 
@@ -246,3 +248,26 @@ def test_every_zero_is_the_shared_zero():
         assert -f.zero is f.zero
         assert f.from_fraction(0) is f.zero
         assert f.from_coeffs([0] * f.degree) is f.zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KERNEL_ORDERS), st.data())
+def test_truth_of_every_kernel_result_is_its_coefficients(order, data):
+    # bool(x) is the identity test x is not field.zero: it must agree with
+    # the coefficients on whatever the kernel builds
+    field = CycField(order)
+    x, y, z = (data.draw(kernel_elements(field)) for _ in range(3))
+    a = data.draw(st.sampled_from([a for a in range(1, order + 1) if math.gcd(a, order) == 1]))
+    results = [x * y, x * field.zero, x + y, x - y, x - x, -x, -field.zero,
+               dot(field, [(x, y), (z, x)]), dot(field, [(x, y), (-x, y)]), dot(field, []),
+               sub_mul(x, y, z), sub_mul(x, field.one, x),
+               field.from_coeffs(x.coeffs), field.from_coeffs([0] * field.degree),
+               CycNum.from_json(x.to_json()), x.galois(a), x.embed(2 * order)]
+    if x:
+        results.append(x.inv())
+    rat = [field.from_fraction(Fraction(e.num[0], e.den)) for e in (x, y, z)]
+    for u, v, w in (rat, (x, field.gen(), z)):  # the integer and the vector path of rref
+        red, _ = linalg.rref([[u, v, w], [v, w, u], [u + v, v + w, w + u]])
+        results += [e for row in red for e in row]
+    for r in results:
+        assert bool(r) == any(r.num)

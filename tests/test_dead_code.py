@@ -1,7 +1,8 @@
 """Every top-level function and class of the package, and every method of
 its classes other than the dunder methods, is used somewhere: its name
 appears as a name or an attribute in the package, the tests, the scripts
-or the benchmark."""
+or the benchmark.  No check of the package is an `assert` statement,
+which `python -O` removes."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,10 @@ def unused_definitions():
 
 def test_no_dead_definitions():
     assert unused_definitions() == []
+
+
+def test_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _trees("src/uqslcat")
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
