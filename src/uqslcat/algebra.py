@@ -15,8 +15,16 @@ gives each term as c * zeta^k, with zeta the field generator, k an integer
 and c a normal-ordering coefficient of F^j E^r (None for a power of zeta).
 Tensor products add k across legs; each output term is one pair, taken
 from a per-call table of zeta^k times the right-hand coefficient, in the
-one `dot` that sums its output key.  The cached coproducts of monomials
-are phase-indexed the same way.
+one `dot` that sums its output key.  An entry of that table is a rotation
+of the coefficient (`CycNum.times_root`), not a field product, so a term
+costs a field product only where c is not None.  The cached coproducts of
+monomials are phase-indexed the same way, and `apply_delta` rotates too.
+
+Inside a tensor product the monomials are numbered once per algebra
+(`monos`, `mono_id`) and a multi-leg key is one integer, its leg ids in
+radix `dimension`: a leg product is integer arithmetic on a per-call
+table of id products, and the output keys are decoded once.
+`TensorElem.terms` keeps tuples of monomials as its keys.
 
 There is one product routine, `_dict_mul`: it sums the products of a list
 of pairs of dicts, with one `dot` per output key over every pair, and a
@@ -31,11 +39,12 @@ such summed product, and likewise m(id (x) S).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycField, CycNum, InternalError
+from .cyclotomic import CycField, CycNum, InternalError, json_field
 from .linalg import accumulate, accumulate_dot, nullspace
 
 Term = tuple[int, int, int]  # (E power, F power, Cartan power)
@@ -75,7 +84,9 @@ class QuantumAlgebra:
         self._core: dict[tuple[int, int], list] = {}
         self._delta_cache: dict[Term, list] = {}
         self._antipode_cache: dict[Term, dict] = {}
-        self.dimension = p * p * self.cartan_order
+        self.monos = list(self.basis_terms())  # monomial id -> term
+        self.mono_id = {t: x for x, t in enumerate(self.monos)}
+        self.dimension = len(self.monos)
 
     # -- scalars ----------------------------------------------------------
 
@@ -97,13 +108,23 @@ class QuantumAlgebra:
                 for l in range(self.cartan_order):
                     yield (i, j, l)
 
-    def monomial(self, i: int, j: int, l: int, coeff=1) -> "AlgElem":
+    def term(self, i: int, j: int, l: int) -> Term:
+        """The monomial E^i F^j C^l, its Cartan power reduced."""
         if not (0 <= i < self.p and 0 <= j < self.p):
-            raise ValueError("E/F exponent out of range")
-        c = coeff if isinstance(coeff, CycNum) else self.field.from_fraction(coeff)
-        if not c:
-            return self.zero_el
-        return AlgElem(self, {(i, j, l % self.cartan_order): c})
+            raise ValueError(f"E/F exponent out of range [0, {self.p}): E^{i} F^{j}")
+        return (i, j, l % self.cartan_order)
+
+    def scalar(self, coeff) -> CycNum:
+        """A rational or an element of the coefficient field, as the latter."""
+        if not isinstance(coeff, CycNum):
+            return self.field.from_fraction(coeff)
+        if coeff.field is not self.field:
+            raise ValueError(f"mismatched cyclotomic orders {coeff.order} and {self.field.order}")
+        return coeff
+
+    def monomial(self, i: int, j: int, l: int, coeff=1) -> "AlgElem":
+        t, c = self.term(i, j, l), self.scalar(coeff)
+        return AlgElem(self, {t: c}) if c else self.zero_el
 
     @property
     def zero_el(self) -> "AlgElem":
@@ -222,7 +243,7 @@ def _dict_mul(alg: QuantumAlgebra, pairs, product=None) -> dict:
     default) gives triples key, c, k for c * zeta^k * key.  c1 meets
     c2 * zeta^k from a table per term of b, and each output key is one `dot`
     over every pair."""
-    n, roots, product = alg.field.order, alg.roots, product or alg.mul_phased
+    n, product = alg.field.order, product or alg.mul_phased
 
     def terms():
         for a, b in pairs:
@@ -230,9 +251,10 @@ def _dict_mul(alg: QuantumAlgebra, pairs, product=None) -> dict:
             for s, c1 in a.items():
                 for t, c2, rot in right:
                     for key, c, k in product(s, t):
+                        k %= n
                         z = rot[k]
                         if z is None:
-                            z = rot[k] = c2 * roots[k]
+                            z = rot[k] = c2.times_root(k)
                         yield key, c1, z if c is None else z * c
 
     return accumulate_dot(alg.field, terms())
@@ -240,23 +262,31 @@ def _dict_mul(alg: QuantumAlgebra, pairs, product=None) -> dict:
 
 def _tensor_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
     """Product of tensor elements given as dicts on tuples of monomials,
-    multiplied leg by leg: the phase indices of the legs add.  A monomial
-    pair recurs on many legs, so its product is kept for this call."""
-    n, leg_products = alg.field.order, {}
+    multiplied leg by leg: the phase indices of the legs add.  Inside, a
+    monomial is its id in alg.monos and a multi-leg key one integer, the
+    ids in radix D = alg.dimension; the product of a pair of ids x, y,
+    which recurs on many legs, is kept for this call under x * D + y."""
+    D, ids, monos, leg_products = alg.dimension, alg.mono_id, alg.monos, {}
 
     def legs(s, t):
-        partial = [((), None, 0)]
-        for pair in zip(s, t):
-            d = leg_products.get(pair)
+        partial = None
+        for x, y in zip(s, t):
+            d = leg_products.get(x * D + y)
             if d is None:
-                d = leg_products[pair] = alg.mul_phased(*pair)
+                d = leg_products[x * D + y] = [(ids[u], c, k) for u, c, k in alg.mul_phased(monos[x], monos[y])]
             if not d:
                 return ()
-            partial = [(key + (u,), cu if c is None else c if cu is None else c * cu, k + ku)
-                       for key, c, k in partial for u, cu, ku in d]
-        return [(key, c, k % n) for key, c, k in partial]
+            partial = d if partial is None else [
+                (key * D + u, cu if c is None else c if cu is None else c * cu, k + ku)
+                for key, c, k in partial for u, cu, ku in d]
+        return partial
 
-    return _dict_mul(alg, [(a, b)], legs)
+    def coded(elem):
+        return {tuple(ids[u] for u in key): c for key, c in elem.items()}
+
+    out = _dict_mul(alg, [(coded(a), coded(b))], legs)
+    scales = [D ** i for i in reversed(range(len(next(iter(a))) if a else 0))]
+    return {tuple(monos[key // s % D] for s in scales): c for key, c in out.items()}
 
 
 def _tensor_power(alg: QuantumAlgebra, d: dict, n: int) -> dict:
@@ -335,7 +365,7 @@ class AlgElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
-            c = other if isinstance(other, CycNum) else self.alg.field.from_fraction(other)
+            c = self.alg.scalar(other)
             if not c:
                 return self.alg.zero_el
             return AlgElem(self.alg, {t: v * c for t, v in self.terms.items()})
@@ -442,7 +472,7 @@ class TensorElem:
         return self + (-other)
 
     def scale(self, c) -> "TensorElem":
-        c = c if isinstance(c, CycNum) else self.alg.field.from_fraction(c)
+        c = self.alg.scalar(c)
         if not c:
             return TensorElem.zero(self.alg, self.legs)
         return TensorElem(self.alg, self.legs, {t: v * c for t, v in self.terms.items()})
@@ -461,6 +491,8 @@ class TensorElem:
         )
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers not supported on tensor elements")
         out = TensorElem.unit(self.alg, self.legs)
         for _ in range(n):
             out = out * self
@@ -486,7 +518,7 @@ class TensorElem:
     def apply_delta(self, leg: int, delta_mono=None) -> "TensorElem":
         """Replace one leg by its coproduct, producing legs+1.  A coefficient
         c meets zeta^k from a per-term table, so zeta^0 costs no product."""
-        dm, roots = delta_mono or self.alg.delta_mono, self.alg.roots
+        dm = delta_mono or self.alg.delta_mono
 
         def terms():
             for t, c in self.terms.items():
@@ -494,7 +526,7 @@ class TensorElem:
                 for u, cu, k in dm(t[leg]):
                     z = rot.get(k)
                     if z is None:
-                        z = rot[k] = c * roots[k]
+                        z = rot[k] = c.times_root(k)
                     yield t[:leg] + u + t[leg + 1:], z if cu is None else z * cu
 
         return TensorElem(self.alg, self.legs + 1, accumulate(terms()))
@@ -528,11 +560,14 @@ class TensorElem:
         if alg is None:
             p = int(data["p"])
             alg = extended_algebra(p) if data.get("half_cartan") else base_algebra(p)
-        terms = {}
-        for t in data["terms"]:
-            key = tuple((int(leg["e"]), int(leg["f"]), int(leg["k"])) for leg in t["legs"])
-            terms[key] = CycNum.from_json(t["c"])
-        return TensorElem(alg, int(data["legs"]), terms)
+        legs, terms = json_field(data, "legs", int, 1), []
+        for t in json_field(data, "terms", list):
+            key = json_field(t, "legs", list)
+            if len(key) != legs:
+                raise ValueError(f"a term lists {len(key)} legs, the element has {legs}")
+            mono = tuple(alg.term(*(json_field(leg, x, int, -math.inf) for x in "efk")) for leg in key)
+            terms.append((mono, alg.scalar(CycNum.from_json(json_field(t, "c", dict)))))
+        return TensorElem(alg, legs, accumulate(terms))
 
     def multiply_legs_with_antipode(self, apply_s_to: int) -> AlgElem:
         """m(S (x) id) or m(id (x) S) on a two-leg element: the terms are
@@ -595,12 +630,14 @@ def verify_hopf(p: int, *, break_delta_e: bool = False, alg: QuantumAlgebra | No
     def delta_of(elem: AlgElem) -> TensorElem:
         return TensorElem(alg, 1, {(t,): c for t, c in elem.terms.items()}).apply_delta(0, delta_mono)
 
-    basis = list(alg.basis_terms())
+    basis = alg.monos
+    # Delta of each basis monomial, built on first use and shared by the
+    # coassociativity, counit and antipode checks
+    delta_t = lru_cache(maxsize=None)(lambda t: delta_of(AlgElem(alg, {t: alg.field.one})))
 
     ok = True
     for t in basis:
-        el = TensorElem(alg, 1, {(t,): alg.field.one})
-        d = el.apply_delta(0, delta_mono)
+        d = delta_t(t)
         lhs = d.apply_delta(0, delta_mono)
         rhs = d.apply_delta(1, delta_mono)
         if lhs != rhs:
@@ -612,7 +649,7 @@ def verify_hopf(p: int, *, break_delta_e: bool = False, alg: QuantumAlgebra | No
     ok = True
     for t in basis:
         el = AlgElem(alg, {t: alg.field.one})
-        d = delta_of(el)
+        d = delta_t(t)
         if d.apply_counit(0) != el or d.apply_counit(1) != el:
             ok = False
             failures.append(f"counit law fails on {t}")
@@ -621,8 +658,7 @@ def verify_hopf(p: int, *, break_delta_e: bool = False, alg: QuantumAlgebra | No
 
     ok = True
     for t in basis:
-        el = AlgElem(alg, {t: alg.field.one})
-        d = delta_of(el)
+        d = delta_t(t)
         target = alg.one_el * (alg.field.one if QuantumAlgebra.counit_mono(t) else alg.field.zero)
         if d.multiply_legs_with_antipode(0) != target or d.multiply_legs_with_antipode(1) != target:
             ok = False

@@ -10,6 +10,11 @@ Products share one kernel (`_mul_into`, then `_reduce`): `__mul__`, the
 sum of products `dot` and the update x - f*y `sub_mul` each reduce modulo
 Phi_N and normalize once; the canonical form makes sums order-free.
 
+A product by a root of unity zeta^k is a rotation (`times_root`): the
+coefficient vector is spread over the field's table of the power-basis
+vectors of zeta^0 .. zeta^(N-1), with no product of vectors and no gcd,
+since zeta is a unit of Z[zeta] and keeps the content.
+
 Rational operands take a path on plain integers: when the coefficient tail
 num[1:] of every operand is zero (`CycField.ztail`), `__mul__`, `dot`,
 `sub_mul` and `inv` compute on the numerator and denominator alone and
@@ -115,6 +120,9 @@ class CycField:
         self.ztail = (0,) * (self.degree - 1)  # the coefficient tail of a rational element
         self.zero = CycNum(self, (0,) + self.ztail, 1)
         self.one = CycNum(self, (1,) + self.ztail, 1)
+        # filled by root_vecs; set here, since an attribute added to a field
+        # after construction slows every other attribute read on it
+        self._root_vecs = None
 
     # -- constructors ---------------------------------------------------
 
@@ -146,6 +154,19 @@ class CycField:
         den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
         num = [int(f * den) for f in fracs]
         return _make(self, num, den)
+
+    def root_vecs(self) -> list[tuple[tuple[int, int], ...]]:
+        """The power-basis vector of zeta^j for j = 0 .. N-1, as its nonzero
+        (index, coefficient) pairs; built on the first rotation."""
+        if self._root_vecs is None:
+            vec, out = [1] + [0] * (self.degree - 1), []
+            for _ in range(self.order):
+                out.append(tuple((i, a) for i, a in enumerate(vec) if a))
+                top, vec = vec[-1], [0] + vec[:-1]
+                if top:
+                    vec = [a + top * b for a, b in zip(vec, self.red[0])]
+            self._root_vecs = out
+        return self._root_vecs
 
     def __repr__(self) -> str:
         return f"CycField({self.order})"
@@ -346,6 +367,20 @@ class CycNum:
         return _reduce(f, acc, self.den * o.den)
 
     __rmul__ = __mul__
+
+    def times_root(self, k: int) -> "CycNum":
+        """self * zeta^k as a rotation: sum_i num_i * vec(zeta^(i+k)) over the
+        same denominator.  Multiplication by zeta is unimodular on Z[zeta],
+        so the result is normalized as it stands and needs no gcd."""
+        f = self.field
+        if self is f.zero:
+            return self
+        vecs, n, acc = f.root_vecs(), f.order, [0] * f.degree
+        for i, a in enumerate(self.num):
+            if a:
+                for j, v in vecs[(i + k) % n]:
+                    acc[j] += a * v
+        return CycNum(f, tuple(acc), self.den)
 
     def inv(self) -> "CycNum":
         if not self:

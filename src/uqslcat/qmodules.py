@@ -518,7 +518,7 @@ def regular_module(p: int) -> QMod:
         mat = linalg.zeros(field, dim, dim)
         for t in terms:
             for u, c, k in alg.mul_phased(gen_term, t):
-                mat[index[u]][index[t]] = alg.roots[k] if c is None else c * alg.roots[k]
+                mat[index[u]][index[t]] = alg.roots[k] if c is None else c.times_root(k)
         return mat
 
     mat_e = left_mult((1, 0, 0))

@@ -9,6 +9,8 @@ from uqslcat import linalg
 from uqslcat.algebra import (AlgElem, QuantumAlgebra, TensorElem, _delta_monomial,
                              antipode, base_algebra, casimir, center_basis,
                              coproduct, counit, extended_algebra, verify_hopf)
+from uqslcat.braiding import r_matrix
+from uqslcat.cyclotomic import CycField
 from uqslcat.qmodules import action_matrix, build_p, direct_sum, irreducible
 
 
@@ -307,3 +309,58 @@ def test_grouped_products_and_coproducts_equal_streaming_reference():
                 assert elem.apply_delta(leg).terms == linalg.accumulate(
                     (t[:leg] + u + t[leg + 1:], c * (alg.roots[k] if cu is None else cu))
                     for t, c in elem.terms.items() for u, cu, k in alg.delta_mono(t[leg]))
+        # three-leg products
+        for _ in range(2):
+            ta, tb = coproduct(rich_elem(alg, rng, 2)).apply_delta(0), coproduct(rich_elem(alg, rng, 2)).apply_delta(1)
+            assert (ta * tb).terms == streaming_products(alg, ta.terms, tb.terms, streaming_legs(alg))
+    r = r_matrix(2)
+    r13, r23 = r.insert_leg(1), r.insert_leg(0)
+    assert (r13 * r23).terms == streaming_products(r.alg, r13.terms, r23.terms, streaming_legs(r.alg))
+    # at p = 5 the legs of a coproduct normal-order into several terms
+    alg = base_algebra(5)
+    rng = random.Random(55)
+    for _ in range(2):
+        da, db = coproduct(rich_elem(alg, rng, 3)), coproduct(rich_elem(alg, rng, 3))
+        assert (da * db).terms == streaming_products(alg, da.terms, db.terms, streaming_legs(alg))
+
+
+def test_negative_tensor_power_is_rejected():
+    d = coproduct(base_algebra(2).E)
+    with pytest.raises(ValueError, match="negative powers"):
+        d ** -1
+    assert d ** 0 == TensorElem.unit(d.alg, 2)
+
+
+def test_coefficients_from_another_field_are_rejected():
+    alg, z8 = base_algebra(2), CycField(8).gen()
+    for build in (lambda: alg.monomial(0, 0, 0, z8), lambda: alg.E + z8, lambda: z8 - alg.E,
+                  lambda: alg.zero_el * z8, lambda: coproduct(alg.E).scale(z8),
+                  lambda: AlgElem.from_json({"p": 2, "terms": [{"e": 0, "f": 0, "k": 0, "c": z8.to_json()}]})):
+        with pytest.raises(ValueError, match="mismatched cyclotomic orders 8 and 4"):
+            build()
+
+
+ONE4 = {"order": 4, "coeffs": ["1", "0"]}
+
+
+def tensor_doc(legs, *keys, c=ONE4):
+    return {"p": 2, "legs": legs, "terms": [{"legs": [dict(zip("efk", leg)) for leg in key], "c": c} for key in keys]}
+
+
+def test_tensor_from_json_validates_legs_and_coefficients():
+    bad = {
+        "a term lists 1 legs, the element has 2": tensor_doc(2, [(0, 0, 0)]),
+        "field 'legs' must be a JSON int": tensor_doc(0),
+        "E/F exponent out of range": tensor_doc(1, [(7, 0, 99)]),
+        "field 'k' must be a JSON int": tensor_doc(1, [(0, 0, "1")]),
+        "mismatched cyclotomic orders 8 and 4": tensor_doc(1, [(0, 0, 0)], c=CycField(8).one.to_json()),
+    }
+    for message, doc in bad.items():
+        with pytest.raises(ValueError, match=message) as err:
+            TensorElem.from_json(doc)
+        assert "\n" not in str(err.value)
+    # the Cartan power is reduced, and terms that meet on one key are summed
+    back = TensorElem.from_json(tensor_doc(2, [(1, 0, 99), (0, 1, 0)], [(1, 0, 3), (0, 1, 4)]))
+    assert back.terms == {((1, 0, 3), (0, 1, 0)): base_algebra(2).field.from_fraction(2)}
+    d = coproduct(base_algebra(3).E * base_algebra(3).F)
+    assert TensorElem.from_json(d.to_json()) == d

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from uqslcat.braiding import (braid_action, k_diagonal, monodromy, r_matrix,
                               r_matrix_inverse, ribbon, ribbon_in_base,
                               ribbon_scalars, tensor_action,
                               verify_quasitriangular, verify_ribbon)
+from uqslcat.cli import run
 from uqslcat.qmodules import build_p, coerce_field, direct_sum, intertwiner_basis, irreducible, tensor
 
 
@@ -189,3 +193,18 @@ def test_ribbon_in_base_has_k_cartan():
     m = coerce_field(irreducible(2, 1, 2), 8)
     act = action_matrix(m, vb)
     assert act[0][0] == m.field.gen()
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_braiding_outputs_are_pinned(capsys):
+    # braid-check --p 2 --format json and digests of R^-1 and of the
+    # monodromy R_21 R, recorded before the integer-key product kernel
+    assert run(["braid-check", "--p", "2", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / "braid_check_p2.json").read_text()
+    digests = json.loads((DATA / "braiding_p2_sha256.json").read_text())
+    r = r_matrix(2)
+    for name, elem in (("r_matrix_inverse", r_matrix_inverse(2)), ("monodromy", r.flip() * r)):
+        text = json.dumps(elem.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[name]

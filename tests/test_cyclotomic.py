@@ -207,6 +207,17 @@ def test_kernel_rejects_mixed_fields():
         dot(f4, [(f4.one, f4.one), (f4.gen(), f4.one), (f4.one, CycField(6).one)])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), st.integers(-60, 60), st.data())
+def test_rotation_equals_product_by_root_of_unity(order, k, data):
+    # k runs below zero and above the order; the elements mix denominators
+    field = CycField(order)
+    x = data.draw(kernel_elements(field))
+    y, z = x.times_root(k), x * field.root_of_unity(k)
+    assert same_bits(y, z)
+    assert (y is field.zero) == (z is field.zero) == (x is field.zero)
+
+
 @st.composite
 def rationals(draw):
     return Fraction(draw(kernel_coeff), draw(kernel_den)) if draw(st.integers(0, 5)) else Fraction(0)
