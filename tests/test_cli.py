@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from uqslcat.cli import MAX_DEGREE, run
 from uqslcat.cyclotomic import InternalError
 from uqslcat.kronecker import ClassificationError
 from uqslcat.qmodules import QMod, verify_module
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_capture(capsys, argv):
@@ -207,3 +211,34 @@ def test_internal_failures_exit_two_with_one_line(capsys, monkeypatch, error):
     monkeypatch.setattr(cli, "verify_hopf", fail)
     code, out, err = run_capture(capsys, ["verify", "--p", "2", "--hopf"])
     assert code == 2 and out == "" and err == "internal failure: a self-check did not hold\n"
+
+
+def family_labels(p):
+    """Every family at p: each irreducible and projective cover, and the
+    W, M and O families at small n with O at the Verma, contragredient and
+    two generic points."""
+    out = ["Reg"] + [f"X{c}:{s}" for c in "+-" for s in range(1, p + 1)]
+    for c in "+-":
+        for s in range(1, p):
+            out += [f"P{c}:{s}", f"W{c}:{s}:2", f"M{c}:{s}:3"]
+            out += [f"O{c}:{s}:{n}:{z}" for n, z in ((1, "1/0"), (1, "0/1"), (2, "1/q"), (1, "2/1+q"))]
+    return out
+
+
+def pinned_outputs(capsys):
+    """(name, stdout) of build in text and JSON for every family label at
+    p = 2..4 and of blocks --format json on Reg(3)."""
+    runs = [(["build", "--p", str(p), "--family", label] + fmt)
+            for p in (2, 3, 4) for label in family_labels(p) for fmt in ([], ["--format", "json"])]
+    runs.append(["blocks", "--p", "3", "--family", "Reg", "--format", "json"])
+    for argv in runs:
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0, (argv, err)
+        yield " ".join(argv), out
+
+
+def test_build_and_blocks_outputs_are_pinned(capsys):
+    # sha256 of each stdout, recorded before weights became exponents of q
+    want = json.loads((DATA / "cli_sha256.json").read_text())
+    got = {name: hashlib.sha256(out.encode()).hexdigest() for name, out in pinned_outputs(capsys)}
+    assert got == want
