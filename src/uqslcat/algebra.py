@@ -422,11 +422,10 @@ class AlgElem:
 
     @staticmethod
     def from_json(data: dict, alg: QuantumAlgebra | None = None) -> "AlgElem":
-        alg = alg or base_algebra(int(data["p"]))
-        out = alg.zero_el
-        for t in data["terms"]:
-            out = out + alg.monomial(int(t["e"]), int(t["f"]), int(t["k"]), CycNum.from_json(t["c"]))
-        return out
+        alg = alg or base_algebra(json_field(data, "p", int, 2))
+        return AlgElem(alg, accumulate((alg.term(*(json_field(t, x, int, -math.inf) for x in "efk")),
+                                        alg.scalar(CycNum.from_json(json_field(t, "c", dict))))
+                                       for t in json_field(data, "terms", list)))
 
 
 class TensorElem:

@@ -172,16 +172,9 @@ def k_diagonal(m: QMod, sign: int = 1) -> list[CycNum]:
     if m.field.order % 8:
         raise ValueError("extend the module to Q(zeta_8) first")
     f = m.field
-    if any(w ** 4 != f.one for w in m.weights):
+    if any(4 * k % (2 * m.p) for k in m.weights):
         raise ValueError("K eigenvalue is not a fourth root of unity")
-    exps = []
-    for w in m.weights:
-        for t in range(8):
-            if f.root_of_unity(2 * t) == w:
-                exps.append(t)
-                break
-        else:
-            raise ValueError("module weight admits no square root")
+    exps = [2 * k // m.p for k in m.weights]  # q^k = zeta_8^(2t) for t = 2k/p
     kappa: list[int | None] = [None] * m.dim
     mats = ((m.mat_e, 2), (m.mat_f, -2))
     for seed in range(m.dim):
@@ -212,7 +205,7 @@ def k_diagonal(m: QMod, sign: int = 1) -> list[CycNum]:
         val = f.root_of_unity(t)
         if sign < 0:
             val = -val
-        if val * val != m.weights[i]:
+        if val * val != m.qpow(m.weights[i]):
             raise ValueError("square root propagation failed")
         out.append(val)
     return out

@@ -250,12 +250,11 @@ def _verify_certificate(m: QMod, entries, cert) -> None:
     blocks = _graded(cert, m.spaces, theirs, "certificate does not intertwine K")
     if any(len(blk) != len(theirs[lam]) or linalg.rank(blk) != len(blk) for lam, blk in blocks.items()):
         raise ClassificationError("certificate is not invertible")
-    q2 = m.q ** 2
-    for gen, shift in (("E", q2), ("F", q2.inv())):
+    for gen in ("E", "F"):
         lhs, rhs = m.blocks(gen), rebuilt.blocks(gen)
         for lam in theirs:
-            if shift * lam in theirs and not linalg.mat_eq(
-                    linalg.mat_mul(lhs[lam], blocks[lam]), linalg.mat_mul(blocks[shift * lam], rhs[lam])):
+            if (mu := m.shift(lam, gen)) in theirs and not linalg.mat_eq(
+                    linalg.mat_mul(lhs[lam], blocks[lam]), linalg.mat_mul(blocks[mu], rhs[lam])):
                 raise ClassificationError(f"certificate does not intertwine {gen}")
 
 
@@ -308,7 +307,7 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
     return out
 
 
-def _projective_generators(m: QMod, top: CycNum) -> list[list[CycNum]]:
+def _projective_generators(m: QMod, top: int) -> list[list[CycNum]]:
     """Vectors of the top weight of a projective cover whose F E v are
     independent: the generators of a maximal projective part of that type."""
     socle = linalg.RowSpace(m.field, m.dim)
@@ -320,11 +319,11 @@ def _top_radical(m: QMod, a: int, s: int) -> linalg.RowSpace:
     """rad(m) at the top weight lambda = a q^(s-1) of X^a_s, in the Casimir
     block of X^a_s: F M_(lambda q^2) + E^s M_(lambda q^(-2s)), where
     lambda q^(-2s) is the top weight of the opposite simple X^(-a)_(p-s)."""
-    lam, root = irreducible_weights(m.p, a, s)[0], CycField(2 * m.p).root_of_unity
+    lam = irreducible_weights(m.p, a, s)[0]
     radical = linalg.RowSpace(m.field, m.dim)
-    for v in weight_vectors(m, lam * root(2)):
+    for v in weight_vectors(m, m.shift(lam, "E")):
         radical.add(m.apply("F", v))
-    for v in weight_vectors(m, lam * root(-2 * s)):
+    for v in weight_vectors(m, m.shift(lam, "F", s)):
         for _ in range(s):
             v = m.apply("E", v)
         radical.add(v)

@@ -134,7 +134,7 @@ def cmd_build(args) -> int:
     m = build_module(args)
     payload = m.to_json()
     wc = qmodules.weight_character(m)
-    char = ", ".join(f"{w.to_string()}: {k}" for w, k in sorted(wc.items(), key=lambda t: t[0].to_string()))
+    char = ", ".join(f"{w}: {n}" for w, n in sorted((m.qpow(k).to_string(), n) for k, n in wc.items()))
     emit(payload, args, [f"{args.family} at p={args.p}: dim {m.dim}", f"weights: {char}"])
     return 0
 
@@ -169,6 +169,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_blocks(args) -> int:
     m = load_module(args)
+    chk = verify_module(m)
+    if not chk.ok:
+        raise ValueError(f"not a module: {chk.violations}")
     pieces = category.block_decompose(m)
     payload = {"p": m.p, "blocks": [{"s": bp.s, "dim": bp.module.dim} for bp in pieces]}
     lines = [f"block s={bp.s}: dim {bp.module.dim}" for bp in pieces]

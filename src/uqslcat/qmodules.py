@@ -1,16 +1,22 @@
 """Finite-dimensional modules of the restricted quantum sl(2).
 
 Every module lives on a basis in which K is diagonal (K is always
-diagonalizable since K^2p = 1), so E maps the weight space M_lambda to
-M_(q^2 lambda), F maps it to M_(q^-2 lambda), and module maps preserve it.
-A QMod stores E and F only as these weight blocks, fixed at construction,
-and every check and solve on it reads them; dense matrices are sliced once
-(module input) or derived on demand (views).  Module maps are sliced by
-weight_blocks, which checks that no entry lies off them.  The families
-constructed here: the 2p irreducibles, the explicit two-step gluings with
-two modules on top / on the bottom, the projective covers, and the general
-gluing of m top copies with n socle copies along a pair of coefficient
-matrices, which realizes every indecomposable of semisimple length two.
+diagonalizable since K^2p = 1), and every K-eigenvalue is a 2p-th root of
+unity q^k, with -1 = q^p.  A weight is therefore its exponent k in Z/2p:
+E maps the weight space M_k to M_(k+2), F maps it to M_(k-2), the dual
+negates weights, the tensor product adds them, and module maps preserve
+them.  Only the boundary sees field elements: files keep cyclotomic
+weights, converted on loading, and K, JSON and the action of algebra
+elements take q^k from QMod.qpow.  A QMod stores E and F only as their
+weight blocks, fixed at construction, and every check and solve on it
+reads them; dense matrices are sliced once (module input) or derived on
+demand (views).  Module maps are sliced by weight_blocks, which checks
+that no entry lies off them.  The families constructed here, each laid
+out as irreducible chains by one builder plus its gluing entries: the 2p
+irreducibles, the explicit two-step gluings with two modules on top / on
+the bottom, the projective covers, and the general gluing of m top copies
+with n socle copies along a pair of coefficient matrices, which realizes
+every indecomposable of semisimple length two.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ MAX_P = 1000
 # into dense E and F, so loading and verifying dim 1000 (200 Steinberg modules at
 # p = 5) takes 2.7 s and 50 MB on the same VM, and both grow as dim^2.
 MAX_DIM = 1000
+# How E and F move a weight exponent.
+STEP = {"E": 2, "F": -2}
 
 
 def _sign(a) -> int:
@@ -88,18 +96,20 @@ class CP1:
 
 
 class QMod:
-    """A module on a K-eigenbasis: p, the field, the weights (K's eigenvalues)
-    and E and F as weight blocks (see blocks), the one stored form of the
-    action.  All is fixed at construction, so a module is immutable: the
-    weights are a tuple and the weight spaces a read-only mapping.
-    QMod(p, mat_e, mat_f, weights) slices dense E and F once; a generator
-    with an entry off its blocks is kept as such, for verify_module to
-    report, and every other reader raises.  mat(gen) and mat_e, mat_f,
-    mat_k are dense views, derived on each call."""
+    """A module on a K-eigenbasis: p, the field, the weights and E and F as
+    weight blocks (see blocks), the one stored form of the action.  The
+    weights are exponents k in range(2p), K acting on the basis vector by
+    q^k (see qpow).  All is fixed at construction, so a module is
+    immutable: the weights are a tuple and the weight spaces a read-only
+    mapping.  QMod(p, mat_e, mat_f, weights) takes integer exponents, as
+    .weights returns them, and slices dense E and F once; a generator with
+    an entry off its blocks is kept as such, for verify_module to report,
+    and every other reader raises.  mat(gen) and mat_e, mat_f, mat_k are
+    dense views, derived on each call."""
 
     def __init__(self, p, mat_e, mat_f, weights, label=None, field=None):
-        self._grade(p, field or (weights[0].field if weights else CycField(2 * p)), weights, label)
-        self._action = {gen: weight_blocks(mat, self.spaces, self.spaces, self._shift[gen])
+        self._grade(p, field or CycField(2 * p), weights, label)
+        self._action = {gen: weight_blocks(mat, self._rows[gen], self.spaces)
                         for gen, mat in (("E", mat_e), ("F", mat_f))}
 
     @classmethod
@@ -113,18 +123,24 @@ class QMod:
 
     def _grade(self, p, field, weights, label):
         self.p, self.field, self.label = p, field, label
-        self.weights, self.dim = tuple(weights), len(weights)
+        self.weights, self.dim = tuple(k % (2 * p) for k in weights), len(weights)
         self.spaces = MappingProxyType(weight_spaces(self.weights))  # each weight with the indices of its basis vectors
-        self.q = CycField(2 * p).gen().embed(field.order)  # q = exp(i pi/p) in the field
-        # q^2 and q^-2, by which E and F shift weights, and the basis indices of each block's rows
-        self._shift = {gen: field.root_of_unity(k * field.order // (2 * p)) for gen, k in (("E", 2), ("F", -2))}
-        self._rows = {gen: {lam: self.spaces.get(shift * lam, []) for lam in self.spaces}
-                      for gen, shift in self._shift.items()}
+        self._rows = {gen: {k: self.spaces.get(self.shift(k, gen), []) for k in self.spaces}
+                      for gen in STEP}  # the basis indices of the rows of each block
+
+    def shift(self, k: int, gen: str, times: int = 1) -> int:
+        """The weight to which E (gen "E") or F, applied times times, moves
+        the weight k."""
+        return (k + times * STEP[gen]) % (2 * self.p)
+
+    def qpow(self, k: int) -> CycNum:
+        """q^k = exp(i pi k/p) in the module's field."""
+        return self.field.root_of_unity(k * (self.field.order // (2 * self.p)))
 
     def blocks(self, gen: str) -> dict:
-        """lambda -> the block of E (gen "E") from M_lambda to M_(q^2 lambda), or
-        of F to M_(q^-2 lambda), with no rows when that weight is missing;
-        raises ValueError when the generator has an entry off these blocks."""
+        """k -> the block of E (gen "E") from M_k to M_(k+2), or of F to
+        M_(k-2), with no rows when that weight is missing; raises ValueError
+        when the generator has an entry off these blocks."""
         blocks = self._action[gen]
         if blocks is None:
             raise ValueError("E or F has an entry off its weight blocks")
@@ -144,7 +160,8 @@ class QMod:
     def mat(self, gen: str):
         """The dense matrix of E, F or K, derived from the blocks."""
         if gen == "K":
-            return [[w if i == j else self.field.zero for j in range(self.dim)] for i, w in enumerate(self.weights)]
+            return [[self.qpow(k) if i == j else self.field.zero for j in range(self.dim)]
+                    for i, k in enumerate(self.weights)]
         if gen not in self._action:
             raise ValueError(f"unknown generator {gen!r}")
         out = linalg.zeros(self.field, self.dim, self.dim)
@@ -173,10 +190,10 @@ class QMod:
             "p": self.p,
             "dim": self.dim,
             "label": self.label,
-            "weights": [w.to_json() for w in self.weights],
+            "weights": [self.qpow(k).to_json() for k in self.weights],
             "E": sparse(self.mat_e),
             "F": sparse(self.mat_f),
-            "K": [[i, i, w.to_json()] for i, w in enumerate(self.weights)],
+            "K": [[i, i, self.qpow(k).to_json()] for i, k in enumerate(self.weights)],
         }
 
     @staticmethod
@@ -191,11 +208,13 @@ class QMod:
                 raise ValueError(f"field {key!r} has an entry of order {x.order}, not {field.order}")
             return x
 
-        weights = [number(w, "weights") for w in json_field(data, "weights", list)]
+        roots = {vec: k for k, vec in enumerate(field.root_vecs())}  # q^k by its nonzero coefficients
+        weights = [roots.get(tuple((i, c) for i, c in enumerate(x.num) if c)) if x.den == 1 else None
+                   for x in (number(w, "weights") for w in json_field(data, "weights", list))]
         if len(weights) != dim:
             raise ValueError("field 'weights' does not match the stated dimension")
-        if not all(weights):
-            raise ValueError("field 'weights' has a zero entry, but K is invertible")
+        if None in weights:
+            raise ValueError("field 'weights' has an entry that is not a power of q")
 
         def dense(key):
             mat = linalg.zeros(field, dim, dim)
@@ -219,22 +238,22 @@ class QMod:
 # -- weight spaces ------------------------------------------------------------------
 
 
-def weight_spaces(weights) -> dict[CycNum, tuple[int, ...]]:
+def weight_spaces(weights) -> dict[int, tuple[int, ...]]:
     """Each weight with the indices of the basis vectors of that weight."""
-    out: dict[CycNum, list[int]] = {}
+    out: dict[int, list[int]] = {}
     for i, w in enumerate(weights):
         out.setdefault(w, []).append(i)
     return {w: tuple(idx) for w, idx in out.items()}
 
 
-def weight_blocks(mat, rows, cols, shift=None) -> dict | None:
-    """lambda -> the block of mat from the weight-lambda basis vectors of
-    its source to the weight-(shift lambda) ones of its target (no rows if
-    none), for their weight_spaces cols and rows; shift None means 1, as for
-    module maps.  None when mat has an entry off these blocks."""
+def weight_blocks(mat, rows, cols) -> dict | None:
+    """k -> the block of mat from the basis vectors cols[k] of its source
+    (its weight spaces) to the rows[k] of its target (no rows if none): the
+    target's weight spaces for a module map, QMod._rows[gen] for E or F.
+    None when mat has an entry off these blocks."""
     out = {}
     for lam, idx in cols.items():
-        tgt = rows.get(lam if shift is None else shift * lam, [])
+        tgt = rows.get(lam, [])
         keep = set(tgt)
         if any(row[c] for r, row in enumerate(mat) if r not in keep for c in idx):
             return None
@@ -261,22 +280,20 @@ class ModuleCheck:
 
 
 def verify_module(m: QMod) -> ModuleCheck:
-    """Exact check of all defining relations, one weight space at a time:
-    the weights are 2p-th roots of unity; E and F have no entry off their
-    weight blocks M_lambda -> M_(q^(+-2) lambda); and, if so, E^p and F^p
-    vanish on each M_lambda, as products of p blocks along its q^2-orbit
-    (which closes, as q^2p = 1), and [E, F] = (K - K^-1)/(q - q^-1) there."""
-    field, p, q, spaces, violations = m.field, m.p, m.q, m.spaces, []
-    q2, q2inv = q * q, (q * q).inv()
-    if any(w ** (2 * p) != field.one for w in spaces):
-        violations.append("K eigenvalue is not a 2p-th root of unity")
+    """Exact check of all defining relations, one weight space at a time
+    (the weights are powers of q by construction, and QMod.from_json
+    rejects any other): E and F have no entry off their weight blocks
+    M_k -> M_(k+-2); and, if so, E^p and F^p vanish on each M_k, as
+    products of p blocks along its orbit k, k+-2, ... (which closes, as
+    q^2p = 1), and [E, F] = (K - K^-1)/(q - q^-1) = [k] there."""
+    field, p, spaces, violations = m.field, m.p, m.spaces, []
     e, f = m._action["E"], m._action["F"]  # None where m.blocks raises
-    for name, blocks, shift in (("E", e, q2), ("F", f, q2inv)):
+    for name, blocks in (("E", e), ("F", f)):
         if blocks is None:
             continue
         powers = dict(blocks)  # gen^k on each M_lambda, with no rows once the orbit passes a missing weight
         for k in range(1, p):
-            powers = {lam: linalg.mat_mul(blocks[shift ** k * lam], x) if x else x for lam, x in powers.items()}
+            powers = {lam: linalg.mat_mul(blocks[m.shift(lam, name, k)], x) if x else x for lam, x in powers.items()}
         if not all(map(linalg.is_zero_mat, powers.values())):
             violations.append(f"{name}^p != 0")
     violations += [text for blocks, text in ((e, "KEK^-1 != q^2 E"), (f, "KFK^-1 != q^-2 F")) if blocks is None]
@@ -284,24 +301,38 @@ def verify_module(m: QMod) -> ModuleCheck:
         for lam, idx in spaces.items():  # a b on M_lambda, where b maps it to M_mu
             ab = lambda a, b, mu: (linalg.mat_mul(a[mu], b[lam]) if mu in spaces
                                    else linalg.zeros(field, len(idx), len(idx)))
-            comm = linalg.mat_sub(ab(e, f, lam * q2inv), ab(f, e, lam * q2))
-            want = linalg.mat_scale((lam - lam.inv()) / (q - q.inv()), linalg.identity(field, len(idx)))
+            comm = linalg.mat_sub(ab(e, f, m.shift(lam, "F")), ab(f, e, m.shift(lam, "E")))
+            want = linalg.mat_scale(qint(p, lam).embed(field.order), linalg.identity(field, len(idx)))
             if not linalg.mat_eq(comm, want):
                 violations.append("[E,F] != (K - K^-1)/(q - q^-1)")
                 break
     return ModuleCheck(not violations, violations)
 
 
-# -- weights of the irreducibles --------------------------------------------------
-
-
-def irreducible_weights(p: int, a, s: int) -> list[CycNum]:
-    a = _sign(a)
-    field = CycField(2 * p)
-    return [field.root_of_unity(s - 1 - 2 * n) * a for n in range(s)]
-
-
 # -- constructors -----------------------------------------------------------------
+
+
+def irreducible_weights(p: int, a, s: int) -> list[int]:
+    """The weights of X^a_s, top first: a q^(s-1-2n) for n = 0..s-1, as
+    exponents (a = -1 adds p)."""
+    top = s - 1 if _sign(a) > 0 else s - 1 + p
+    return [(top - 2 * n) % (2 * p) for n in range(s)]
+
+
+def _chains(p: int, chains) -> tuple[list, list, list[int]]:
+    """Dense E and F and the weights of the direct sum of the irreducibles
+    X^a_s for the (a, s) in chains, each on its standard basis v_0..v_(s-1)
+    in order: E v_n = [n][s-n] a v_(n-1) and F v_n = v_(n+1)."""
+    field = CycField(2 * p)
+    dim = sum(s for _, s in chains)
+    mat_e, mat_f, weights = linalg.zeros(field, dim, dim), linalg.zeros(field, dim, dim), []
+    for a, s in chains:
+        off = len(weights)
+        weights += irreducible_weights(p, a, s)
+        for n in range(1, s):
+            mat_e[off + n - 1][off + n] = qint(p, n) * qint(p, s - n) * a
+            mat_f[off + n][off + n - 1] = field.one
+    return mat_e, mat_f, weights
 
 
 def irreducible(p: int, a, s: int) -> QMod:
@@ -309,16 +340,7 @@ def irreducible(p: int, a, s: int) -> QMod:
     a = _sign(a)
     if not 1 <= s <= p:
         raise ValueError(f"irreducible needs 1 <= s <= p, got s={s}")
-    field = CycField(2 * p)
-    mat_e = linalg.zeros(field, s, s)
-    mat_f = linalg.zeros(field, s, s)
-    for n in range(s):
-        if n >= 1:
-            mat_e[n - 1][n] = qint(p, n) * qint(p, s - n) * a
-        if n + 1 < s:
-            mat_f[n + 1][n] = field.one
-    return QMod(p, mat_e, mat_f, irreducible_weights(p, a, s),
-                label=family_label("X", a, s), field=field)
+    return QMod(p, *_chains(p, [(a, s)]), label=family_label("X", a, s))
 
 
 def build_glued(p: int, a, s: int, rep) -> QMod:
@@ -328,40 +350,20 @@ def build_glued(p: int, a, s: int, rep) -> QMod:
     a = _sign(a)
     if not 1 <= s <= p - 1:
         raise ValueError(f"glued modules need 1 <= s <= p-1, got s={s}")
-    field = CycField(2 * p)
     m, n = rep.d0, rep.d1
     for mat in (rep.r, rep.rbar):
         if len(mat) != n or any(len(row) != m for row in mat):
             raise ValueError("malformed quiver representation: arrow matrices must be d1 x d0")
     t = p - s
-    dim = m * s + n * t
-    top = lambda j, nu: j * s + nu
-    soc = lambda i, k: m * s + i * t + k
-    mat_e = linalg.zeros(field, dim, dim)
-    mat_f = linalg.zeros(field, dim, dim)
-    weights: list[CycNum] = [field.zero] * dim
-    wt_top = irreducible_weights(p, a, s)
-    wt_soc = irreducible_weights(p, -a, t)
+    top, soc = (lambda j, nu: j * s + nu), (lambda i, k: m * s + i * t + k)
+    mat_e, mat_f, weights = _chains(p, [(a, s)] * m + [(-a, t)] * n)
     for j in range(m):
-        for nu in range(s):
-            weights[top(j, nu)] = wt_top[nu]
-            if nu >= 1:
-                mat_e[top(j, nu - 1)][top(j, nu)] = qint(p, nu) * qint(p, s - nu) * a
-            if nu + 1 < s:
-                mat_f[top(j, nu + 1)][top(j, nu)] = field.one
         for i in range(n):
             if rep.rbar[i][j]:
                 mat_e[soc(i, t - 1)][top(j, 0)] = rep.rbar[i][j]
             if rep.r[i][j]:
                 mat_f[soc(i, 0)][top(j, s - 1)] = rep.r[i][j]
-    for i in range(n):
-        for k in range(t):
-            weights[soc(i, k)] = wt_soc[k]
-            if k >= 1:
-                mat_e[soc(i, k - 1)][soc(i, k)] = -a * qint(p, k) * qint(p, t - k)
-            if k + 1 < t:
-                mat_f[soc(i, k + 1)][soc(i, k)] = field.one
-    return QMod(p, mat_e, mat_f, weights, field=field)
+    return QMod(p, mat_e, mat_f, weights)
 
 
 def build_w2(p: int, a, s: int) -> QMod:
@@ -404,46 +406,17 @@ def build_p(p: int, a, s: int) -> QMod:
     a = _sign(a)
     if not 1 <= s <= p - 1:
         raise ValueError(f"projective covers need 1 <= s <= p-1, got s={s}")
-    field = CycField(2 * p)
-    one = field.one
-    t = p - s
-    A = lambda n: n
-    B = lambda n: s + n
-    X = lambda k: 2 * s + k
-    Y = lambda k: 2 * s + t + k
-    dim = 2 * p
-    mat_e = linalg.zeros(field, dim, dim)
-    mat_f = linalg.zeros(field, dim, dim)
-    weights: list[CycNum] = [field.zero] * dim
-    wt_top = irreducible_weights(p, a, s)
-    wt_soc = irreducible_weights(p, -a, t)
-    for n in range(s):
-        weights[A(n)] = wt_top[n]
-        weights[B(n)] = wt_top[n]
-        coef = qint(p, n) * qint(p, s - n) * a
-        if n >= 1:
-            mat_e[A(n - 1)][A(n)] = coef
-            mat_e[B(n - 1)][B(n)] = coef
-            mat_e[A(n - 1)][B(n)] = one
-        if n + 1 < s:
-            mat_f[A(n + 1)][A(n)] = one
-            mat_f[B(n + 1)][B(n)] = one
-    for k in range(t):
-        weights[X(k)] = wt_soc[k]
-        weights[Y(k)] = wt_soc[k]
-        coef = -a * qint(p, k) * qint(p, t - k)
-        if k >= 1:
-            mat_e[X(k - 1)][X(k)] = coef
-            mat_e[Y(k - 1)][Y(k)] = coef
-        if k + 1 < t:
-            mat_f[X(k + 1)][X(k)] = one
-            mat_f[Y(k + 1)][Y(k)] = one
+    one, t = CycField(2 * p).one, p - s
+    A, B = (lambda n: n), (lambda n: s + n)
+    X, Y = (lambda k: 2 * s + k), (lambda k: 2 * s + t + k)
+    mat_e, mat_f, weights = _chains(p, [(a, s), (a, s), (-a, t), (-a, t)])
+    for n in range(1, s):
+        mat_e[A(n - 1)][B(n)] = one
     mat_e[A(s - 1)][Y(0)] = one
     mat_e[X(t - 1)][B(0)] = one
     mat_f[A(0)][X(t - 1)] = one
     mat_f[Y(0)][B(s - 1)] = one
-    return QMod(p, mat_e, mat_f, weights,
-                label=family_label("P", a, s), field=field)
+    return QMod(p, mat_e, mat_f, weights, label=family_label("P", a, s))
 
 
 def direct_sum(*mods: QMod) -> QMod:
@@ -463,7 +436,7 @@ def direct_sum(*mods: QMod) -> QMod:
             rows, off = [], 0
             for m in mods:
                 n = len(m.spaces.get(lam, ()))
-                blk = m.blocks(gen)[lam] if n else [[]] * len(m.spaces.get(m._shift[gen] * lam, ()))
+                blk = m.blocks(gen)[lam] if n else [[]] * len(m.spaces.get(m.shift(lam, gen), ()))
                 rows += [[zero] * off + row + [zero] * (len(idx) - off - n) for row in blk]
                 off += n
             out[lam] = rows
@@ -480,28 +453,28 @@ def tensor(a: QMod, b: QMod) -> QMod:
         raise ValueError("tensor needs modules over the same algebra")
     ia, ib = linalg.identity(field, a.dim), linalg.identity(field, b.dim)
     ka_inv = linalg.zeros(field, a.dim, a.dim)
-    for i, w in enumerate(a.weights):
-        ka_inv[i][i] = w.inv()
+    for i, k in enumerate(a.weights):
+        ka_inv[i][i] = a.qpow(-k)
     mat_e = linalg.mat_add(linalg.kron(ia, b.mat_e), linalg.kron(a.mat_e, b.mat_k))
     mat_f = linalg.mat_add(linalg.kron(ka_inv, b.mat_f), linalg.kron(a.mat_f, ib))
-    weights = [wa * wb for wa in a.weights for wb in b.weights]
+    weights = [ka + kb for ka in a.weights for kb in b.weights]
     return QMod(a.p, mat_e, mat_f, weights, field=field)
 
 
 def dual(m: QMod) -> QMod:
     """Contragredient module: x acts on the dual basis through the
     antipode, (x f)(v) = f(S(x) v), so E and F act by the transposes of
-    S(E) = -E K^-1 and S(F) = -K F.  Its weight lambda^-1 has the basis of
-    M_lambda, and its blocks there are -nu^-1 E_nu^T for nu = q^-2 lambda and
-    -lambda F_mu^T for mu = q^2 lambda."""
-    e, f, inv = m.blocks("E"), m.blocks("F"), {lam: lam.inv() for lam in m.spaces}
+    S(E) = -E K^-1 and S(F) = -K F.  Its weight -k has the basis of M_k,
+    and its blocks there are -q^-j E_j^T for j = k - 2 and -q^k F_l^T for
+    l = k + 2."""
+    e, f, neg = m.blocks("E"), m.blocks("F"), {k: -k % (2 * m.p) for k in m.spaces}
     flip = lambda blk, c: [[-(x * c) if x else x for x in col] for col in zip(*blk)]
-    de = {inv[lam]: flip(e[nu], inv[nu]) if (nu := m._shift["F"] * lam) in e else [] for lam in m.spaces}
-    df = {inv[lam]: flip(f[mu], lam) if (mu := m._shift["E"] * lam) in f else [] for lam in m.spaces}
-    return QMod._from_blocks(m.p, m.field, [inv[w] for w in m.weights], de, df)
+    de = {neg[k]: flip(e[j], m.qpow(-j)) if (j := m.shift(k, "F")) in e else [] for k in m.spaces}
+    df = {neg[k]: flip(f[l], m.qpow(k)) if (l := m.shift(k, "E")) in f else [] for k in m.spaces}
+    return QMod._from_blocks(m.p, m.field, [neg[k] for k in m.weights], de, df)
 
 
-def weight_character(m: QMod) -> dict[CycNum, int]:
+def weight_character(m: QMod) -> dict[int, int]:
     return {w: len(idx) for w, idx in m.spaces.items()}
 
 
@@ -528,9 +501,9 @@ def regular_module(p: int) -> QMod:
     fw = linalg.zeros(field, dim, dim)
     bw = linalg.zeros(field, dim, dim)
     inv2p = field.from_fraction(Fraction(1, 2 * p))
-    weights: list[CycNum] = [field.zero] * dim
+    weights = [0] * dim
     for (i, j, m), cidx in index.items():
-        weights[cidx] = alg.qpow(2 * (i - j) + m)
+        weights[cidx] = 2 * (i - j) + m
         for l in range(2 * p):
             fw[index[(i, j, l)]][cidx] = alg.qpow(-m * l)
             bw[cidx][index[(i, j, l)]] = alg.qpow(m * l) * inv2p
@@ -539,7 +512,7 @@ def regular_module(p: int) -> QMod:
     mat_k = linalg.mat_mul(bw, linalg.mat_mul(left_mult((0, 0, 1)), fw))
     for i in range(dim):
         for j in range(dim):
-            expect = weights[i] if i == j else field.zero
+            expect = alg.qpow(weights[i]) if i == j else field.zero
             if mat_k[i][j] != expect:
                 raise InternalError("the Fourier basis does not diagonalize K")
     return QMod(p, mat_e, mat_f, weights, label="Reg", field=field)
@@ -573,7 +546,7 @@ def action_matrix(m: QMod, elem: AlgElem):
         raise ValueError("action of the extended algebra needs a chosen square root of K")
     if elem.alg.p != m.p:
         raise ValueError("element and module have different p")
-    field, act = m.field, monomial_action(m, m.weights)
+    field, act = m.field, monomial_action(m, [m.qpow(k) for k in m.weights])
     return linalg.mat_comb(field, ((c if c.field is field else c.embed(field.order), act(term))
                                    for term, c in elem.terms.items()), m.dim, m.dim)
 
@@ -616,7 +589,7 @@ def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
     return out
 
 
-def weight_vectors(m: QMod, weight: CycNum) -> list[list[CycNum]]:
+def weight_vectors(m: QMod, weight: int) -> list[list[CycNum]]:
     """The basis vectors of m of the given K-weight: a basis of the weight
     space, since the basis of m is a K-eigenbasis."""
     return [_basis_vec(m.field, m.dim, i) for i in m.spaces.get(weight, [])]
@@ -653,8 +626,8 @@ def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[lis
 def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[CycNum]]]:
     """Restrict the action to the span of K-homogeneous columns; returns
     the submodule and the embedding matrix (dim x k).  One solve per weight
-    mu expresses the images of the columns of weights q^-2 mu under E and
-    q^2 mu under F in the columns of weight mu: the submodule's blocks into
+    mu expresses the images of the columns of weights mu - 2 under E and
+    mu + 2 under F in the columns of weight mu: the submodule's blocks into
     mu.  Raises ValueError when a column is not K-homogeneous, when E or F
     has an entry off its weight blocks, or when the columns do not span a
     submodule."""
@@ -669,11 +642,11 @@ def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[Cyc
             raise ValueError("submodule basis vectors must be K-homogeneous")
         weights.append(wset.pop())
     spaces, sub = m.spaces, weight_spaces(weights)
-    # E, then F: the factor from a target weight back to its source, the blocks of m, those of the submodule
-    acts = [(m._shift[back], m.blocks(gen), dict.fromkeys(sub, [])) for gen, back in (("E", "F"), ("F", "E"))]
+    # E, then F: the generator that moves a target weight back to its source, the blocks of m, those of the submodule
+    acts = [(back, m.blocks(gen), dict.fromkeys(sub, [])) for gen, back in (("E", "F"), ("F", "E"))]
     part = lambda lam: [[emb[i][j] for j in sub.get(lam, [])] for i in spaces[lam]]
     for mu in spaces:
-        srcs = [(out, blocks, lam) for back, blocks, out in acts if (lam := back * mu) in sub]
+        srcs = [(out, blocks, lam) for back, blocks, out in acts if (lam := m.shift(mu, back)) in sub]
         images = [linalg.mat_mul(blocks[lam], part(lam)) for _, blocks, lam in srcs]
         sol = linalg.solve(part(mu), [sum(rows, []) for rows in zip(*images)]) if srcs else []
         if sol is None:
@@ -703,7 +676,7 @@ def socle_columns(m: QMod) -> list[list[CycNum]]:
     of all maps from irreducibles.  Hom(X^a_s, m) is the space of vectors v
     of weight a q^(s-1) with E v = 0 and F^s v = 0, the relations of the top
     vector of X^a_s, each sent through maps_from_generator."""
-    rs, out, f, q2inv = linalg.RowSpace(m.field, m.dim), [], m.blocks("F"), m.q ** -2
+    rs, out, f = linalg.RowSpace(m.field, m.dim), [], m.blocks("F")
     for a in (1, -1):
         for s in range(1, m.p + 1):
             x = irreducible(m.p, a, s)
@@ -711,7 +684,7 @@ def socle_columns(m: QMod) -> list[list[CycNum]]:
             if lam in m.spaces:
                 fs = f[lam]  # F^k on M_lambda, with no rows once the orbit passes a missing weight
                 for k in range(1, s):
-                    fs = linalg.mat_mul(f[lam * q2inv ** k], fs) if fs else fs
+                    fs = linalg.mat_mul(f[m.shift(lam, "F", k)], fs) if fs else fs
                 tops = graded_kernel(m, {lam: m.blocks("E")[lam] + fs})
                 for phi in maps_from_generator(x, 0, m, tops):
                     out += [list(col) for col in zip(*phi) if rs.add(col)]
@@ -737,18 +710,19 @@ def semisimple_length_of(m: QMod) -> int:
     return len(radical_series(m))
 
 
-def casimir_nil(m: QMod, lam: CycNum, js) -> dict[int, list[list[CycNum]]]:
-    """j -> (q - q^-1)^2 (C - beta_j) on M_lambda for the blocks j in js: as
-    C = E F + (q^-1 K + q K^-1)/(q - q^-1)^2 and beta_j = (q^j + q^-j)/(q - q^-1)^2,
-    it is (q - q^-1)^2 E F + q^-1 lambda + q lambda^-1 - q^j - q^-j; squared
-    for 0 < j < p, where C - beta_j is nilpotent of order two on the block."""
-    q, e, f = m.q, m.blocks("E"), m.blocks("F")
-    n, base = len(m.spaces[lam]), q.inv() * lam + q * lam.inv()
-    ef = linalg.mat_mul(e[lam * q ** -2], f[lam]) if f[lam] else linalg.zeros(m.field, n, n)  # E F on M_lambda
-    cas = linalg.mat_scale((q - q.inv()) ** 2, ef)
+def casimir_nil(m: QMod, lam: int, js) -> dict[int, list[list[CycNum]]]:
+    """j -> (q - q^-1)^2 (C - beta_j) on the weight space M_lambda, of weight
+    q^lambda, for the blocks j in js: as C = E F + (q^-1 K + q K^-1)/(q - q^-1)^2
+    and beta_j = (q^j + q^-j)/(q - q^-1)^2, it is (q - q^-1)^2 E F + q^(lambda-1)
+    + q^(1-lambda) - q^j - q^-j; squared for 0 < j < p, where C - beta_j is
+    nilpotent of order two on the block."""
+    qpow, e, f = m.qpow, m.blocks("E"), m.blocks("F")
+    n, base = len(m.spaces[lam]), qpow(lam - 1) + qpow(1 - lam)
+    ef = linalg.mat_mul(e[m.shift(lam, "F")], f[lam]) if f[lam] else linalg.zeros(m.field, n, n)  # E F on M_lambda
+    cas = linalg.mat_scale((qpow(1) - qpow(-1)) ** 2, ef)
     out = {}
     for j in js:
-        shift = base - q ** j - q ** -j
+        shift = base - qpow(j) - qpow(-j)
         nil = [[x + shift if r == c else x for c, x in enumerate(row)] for r, row in enumerate(cas)]
         out[j] = linalg.mat_mul(nil, nil) if 0 < j < m.p else nil
     return out
@@ -757,11 +731,10 @@ def casimir_nil(m: QMod, lam: CycNum, js) -> dict[int, list[list[CycNum]]]:
 def casimir_blocks(m: QMod):
     """Yield (s, columns) for the Casimir blocks s = 0..p: a basis of the
     part of m where C - beta_s is nilpotent, from the kernels of casimir_nil
-    on the weight spaces, built only where block s can meet M_lambda:
-    lambda^p = (-1)^(s-1), as for the weights of X+_s and X-_(p-s)."""
-    one, p = m.field.one, m.p
-    parity = {one: range(1, p + 1, 2), -one: range(0, p + 1, 2)}  # lambda^p -> the blocks s
-    nils = {lam: casimir_nil(m, lam, parity.get(lam ** p, ())) for lam in m.spaces}
+    on the weight spaces, built only where block s can meet M_k: the weight
+    q^k has (q^k)^p = (-1)^(s-1), that is k = s - 1 (mod 2), as for the
+    weights of X+_s and X-_(p-s)."""
+    nils = {k: casimir_nil(m, k, range(1 - k % 2, m.p + 1, 2)) for k in m.spaces}
     for s in range(m.p + 1):
         yield s, graded_kernel(m, {lam: nil[s] for lam, nil in nils.items() if s in nil})
 
@@ -778,6 +751,4 @@ def block_index(m: QMod) -> int:
 def coerce_field(m: QMod, order: int) -> QMod:
     """Base-change the module matrices into a larger cyclotomic field."""
     conv = lambda mat: [[x.embed(order) for x in row] for row in mat]
-    weights = [w.embed(order) for w in m.weights]
-    return QMod(m.p, conv(m.mat_e), conv(m.mat_f), weights, m.label,
-                field=CycField(order))
+    return QMod(m.p, conv(m.mat_e), conv(m.mat_f), m.weights, m.label, field=CycField(order))

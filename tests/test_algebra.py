@@ -226,6 +226,26 @@ def test_algelem_serialization():
     assert AlgElem.from_json(x.to_json()) == x
 
 
+def test_algelem_from_json_validates_its_fields():
+    one = {"order": 4, "coeffs": ["1", "0"]}
+    bad = [
+        ("missing field 'f'", {"p": 2, "terms": [{"e": 0}]}),
+        ("missing field 'terms'", {"p": 2}),
+        ("missing field 'p'", {"terms": []}),
+        ("field 'e' must be a JSON int", {"p": 2, "terms": [{"e": 1.7, "f": 0, "k": 0, "c": one}]}),
+        ("field 'e' must be a JSON int", {"p": 2, "terms": [{"e": "1", "f": 0, "k": 0, "c": one}]}),
+        ("field 'c' must be a JSON dict", {"p": 2, "terms": [{"e": 1, "f": 0, "k": 0, "c": 1}]}),
+        ("E/F exponent out of range", {"p": 2, "terms": [{"e": 2, "f": 0, "k": 0, "c": one}]}),
+    ]
+    for message, doc in bad:
+        with pytest.raises(ValueError, match=message) as err:
+            AlgElem.from_json(doc)
+        assert "\n" not in str(err.value)
+    # terms that meet on one monomial are summed, and the Cartan power is reduced
+    doc = {"p": 2, "terms": [{"e": 1, "f": 0, "k": 9, "c": one}, {"e": 1, "f": 0, "k": 1, "c": one}]}
+    assert AlgElem.from_json(doc) == base_algebra(2).monomial(1, 0, 1, 2)
+
+
 def test_mismatched_p_rejected():
     with pytest.raises(ValueError):
         base_algebra(2).E * base_algebra(3).E

@@ -7,7 +7,7 @@ import pytest
 
 from uqslcat import cli
 from uqslcat.cli import MAX_DEGREE, run
-from uqslcat.cyclotomic import InternalError
+from uqslcat.cyclotomic import CycField, InternalError
 from uqslcat.kronecker import ClassificationError
 from uqslcat.qmodules import QMod, verify_module
 
@@ -144,6 +144,22 @@ def test_blocks_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["blocks"] == [{"s": 0, "dim": 4}, {"s": 1, "dim": 8}, {"s": 2, "dim": 4}]
+
+
+def test_blocks_checks_its_input(tmp_path, capsys):
+    # a file where E swaps the weights q and q^-1 at p = 2 respects the
+    # weights but has E^2 != 0: blocks said its columns did not span a
+    # submodule, and a weight off the roots of unity exited 2
+    field = CycField(4)
+    one, zero, q = field.one.to_json(), field.zero.to_json(), field.gen()
+    swap = {"p": 2, "dim": 2, "weights": [q.to_json(), q.inv().to_json()],
+            "E": [[0, 1, one], [1, 0, one]], "F": []}
+    off_roots = {"p": 2, "dim": 1, "weights": [field.from_fraction(2).to_json()], "E": [], "F": []}
+    for doc, message in ((swap, "error: not a module: ['E^p != 0', "), (off_roots, "'weights'")):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_capture(capsys, ["blocks", "--input", str(path)])
+        assert code == 1 and out == "" and err.count("\n") == 1 and message in err, err
 
 
 def test_degrees_above_the_bound_exit_one(capsys):

@@ -147,6 +147,20 @@ def test_family_size_above_the_bound_fails_cleanly(capsys, monkeypatch):
     assert built == [f"W+_1({MAX_FAMILY_SIZE})"]
 
 
+def test_weight_off_the_roots_is_rejected_on_loading():
+    """A weight is a power of q, so a file weight that is no 2p-th root of
+    unity (2, or 1 + q next to q^-1) fails on loading, before any verb."""
+    two = CycField(4).from_fraction(2).to_json()
+    one_plus_q = (CycField(4).one + CycField(4).gen()).to_json()
+    for doc in ({"p": 2, "dim": 1, "weights": [two], "E": [], "F": []},
+                _with(MODULE, weights=[one_plus_q, MODULE["weights"][1]], K=None)):
+        with pytest.raises(ValueError, match="^field 'weights' has an entry that is not a power of q"):
+            QMod.from_json(doc)
+        for verb in ("verify", "decompose", "blocks"):
+            code, out, err = run_file(verb, doc)
+            assert code == 1 and not out and len(err.splitlines()) == 1 and "'weights'" in err, (verb, err)
+
+
 def test_valid_files_still_load():
     assert run_file("verify", MODULE)[0] == 0
     assert run_file("verify", GLUED)[0] == 0

@@ -60,23 +60,29 @@ def test_irreducible_action_values():
     # dimension-2 module at p=2: weights (i, -i), E a_1 = [1][1] a_0 = a_0
     m = irreducible(2, 1, 2)
     f = m.field
-    assert list(m.weights) == [f.gen(), f.gen().inv()]
+    assert list(m.weights) == [1, 3] and [m.qpow(k) for k in m.weights] == [f.gen(), f.gen().inv()]
     assert m.mat_e[0][1] == f.one
     # trivial module
     t = irreducible(3, 1, 1)
     assert linalg.is_zero_mat(t.mat_e) and linalg.is_zero_mat(t.mat_f)
-    assert list(t.weights) == [t.field.one]
+    assert list(t.weights) == [0] and t.qpow(0) == t.field.one
     # sign - flips the E coefficient
     m = irreducible(3, -1, 2)
     assert m.mat_e[0][1] == -qint(3, 1) * qint(3, 1)
 
 
+def field_character(m):
+    """The weight character with each weight as q^k in the field."""
+    return {m.qpow(k): n for k, n in weight_character(m).items()}
+
+
 def test_weight_characters():
     f = CycField(4)
     q = f.gen()
-    assert weight_character(irreducible(2, 1, 2)) == {q: 1, q.inv(): 1}
+    assert weight_character(irreducible(2, 1, 2)) == {1: 1, 3: 1}
+    assert field_character(irreducible(2, 1, 2)) == {q: 1, q.inv(): 1}
     # P+_1 at p=2: the explicit basis gives weights {1: 2, -1: 2}
-    assert weight_character(build_p(2, 1, 1)) == {f.one: 2, -f.one: 2}
+    assert field_character(build_p(2, 1, 1)) == {f.one: 2, -f.one: 2}
 
 
 @settings(max_examples=20, deadline=None)
@@ -85,12 +91,12 @@ def test_tensor_character_is_product(p, data):
     mods = all_constructed(p)
     a = data.draw(st.sampled_from(mods))
     b = data.draw(st.sampled_from(mods))
-    ca, cb = weight_character(a), weight_character(b)
+    ca, cb = field_character(a), field_character(b)
     expect = {}
     for wa, ka in ca.items():
         for wb, kb in cb.items():
             expect[wa * wb] = expect.get(wa * wb, 0) + ka * kb
-    assert weight_character(tensor(a, b)) == expect
+    assert field_character(tensor(a, b)) == expect
 
 
 def test_tensor_with_trivial_is_identity():
@@ -160,7 +166,7 @@ def test_verma_is_highest_weight_module():
                 v = build_o1(p, a, s, CP1.of(p, 1, 0))
                 col = [v.mat_e[i][0] for i in range(v.dim)]
                 assert not any(col)
-                assert v.weights[0] == v.field.root_of_unity(s - 1) * a
+                assert v.qpow(v.weights[0]) == v.field.root_of_unity(s - 1) * a
 
 
 def test_contragredient_verma_highest_weight_observation():
@@ -175,7 +181,7 @@ def test_contragredient_verma_highest_weight_observation():
                 assert len(kernel) == 1
                 vec = kernel[0]
                 support = [i for i, x in enumerate(vec) if x]
-                weights = {v.weights[i] for i in support}
+                weights = {v.qpow(v.weights[i]) for i in support}
                 assert weights == {v.field.root_of_unity(-s - 1) * a}
 
 
@@ -267,6 +273,16 @@ def test_module_serialization_roundtrip():
     assert linalg.mat_eq(m2.mat_e, m.mat_e)
     assert linalg.mat_eq(m2.mat_f, m.mat_f)
     assert m2.weights == m.weights
+
+
+def test_json_roundtrip_keeps_the_grading():
+    # files carry q^k in the field and the module keeps k: reading back what
+    # to_json wrote gives the same exponents, weight spaces and blocks
+    for p in (2, 3, 4):
+        for m in all_constructed(p):
+            back = QMod.from_json(m.to_json())
+            assert back.weights == m.weights and all(k in range(2 * p) for k in back.weights), m
+            assert back.spaces == m.spaces and all(back.blocks(g) == m.blocks(g) for g in "EF"), m
 
 
 def test_grading_cannot_be_mutated():

@@ -5,13 +5,14 @@ and the certificate check work one weight space at a time.  These tests
 compare them with the dense computations they replace (the PBW Casimir's
 action matrix, a dense solve for the restricted action, the dual through
 diagonal matrices), and give each check a negative control that breaks
-exactly one relation.  The weight blocks each module stores (QMod.spaces,
-q and blocks) are compared with the dense slices they stand for, and a spy
+exactly one relation.  The weight blocks each module stores (QMod.spaces
+and blocks) are compared with the dense slices they stand for, and a spy
 checks that the package paths neither scan a module they built nor derive
 its dense E or F."""
 
 import random
 import sys
+from types import MappingProxyType
 
 import pytest
 
@@ -64,9 +65,9 @@ def test_dual_matches_the_product_with_diagonal_matrices():
         k = linalg.zeros(m.field, m.dim, m.dim)
         k_inv = linalg.zeros(m.field, m.dim, m.dim)
         for i, w in enumerate(m.weights):
-            k[i][i], k_inv[i][i] = w, w.inv()
+            k[i][i], k_inv[i][i] = m.qpow(w), m.qpow(w).inv()
         d = dual(m)
-        assert list(d.weights) == [w.inv() for w in m.weights]
+        assert [d.qpow(w) for w in d.weights] == [m.qpow(w).inv() for w in m.weights]
         assert d.mat_e == linalg.transpose(linalg.mat_neg(linalg.mat_mul(m.mat_e, k_inv)))
         assert d.mat_f == linalg.transpose(linalg.mat_neg(linalg.mat_mul(k, m.mat_f)))
 
@@ -75,11 +76,10 @@ def _swap_module(gen: str) -> QMod:
     """At p = 2, weights q and q^-1 with gen swapping them: gen respects the
     weights (q^2 q^-1 = q and q^2 q = q^-1) but gen^2 is the identity."""
     field = CycField(4)
-    q = field.gen()
     one, zero = field.one, field.zero
     swap, null = [[zero, one], [one, zero]], linalg.zeros(field, 2, 2)
     mats = (swap, null) if gen == "E" else (null, swap)
-    return QMod(2, *mats, [q, q.inv()], field=field)
+    return QMod(2, *mats, [1, -1], field=field)
 
 
 def _off_weight(gen: str) -> QMod:
@@ -92,16 +92,11 @@ def _off_weight(gen: str) -> QMod:
     return QMod(x.p, mats["E"], mats["F"], x.weights, field=x.field)
 
 
-def _weight_off_the_roots() -> QMod:
-    x = irreducible(2, 1, 1)
-    return QMod(x.p, x.mat_e, x.mat_f, [x.field.from_fraction(2)], field=x.field)
-
-
 def _commutator_defect() -> QMod:
     """A module of dimension 12 with X+_1 moved to weight q, which X+_2 also
     has: E = F = 0 there, so [E, F] fails on that one weight space alone."""
     x = direct_sum(irreducible(3, 1, 1), build_p(3, 1, 1), irreducible(3, 1, 2), irreducible(3, 1, 3))
-    return QMod(x.p, x.mat_e, x.mat_f, [CycField(6).gen(), *x.weights[1:]], field=x.field)
+    return QMod(x.p, x.mat_e, x.mat_f, [1, *x.weights[1:]], field=x.field)
 
 
 @pytest.mark.parametrize("build, violation", [
@@ -109,7 +104,6 @@ def _commutator_defect() -> QMod:
     (lambda: _swap_module("F"), "F^p != 0"),
     (lambda: _off_weight("E"), "KEK^-1 != q^2 E"),
     (lambda: _off_weight("F"), "KFK^-1 != q^-2 F"),
-    (_weight_off_the_roots, "K eigenvalue is not a 2p-th root of unity"),
     (_commutator_defect, "[E,F] != (K - K^-1)/(q - q^-1)"),
 ])
 def test_verify_module_negative_controls(build, violation):
@@ -179,14 +173,17 @@ def test_cached_grading_matches_the_dense_slices():
     for m in graded_sources():
         spaces = weight_spaces(m.weights)
         q = CycField(2 * m.p).gen().embed(m.field.order)
-        assert m.spaces == spaces and m.q == q, m
+        assert m.spaces == spaces and all(k in range(2 * m.p) for k in m.weights), m
+        assert all(m.mat_k[i][i] == q ** k for i, k in enumerate(m.weights)) and m.qpow(1) == q, m
         for gen, shift in (("E", q * q), ("F", (q * q).inv())):
+            assert all(m.qpow(m.shift(k, gen)) == shift * m.qpow(k) for k in spaces), (m, gen)
+            rows = {k: spaces.get(m.shift(k, gen), []) for k in spaces}
             blocks = m.blocks(gen)
-            assert blocks == weight_blocks(m.mat(gen), spaces, spaces, shift), (m, gen)
+            assert blocks == weight_blocks(m.mat(gen), rows, spaces), (m, gen)
             assert blocks is m.blocks(gen)
             rebuilt = linalg.zeros(m.field, m.dim, m.dim)  # the blocks put back hold every entry of the matrix
             for lam, blk in blocks.items():
-                for r, row in zip(spaces.get(shift * lam, []), blk):
+                for r, row in zip(rows[lam], blk):
                     for c, x in zip(spaces[lam], row):
                         rebuilt[r][c] = x
             assert linalg.mat_eq(rebuilt, m.mat(gen)), (m, gen)
@@ -248,13 +245,13 @@ def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypat
     scans, views = [], []
     real_blocks, real_mat = qmodules.weight_blocks, QMod.mat
 
-    def spy_blocks(mat, rows, cols, shift=None):
+    def spy_blocks(mat, rows, cols):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # a comprehension: look at the function it runs in
             frame = frame.f_back
         caller = frame.f_code.co_name
-        scans.append((caller, frame.f_back.f_code.co_name if caller == "__init__" else shift))
-        return real_blocks(mat, rows, cols, shift)
+        scans.append((caller, frame.f_back.f_code.co_name if caller == "__init__" else type(rows)))
+        return real_blocks(mat, rows, cols)
 
     def spy_mat(self, gen):
         if gen != "K":
@@ -274,4 +271,5 @@ def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypat
     assert views == []
     assert {caller for caller, _ in scans} == {"__init__", "_graded"}
     assert {how for caller, how in scans if caller == "__init__"} <= {"irreducible", "build_glued", "build_p"}
-    assert {how for caller, how in scans if caller == "_graded"} == {None}  # module maps, which keep weights
+    # module maps, which keep weights: their rows are the target's weight spaces
+    assert {how for caller, how in scans if caller == "_graded"} == {MappingProxyType}
