@@ -557,7 +557,7 @@ class TensorElem:
     @staticmethod
     def from_json(data: dict, alg: "QuantumAlgebra | None" = None) -> "TensorElem":
         if alg is None:
-            p = int(data["p"])
+            p = json_field(data, "p", int, 2)
             alg = extended_algebra(p) if data.get("half_cartan") else base_algebra(p)
         legs, terms = json_field(data, "legs", int, 1), []
         for t in json_field(data, "terms", list):

@@ -12,7 +12,7 @@ weight blocks, fixed at construction, and every check and solve on it
 reads them; dense matrices are sliced once (module input) or derived on
 demand (views).  Module maps are sliced by weight_blocks, which checks
 that no entry lies off them.  The families constructed here, each laid
-out as irreducible chains by one builder plus its gluing entries: the 2p
+out as irreducible chains by one helper plus its gluing entries: the 2p
 irreducibles, the explicit two-step gluings with two modules on top / on
 the bottom, the projective covers, and the general gluing of m top copies
 with n socle copies along a pair of coefficient matrices, which realizes

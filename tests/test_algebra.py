@@ -374,6 +374,8 @@ def test_tensor_from_json_validates_legs_and_coefficients():
         "E/F exponent out of range": tensor_doc(1, [(7, 0, 99)]),
         "field 'k' must be a JSON int": tensor_doc(1, [(0, 0, "1")]),
         "mismatched cyclotomic orders 8 and 4": tensor_doc(1, [(0, 0, 0)], c=CycField(8).one.to_json()),
+        "missing field 'p'": {"legs": 1, "terms": []},
+        "field 'p' must be a JSON int": {"p": 2.7, "legs": 1, "terms": []},
     }
     for message, doc in bad.items():
         with pytest.raises(ValueError, match=message) as err:

@@ -151,7 +151,7 @@ def test_blocks_checks_its_input(tmp_path, capsys):
     # weights but has E^2 != 0: blocks said its columns did not span a
     # submodule, and a weight off the roots of unity exited 2
     field = CycField(4)
-    one, zero, q = field.one.to_json(), field.zero.to_json(), field.gen()
+    one, q = field.one.to_json(), field.gen()
     swap = {"p": 2, "dim": 2, "weights": [q.to_json(), q.inv().to_json()],
             "E": [[0, 1, one], [1, 0, one]], "F": []}
     off_roots = {"p": 2, "dim": 1, "weights": [field.from_fraction(2).to_json()], "E": [], "F": []}
