@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +390,40 @@ def test_tensor_from_json_validates_legs_and_coefficients():
     assert back.terms == {((1, 0, 3), (0, 1, 0)): base_algebra(2).field.from_fraction(2)}
     d = coproduct(base_algebra(3).E * base_algebra(3).F)
     assert TensorElem.from_json(d.to_json()) == d
+
+
+# -- pinned outputs of the algebra layer ------------------------------------------------
+
+
+def algebra_digests() -> dict[str, str]:
+    """sha256 of products, coproducts, antipodes and the antipode law sums of
+    seeded elements, of the center bases and of the Hopf reports."""
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+    out = {}
+    for name, alg in [(f"base{p}", base_algebra(p)) for p in (2, 3, 4, 5)] + [("ext2", extended_algebra(2))]:
+        rng = random.Random(1800 + alg.cartan_order)
+        elems = [rich_elem(alg, rng, 4) for _ in range(6)]
+        pairs = list(zip(elems[::2], elems[1::2]))
+        deltas = [coproduct(a) for a in elems]
+        out[f"{name}/products"] = digest([(a * b).to_json() for a, b in pairs])
+        out[f"{name}/coproducts"] = digest([d.to_json() for d in deltas])
+        out[f"{name}/tensor_products"] = digest([(da * db).to_json() for da, db in zip(deltas[::2], deltas[1::2])])
+        out[f"{name}/antipodes"] = digest([antipode(a).to_json() for a in elems])
+        out[f"{name}/legs_with_antipode"] = digest([d.multiply_legs_with_antipode(leg).to_json()
+                                                   for d in deltas for leg in (0, 1)])
+    for p in (2, 3, 4, 5):
+        out[f"center{p}"] = digest([z.to_json() for z in center_basis(p)])
+    reports = [(f"hopf{p}", verify_hopf(p)) for p in (2, 3, 4, 5, 6)]
+    reports += [(f"hopf{p}_broken", verify_hopf(p, break_delta_e=True)) for p in (2, 3, 4)]
+    reports.append(("hopf_ext2", verify_hopf(2, alg=extended_algebra(2))))
+    for name, rep in reports:
+        out[name] = digest(dataclasses.asdict(rep))
+    return out
+
+
+def test_algebra_outputs_are_pinned():
+    # recorded before products took phased sums and the structure-constant memo
+    digests = json.loads((Path(__file__).parent / "data" / "algebra_sha256.json").read_text())
+    assert algebra_digests() == digests
