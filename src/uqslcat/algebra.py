@@ -13,12 +13,15 @@ truncating E^p = F^p = 0, with w = 2 for C = K and w = 1 for C = k.
 The structure constants are phase-indexed: a product of two monomials
 gives each term as c * zeta^k, with zeta the field generator, k an integer
 and c a normal-ordering coefficient of F^j E^r (None for a power of zeta).
-Tensor products add k across legs; each output term is one pair, taken
-from a per-call table of zeta^k times the right-hand coefficient, in the
-one `dot` that sums its output key.  An entry of that table is a rotation
-of the coefficient (`CycNum.times_root`), not a field product, so a term
-costs a field product only where c is not None.  The cached coproducts of
-monomials are phase-indexed the same way, and `apply_delta` rotates too.
+Tensor products add k across legs.  Each output term is one triple
+(c1, c2 * c, k), and the triples of an output key are summed by one
+`dot_phased`, which places each product at its phase in an accumulator
+of N slots and folds modulo Phi_N once, so a phase costs no product and
+no rotation.  The products c2 * c by a structure constant take few
+distinct values and come from a per-algebra memo (`const_product`) of at
+most PRODUCT_MEMO_SIZE entries.  The cached coproducts of monomials are
+phase-indexed the same way; `apply_delta` rotates each coefficient by
+zeta^k (`CycNum.times_root`) and takes its products from the same memo.
 
 Inside a tensor product the monomials are numbered once per algebra
 (`monos`, `mono_id`) and a multi-leg key is one integer, its leg ids in
@@ -27,8 +30,8 @@ table of id products, and the output keys are decoded once.
 `TensorElem.terms` keeps tuples of monomials as its keys.
 
 There is one product routine, `_dict_mul`: it sums the products of a list
-of pairs of dicts, with one `dot` per output key over every pair, and a
-plain product is its one-pair case.  The coproduct and antipode of
+of pairs of dicts, with one `dot_phased` per output key over every pair,
+and a plain product is its one-pair case.  The coproduct and antipode of
 E^i F^j C^l are built once per core E^i F^j and reached for each l by a
 Cartan shift: Delta(E^i F^j C^l) = Delta(E^i F^j) (C^l (x) C^l) adds l to
 the Cartan power of both legs, and S(E^i F^j C^l) = C^-l S(E^i F^j) is
@@ -44,10 +47,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycField, CycNum, InternalError, json_field
+from .cyclotomic import CycField, CycNum, InternalError, dot_phased, json_field
 from .linalg import accumulate, accumulate_dot, nullspace
 
 Term = tuple[int, int, int]  # (E power, F power, Cartan power)
+PRODUCT_MEMO_SIZE = 4096  # entries of an algebra's memo of structure-constant products
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +88,7 @@ class QuantumAlgebra:
         self._core: dict[tuple[int, int], list] = {}
         self._delta_cache: dict[Term, list] = {}
         self._antipode_cache: dict[Term, dict] = {}
+        self._products: dict[tuple[CycNum, CycNum], CycNum] = {}
         self.monos = list(self.basis_terms())  # monomial id -> term
         self.mono_id = {t: x for x, t in enumerate(self.monos)}
         self.dimension = len(self.monos)
@@ -99,6 +104,18 @@ class QuantumAlgebra:
 
     def qint(self, n: int) -> CycNum:
         return (self.qpow(n) - self.qpow(-n)) * self._qdiff_inv
+
+    def const_product(self, x: CycNum, c: CycNum) -> CycNum:
+        """x * c for a structure constant c, from a memo keyed by value: the
+        products of the Hopf and braiding checks take few distinct values.
+        The memo is emptied when it reaches PRODUCT_MEMO_SIZE entries."""
+        memo = self._products
+        z = memo.get((x, c))
+        if z is None:
+            if len(memo) >= PRODUCT_MEMO_SIZE:
+                memo.clear()
+            z = memo[x, c] = x * c
+        return z
 
     # -- basis -------------------------------------------------------------
 
@@ -240,24 +257,16 @@ class QuantumAlgebra:
 def _dict_mul(alg: QuantumAlgebra, pairs, product=None) -> dict:
     """Sum over the (a, b) pairs of dicts of every c1 * c2 * product(s, t),
     for the terms s, c1 of a and t, c2 of b, where product (alg.mul_phased by
-    default) gives triples key, c, k for c * zeta^k * key.  c1 meets
-    c2 * zeta^k from a table per term of b, and each output key is one `dot`
-    over every pair."""
-    n, product = alg.field.order, product or alg.mul_phased
-
-    def terms():
-        for a, b in pairs:
-            right = [(t, c2, [None] * n) for t, c2 in b.items()]
-            for s, c1 in a.items():
-                for t, c2, rot in right:
-                    for key, c, k in product(s, t):
-                        k %= n
-                        z = rot[k]
-                        if z is None:
-                            z = rot[k] = c2.times_root(k)
-                        yield key, c1, z if c is None else z * c
-
-    return accumulate_dot(alg.field, terms())
+    default) gives triples key, c, k for c * zeta^k * key.  Each output key
+    is one `dot_phased` over the triples c1, c2 * c, k of every pair, with
+    c2 * c from the algebra's memo of structure-constant products."""
+    field, product, const, groups = alg.field, product or alg.mul_phased, alg.const_product, {}
+    for a, b in pairs:
+        for s, c1 in a.items():
+            for t, c2 in b.items():
+                for key, c, k in product(s, t):
+                    groups.setdefault(key, []).append((c1, c2 if c is None else const(c2, c), k))
+    return {key: v for key, triples in groups.items() if (v := dot_phased(field, triples))}
 
 
 def _tensor_mul(alg: QuantumAlgebra, a: dict, b: dict) -> dict:
@@ -516,8 +525,9 @@ class TensorElem:
 
     def apply_delta(self, leg: int, delta_mono=None) -> "TensorElem":
         """Replace one leg by its coproduct, producing legs+1.  A coefficient
-        c meets zeta^k from a per-term table, so zeta^0 costs no product."""
-        dm = delta_mono or self.alg.delta_mono
+        c meets zeta^k from a per-term table of rotations, and a structure
+        constant from the algebra's memo of products."""
+        dm, const = delta_mono or self.alg.delta_mono, self.alg.const_product
 
         def terms():
             for t, c in self.terms.items():
@@ -526,7 +536,7 @@ class TensorElem:
                     z = rot.get(k)
                     if z is None:
                         z = rot[k] = c.times_root(k)
-                    yield t[:leg] + u + t[leg + 1:], z if cu is None else z * cu
+                    yield t[:leg] + u + t[leg + 1:], z if cu is None else const(z, cu)
 
         return TensorElem(self.alg, self.legs + 1, accumulate(terms()))
 
@@ -629,41 +639,26 @@ def verify_hopf(p: int, *, break_delta_e: bool = False, alg: QuantumAlgebra | No
     def delta_of(elem: AlgElem) -> TensorElem:
         return TensorElem(alg, 1, {(t,): c for t, c in elem.terms.items()}).apply_delta(0, delta_mono)
 
-    basis = alg.monos
-    # Delta of each basis monomial, built on first use and shared by the
-    # coassociativity, counit and antipode checks
-    delta_t = lru_cache(maxsize=None)(lambda t: delta_of(AlgElem(alg, {t: alg.field.one})))
-
-    ok = True
+    # one pass over the basis: Delta of each monomial serves the
+    # coassociativity, counit and antipode checks, and each axiom stops
+    # being checked at its first failure
+    basis, one = alg.monos, alg.field.one
+    first_failure = {"coassociativity": None, "counit_law": None, "antipode_law": None}
     for t in basis:
-        d = delta_t(t)
-        lhs = d.apply_delta(0, delta_mono)
-        rhs = d.apply_delta(1, delta_mono)
-        if lhs != rhs:
-            ok = False
-            failures.append(f"coassociativity fails on {t}")
-            break
-    axioms["coassociativity"] = ok
-
-    ok = True
-    for t in basis:
-        el = AlgElem(alg, {t: alg.field.one})
-        d = delta_t(t)
-        if d.apply_counit(0) != el or d.apply_counit(1) != el:
-            ok = False
-            failures.append(f"counit law fails on {t}")
-            break
-    axioms["counit_law"] = ok
-
-    ok = True
-    for t in basis:
-        d = delta_t(t)
-        target = alg.one_el * (alg.field.one if QuantumAlgebra.counit_mono(t) else alg.field.zero)
-        if d.multiply_legs_with_antipode(0) != target or d.multiply_legs_with_antipode(1) != target:
-            ok = False
-            failures.append(f"antipode law fails on {t}")
-            break
-    axioms["antipode_law"] = ok
+        el = AlgElem(alg, {t: one})
+        d = delta_of(el)
+        if first_failure["coassociativity"] is None and d.apply_delta(0, delta_mono) != d.apply_delta(1, delta_mono):
+            first_failure["coassociativity"] = f"coassociativity fails on {t}"
+        if first_failure["counit_law"] is None and (d.apply_counit(0) != el or d.apply_counit(1) != el):
+            first_failure["counit_law"] = f"counit law fails on {t}"
+        if first_failure["antipode_law"] is None:
+            target = alg.one_el if QuantumAlgebra.counit_mono(t) else alg.zero_el
+            if d.multiply_legs_with_antipode(0) != target or d.multiply_legs_with_antipode(1) != target:
+                first_failure["antipode_law"] = f"antipode law fails on {t}"
+    for name, failure in first_failure.items():
+        axioms[name] = failure is None
+        if failure is not None:
+            failures.append(failure)
 
     # Delta is an algebra map: enough to check it on the generators and the
     # defining relations, plus a deterministic sample of monomial pairs.

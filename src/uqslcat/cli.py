@@ -51,7 +51,9 @@ def _max_p(args) -> int:
     return bound
 
 
-def _check_p(p: int, args) -> None:
+def _check_p(p: int | None, args, flag: str = "--family") -> None:
+    if p is None:  # --p is optional where a module file may give p instead
+        raise ValueError(f"{flag} needs --p")
     bound = _max_p(args)
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -141,7 +143,7 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.hopf:
-        _check_p(args.p, args)
+        _check_p(args.p, args, "--hopf")
         rep = verify_hopf(args.p)
         payload = {"p": args.p, "axioms": rep.axioms, "passed": rep.passed, "failures": rep.failures}
         lines = [f"{k}: {'pass' if v else 'FAIL'}" for k, v in rep.axioms.items()]

@@ -6,14 +6,19 @@ An element is stored as an integer coefficient vector modulo the N-th
 cyclotomic polynomial together with a common positive denominator, always
 gcd-reduced, so equality is literal equality of the representation.
 
-Products share one kernel (`_mul_into`, then `_reduce`): `__mul__`, the
-sum of products `dot` and the update x - f*y `sub_mul` each reduce modulo
-Phi_N and normalize once; the canonical form makes sums order-free.
-
-A product by a root of unity zeta^k is a rotation (`times_root`): the
-coefficient vector is spread over the field's table of the power-basis
-vectors of zeta^0 .. zeta^(N-1), with no product of vectors and no gcd,
-since zeta is a unit of Z[zeta] and keeps the content.
+The kernel routines, each of which reduces modulo Phi_N and normalizes
+once (the canonical form makes sums order-free):
+- `__mul__`, the sum of products `dot` and the update x - f*y `sub_mul`
+  multiply coefficient vectors into an unreduced accumulator (`_mul_into`)
+  and fold it with the reduction rows of Phi_N (`_reduce`);
+- the phased sum `dot_phased` of x * y * zeta^k adds each product into
+  the slots of zeta^0 .. zeta^(N-1), since zeta^N = 1, and folds them with
+  the field's table of the power-basis vectors of those powers
+  (`CycField.root_vecs`);
+- a product by a root of unity zeta^k is a rotation (`times_root`): the
+  coefficient vector is spread over the same table, with no product of
+  vectors and no gcd, since zeta is a unit of Z[zeta] and keeps the
+  content.
 
 Rational operands take a path on plain integers: when the coefficient tail
 num[1:] of every operand is zero (`CycField.ztail`), `__mul__`, `dot`,
@@ -157,7 +162,7 @@ class CycField:
 
     def root_vecs(self) -> list[tuple[tuple[int, int], ...]]:
         """The power-basis vector of zeta^j for j = 0 .. N-1, as its nonzero
-        (index, coefficient) pairs; built on the first rotation."""
+        (index, coefficient) pairs; built on first use."""
         if self._root_vecs is None:
             vec, out = [1] + [0] * (self.degree - 1), []
             for _ in range(self.order):
@@ -229,6 +234,39 @@ def _dot_vec(field: CycField, acc: list[int], den: int, pairs) -> "CycNum":
             an = [a * (den // d) for a in an]
         _mul_into(acc, an, y.num)
     return _reduce(field, acc, den)
+
+
+def dot_phased(field: CycField, triples) -> "CycNum":
+    """The sum of x * y * zeta^k over the (x, y, k) triples of elements of
+    field and integers.  Since zeta^N = 1, the product of x_i zeta^i and
+    y_j zeta^j lands in slot (i + j + k) mod N of an N-slot accumulator,
+    kept unfolded over 3N slots; the slots are folded once at the end with
+    the power-basis vectors of zeta^m (`CycField.root_vecs`), over one
+    common denominator, and normalized once."""
+    n, den = field.order, 1
+    acc = [0] * (3 * n)
+    for x, y, k in triples:
+        if x.field is not field or y.field is not field:
+            raise ValueError(f"mismatched cyclotomic orders {x.order} and {y.order} in a sum over {field}")
+        d, an, bn = x.den * y.den, x.num, y.num
+        if d != den:
+            if den % d:
+                new = math.lcm(den, d)
+                acc, den = [c * (new // den) for c in acc], new
+            if d != den:
+                an = [a * (den // d) for a in an]
+        for i, a in enumerate(an, k % n):
+            if a:
+                for j, b in enumerate(bn, i):
+                    if b:
+                        acc[j] += a * b
+    out = [0] * field.degree
+    for m, vec in enumerate(field.root_vecs()):
+        c = acc[m] + acc[m + n] + acc[m + 2 * n]
+        if c:
+            for i, v in vec:
+                out[i] += c * v
+    return _make(field, out, den)
 
 
 def sub_mul(x: "CycNum", f: "CycNum", y: "CycNum") -> "CycNum":

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from uqslcat import linalg
+from uqslcat import algebra, linalg
 from uqslcat.algebra import (AlgElem, QuantumAlgebra, TensorElem, _delta_monomial,
                              antipode, base_algebra, casimir, center_basis,
                              coproduct, counit, extended_algebra, verify_hopf)
@@ -346,6 +346,25 @@ def test_grouped_products_and_coproducts_equal_streaming_reference():
     for _ in range(2):
         da, db = coproduct(rich_elem(alg, rng, 3)), coproduct(rich_elem(alg, rng, 3))
         assert (da * db).terms == streaming_products(alg, da.terms, db.terms, streaming_legs(alg))
+
+
+def test_product_memo_is_bounded(monkeypatch):
+    # a bound far below the distinct products of the checks: the memo is
+    # emptied when full, never exceeds the bound, and the results stay right
+    monkeypatch.setattr(algebra, "PRODUCT_MEMO_SIZE", 16)
+    alg, sizes = QuantumAlgebra(3), []
+    const_product = alg.const_product
+
+    def spy(x, c):
+        z = const_product(x, c)
+        assert z == x * c
+        sizes.append(len(alg._products))
+        return z
+
+    alg.const_product = spy
+    assert verify_hopf(3, alg=alg).passed
+    assert max(sizes) == 16 and sizes.count(1) > 1
+    assert center_basis(3, alg=alg) and max(sizes) == 16
 
 
 def test_negative_tensor_power_is_rejected():

@@ -100,6 +100,14 @@ def test_verify_module_and_hopf(capsys):
     assert code == 0 and "all axioms pass" in out
 
 
+@pytest.mark.parametrize("argv, flag", [(["verify", "--hopf"], "--hopf"), (["verify", "--family", "X+:1"], "--family"),
+                                        (["decompose", "--family", "Reg"], "--family"),
+                                        (["blocks", "--family", "X+:1"], "--family")])
+def test_a_missing_p_exits_one_with_one_line(capsys, argv, flag):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 1 and out == "" and err == f"error: {flag} needs --p\n"
+
+
 def test_domain_errors_exit_one(capsys):
     code, _, err = run_capture(capsys, ["build", "--p", "3", "--family", "X+:4"])
     assert code == 1 and "1 <= s <= p" in err

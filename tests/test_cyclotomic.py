@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uqslcat import linalg
-from uqslcat.cyclotomic import (CycField, CycNum, cyclotomic_polynomial, dot,
+from uqslcat.cyclotomic import (CycField, CycNum, cyclotomic_polynomial, dot, dot_phased,
                                 parse_cyc, q_parameter, qint, sub_mul)
 
 ORDERS = [4, 6, 8, 10, 12]
@@ -216,6 +216,32 @@ def test_rotation_equals_product_by_root_of_unity(order, k, data):
     y, z = x.times_root(k), x * field.root_of_unity(k)
     assert same_bits(y, z)
     assert (y is field.zero) == (z is field.zero) == (x is field.zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), st.data())
+def test_dot_phased_equals_sum_of_rotated_products(order, data):
+    # the phases run below zero and above the order; the elements mix
+    # denominators and 200-bit numerators, and the list may be empty
+    field = CycField(order)
+    triples = data.draw(st.lists(st.tuples(kernel_elements(field), kernel_elements(field), st.integers(-60, 60)),
+                                 max_size=7))
+    naive = field.zero
+    for x, y, k in triples:
+        naive = naive + (x * y).times_root(k)
+    assert same_bits(dot_phased(field, triples), naive)
+    assert (dot_phased(field, triples) is field.zero) == (naive is field.zero)
+    # each term cancelled by its negative, one full turn of the phase apart
+    assert dot_phased(field, triples + [(-x, y, k + order) for x, y, k in triples]) is field.zero
+
+
+def test_dot_phased_rejects_a_foreign_field():
+    f4, f6 = CycField(4), CycField(6)
+    for a, b in ((f4.gen(), f6.gen()), (f4.one, f6.one)):
+        for triples in ([(a, b, 0)], [(b, a, 1)], [(a, a, 2), (b, b, 3)]):
+            with pytest.raises(ValueError, match="mismatched cyclotomic orders"):
+                dot_phased(f4, triples)
+    assert dot_phased(f4, []) is f4.zero
 
 
 @st.composite
