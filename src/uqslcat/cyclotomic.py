@@ -6,8 +6,8 @@ An element is stored as an integer coefficient vector modulo the N-th
 cyclotomic polynomial together with a common positive denominator, always
 gcd-reduced, so equality is literal equality of the representation.
 
-The kernel routines, each of which reduces modulo Phi_N and normalizes
-once (the canonical form makes sums order-free):
+The kernel routines (the products and sums among them reduce modulo Phi_N
+and normalize once; the canonical form makes sums order-free):
 - `__mul__`, the sum of products `dot` and the update x - f*y `sub_mul`
   multiply coefficient vectors into an unreduced accumulator (`_mul_into`)
   and fold it with the reduction rows of Phi_N (`_reduce`);
