@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +10,14 @@ from uqslcat import linalg
 from uqslcat.category import (IndecLabel, block_decompose, decompose, ext_basis_x,
                               ext_dim, find_isomorphism, hom_space,
                               minimal_resolution, projective_cover,
-                              radical_series, semisimple_length, socle, yoneda)
+                              radical_series, resolution_of_irreducible,
+                              semisimple_length, socle, yoneda)
 from uqslcat.kronecker import classify, functor_F
 from uqslcat.qmodules import (CP1, QMod, build_m2, build_o1, build_p, build_w2,
                               direct_sum, irreducible, regular_module, tensor,
                               verify_module)
+
+EXT_DEPTH = {2: 8, 3: 8, 4: 6, 5: 5}  # the degrees to which the Ext table of the benchmark resolves
 
 
 def test_hom_dimensions():
@@ -416,3 +422,54 @@ def test_decompose_rejects_non_module():
     m = QMod(x.p, mat_e, x.mat_f, x.weights, field=x.field)
     with pytest.raises(ValueError):
         decompose(m)
+
+
+# -- pinned outputs of the resolutions ---------------------------------------------------
+
+
+def pinned_resolutions():
+    """(name, resolution, length) for every irreducible at p = 2..5 to the
+    depth of the Ext table, and for W_1(3), M_1(3) and O_1(2, 1:1) of both
+    signs at p = 2..4 to length 4."""
+    out = [(f"X{a:+d}_{s}/p{p}", resolution_of_irreducible(p, a, s, n), n)
+           for p, n in EXT_DEPTH.items() for a in (1, -1) for s in range(1, p + 1)]
+    for p in (2, 3, 4):
+        for a in (1, -1):
+            for lbl in (IndecLabel("W", a, 1, 3), IndecLabel("M", a, 1, 3),
+                        IndecLabel("O", a, 1, 2, CP1.of(p, 1, 1))):
+                out.append((f"{lbl}/p{p}", minimal_resolution(lbl.rebuild(p), 4), 4))
+    return out
+
+
+def resolution_digests() -> dict[str, str]:
+    """sha256 of the content, augmentation and boundaries of the pinned
+    resolutions, of the cover of Reg(3), and of the cocycles of the
+    degree-one generators and of the alternating Yoneda words to degree 6."""
+    def digest(value) -> str:
+        return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+    mat = lambda a: [[x.to_json() for x in row] for row in a]
+    out = {}
+    for name, res, n in pinned_resolutions():  # cut at n: a cached resolution may reach further
+        out[name] = digest({"content": res.content[:n + 1], "augmentation": mat(res.augmentation),
+                            "boundaries": [mat(b) for b in res.boundaries[:n]]})
+    cover, sur, content = projective_cover(regular_module(3))
+    out["cover_reg3"] = digest({"cover": cover.to_json(), "map": mat(sur), "content": content})
+    for p in (2, 3):
+        for s in range(1, p):
+            gens = ext_basis_x(p, 1, s)
+            out[f"ext_basis/p{p}/s{s}"] = digest({f"{sign}/{i}": mat(c.cocycle) for (sign, i), c in gens.items()})
+            words = []
+            for index in (1, 2):
+                w = gens[(1, index)]
+                for degree in range(2, 7):
+                    w = yoneda(gens[(-1 if degree % 2 == 0 else 1, index)], w)
+                    words.append(mat(w.cocycle))
+            out[f"yoneda_words/p{p}/s{s}"] = digest(words)
+    return out
+
+
+def test_resolution_outputs_are_pinned():
+    # recorded before the syzygies were covered inside their terms
+    digests = json.loads((Path(__file__).parent / "data" / "resolution_sha256.json").read_text())
+    assert resolution_digests() == digests
