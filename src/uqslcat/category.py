@@ -23,10 +23,14 @@ Minimal projective resolutions are built by iterating projective
 covers, which solve for no intertwiner either: the cover of a simple is
 cyclic on its top vector, so its maps into a module are the top-weight
 vectors of its Casimir block, and those outside F M + E^s M generate a
-minimal cover.  Since covers are minimal, Hom(-, simple) kills all
-differentials and Ext dimensions are the multiplicities in the terms;
-Yoneda products lift cocycles through the resolutions as chain maps,
-solved degree by degree over those same top-vector maps.
+minimal cover.  Each syzygy is covered inside the term that holds it,
+where it is kept as null vectors at each weight, so the cover map is the
+next boundary; each boundary block is row-reduced once, for the next
+syzygy and for the rank that the exactness check reuses.  Since covers
+are minimal, Hom(-, simple) kills all differentials and Ext dimensions
+are the multiplicities in the terms; Yoneda products lift cocycles
+through the resolutions as chain maps, solved degree by degree over
+those same top-vector maps.
 
 Every step works one weight space at a time.  A module's own grading (its
 weight spaces, q and the weight blocks of E and F) is what the QMod stores,
@@ -315,15 +319,17 @@ def _projective_generators(m: QMod, top: int) -> list[list[CycNum]]:
             if socle.add(m.apply("F", m.apply("E", v)))]
 
 
-def _top_radical(m: QMod, a: int, s: int) -> linalg.RowSpace:
+def _top_radical(m: QMod, a: int, s: int, span=None) -> linalg.RowSpace:
     """rad(m) at the top weight lambda = a q^(s-1) of X^a_s, in the Casimir
     block of X^a_s: F M_(lambda q^2) + E^s M_(lambda q^(-2s)), where
-    lambda q^(-2s) is the top weight of the opposite simple X^(-a)_(p-s)."""
+    lambda q^(-2s) is the top weight of the opposite simple X^(-a)_(p-s);
+    or the same for the submodule of m with the vectors span[mu] at mu."""
     lam = irreducible_weights(m.p, a, s)[0]
     radical = linalg.RowSpace(m.field, m.dim)
-    for v in weight_vectors(m, m.shift(lam, "E")):
+    at = (lambda mu: weight_vectors(m, mu)) if span is None else (lambda mu: span.get(mu, []))
+    for v in at(m.shift(lam, "E")):
         radical.add(m.apply("F", v))
-    for v in weight_vectors(m, m.shift(lam, "F", s)):
+    for v in at(m.shift(lam, "F", s)):
         for _ in range(s):
             v = m.apply("E", v)
         radical.add(v)
@@ -378,6 +384,7 @@ def _classify_part(m: QMod, emb, sign: int, s_top: int, v0, v1) -> list[tuple[In
 # -- projective covers and minimal resolutions ------------------------------------------
 
 
+@lru_cache(maxsize=40)  # as _resolution; a QMod is immutable, so callers share it
 def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
     """The projective cover of X^a_s with the index of its top vector: P^a_s
     with b_0, or the Steinberg module X^a_p with its highest-weight vector."""
@@ -386,13 +393,17 @@ def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
     return build_p(p, a, s), s
 
 
-def _top_vectors(m: QMod, a: int, s: int) -> list[list[CycNum]]:
+def _top_vectors(m: QMod, a: int, s: int, span=None) -> list[list[CycNum]]:
     """A basis of the images of the top vector under Hom(cover of X^a_s, m):
     the vectors of weight lambda = a q^(s-1) in the Casimir block of X^a_s,
-    where m can meet other blocks too, as the kernel of casimir_nil on that
-    weight space."""
+    where m can meet other blocks too, as the null space of casimir_nil on
+    the vectors of that weight of m, or of its submodule span (_top_radical)."""
     lam, j = irreducible_weights(m.p, a, s)[0], s if a > 0 else m.p - s
-    return graded_kernel(m, {lam: casimir_nil(m, lam, [j])[j]} if lam in m.spaces else {})
+    cols = linalg.transpose(weight_vectors(m, lam) if span is None else span.get(lam, []))  # m.dim x n
+    if not cols:
+        return []
+    nil = linalg.mat_mul(casimir_nil(m, lam, [j])[j], [cols[i] for i in m.spaces[lam]])
+    return [linalg.mat_vec(cols, c) for c in linalg.nullspace(nil)]
 
 
 def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], int]]]:
@@ -404,27 +415,33 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
     return _graded_cover(m)[:3]
 
 
-def _graded_cover(m: QMod):
-    """projective_cover with the weight blocks of its surjection."""
+def _graded_cover(m: QMod, span=None, casimir=None):
+    """projective_cover, with the weight blocks of its map and their null
+    spaces from one elimination each; given span (see _top_radical), the
+    cover into m of that submodule, from tops in the Casimir blocks casimir,
+    whose surjectivity Resolution._verify_step checks."""
     cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
     for a in (1, -1):
         for s in range(1, m.p + 1):
-            tops = _top_vectors(m, a, s)
+            if casimir is not None and (s if a > 0 else m.p - s) not in casimir:
+                continue
+            tops = _top_vectors(m, a, s, span)
             if not tops:
                 continue
-            radical = _top_radical(m, a, s)
+            radical = _top_radical(m, a, s, span)
             gens = [v for v in tops if radical.add(v)]
             if gens:
                 pmod, top = _cover_of_simple(m.p, a, s)
                 cover_mods += [pmod] * len(gens)
                 cover_maps += maps_from_generator(pmod, top, m, gens)
                 content.append(((a, s), len(gens)))
-    cover = direct_sum(*cover_mods) if cover_mods else submodule(m, [])[0]
+    cover = direct_sum(*cover_mods) if cover_mods else QMod._from_blocks(m.p, m.field, [], {}, {})
     sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
     blocks = _graded(sur, m.spaces, cover.spaces, "cover map is not graded")
-    if sum(linalg.rank(blk) for blk in blocks.values()) != m.dim:
+    kernel = {lam: graded_kernel(cover, {lam: blk}) for lam, blk in blocks.items()}
+    if span is None and cover.dim - sum(map(len, kernel.values())) != m.dim:
         raise ClassificationError("cover map is not surjective")
-    return cover, sur, content, blocks
+    return cover, sur, content, blocks, kernel
 
 
 @dataclass
@@ -434,7 +451,7 @@ class Resolution:
     content: list[list[tuple[tuple[int, int], int]]] = dc_field(default_factory=list)
     boundaries: list = dc_field(default_factory=list)  # d_k: terms[k] -> terms[k-1], k >= 1
     augmentation: list = dc_field(default_factory=list)  # terms[0] -> module
-    _kernel: tuple | None = None  # (the kernel of the newest map, its embedding)
+    _kernel: dict = dc_field(default_factory=dict)  # weight -> the kernel of the newest map there
     _newest_blocks: dict = dc_field(default_factory=dict)  # weight blocks of the newest map
 
     def length(self) -> int:
@@ -443,33 +460,29 @@ class Resolution:
     def extend_to(self, length: int) -> "Resolution":
         if length < 0:
             raise ValueError("length must be >= 0")
-        while self.length() < length:  # cover the newest kernel, or the module itself
-            src, emb = self._kernel if self.terms else (self.module, None)
-            term, cover_map, content, blocks = _graded_cover(src)
+        while self.length() < length:  # cover the module, or the newest kernel inside its term
+            if not self.terms:
+                term, self.augmentation, content, blocks, kernel = _graded_cover(self.module)
+            else:
+                casimir = {s if a > 0 else self.module.p - s for (a, s), _ in self.content[-1]}
+                term, boundary, content, blocks, kernel = _graded_cover(self.terms[-1], self._kernel, casimir)
+                self.boundaries.append(boundary)
+                self._verify_step(term, blocks, kernel)
             self.terms.append(term)
             self.content.append(content)
-            self._kernel = submodule(term, graded_kernel(term, blocks))
-            if emb is None:
-                self.augmentation, self._newest_blocks = cover_map, blocks
-            else:  # the boundary to the previous term, through the kernel it covers
-                self.boundaries.append(linalg.mat_mul(emb, cover_map) if src.dim else
-                                       [[] for _ in range(self.terms[-2].dim)])
-                self._verify_step()
+            self._kernel, self._newest_blocks = kernel, blocks
         return self
 
-    def _verify_step(self) -> None:
-        """d_(k-1) d_k = 0 and exactness at the newest step k, per weight,
-        with the blocks of d_(k-1) (or of the augmentation) kept from before."""
-        k = len(self.terms) - 1
-        mid, prev = self.terms[k - 1].spaces, self._newest_blocks
-        cur = _graded(self.boundaries[k - 1], mid, self.terms[k].spaces, "resolution map is not graded")
-        for lam, idx in mid.items():
+    def _verify_step(self, term: QMod, cur: dict, kernel: dict) -> None:
+        """d_(k-1) d_k = 0 and exactness at the newest term, per weight: rank d_k is
+        the nullity of d_(k-1), each read off the elimination of its block."""
+        mid, prev = self.terms[-1].spaces, self._newest_blocks
+        for lam in mid:
             blk = cur.get(lam, [])
             if blk and prev[lam] and not linalg.is_zero_mat(linalg.mat_mul(prev[lam], blk)):
                 raise ClassificationError("boundary composition is nonzero")
-            if linalg.rank(prev[lam]) + linalg.rank(blk) != len(idx):
+            if len(term.spaces.get(lam, ())) - len(kernel.get(lam, ())) != len(self._kernel[lam]):
                 raise ClassificationError("resolution is not exact")
-        self._newest_blocks = cur
 
 
 @lru_cache(maxsize=40)  # every irreducible at p = 2..6, the CLI's default bound on p

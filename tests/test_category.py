@@ -6,16 +6,16 @@ from pathlib import Path
 import pytest
 
 from conftest import sample_zs, scramble
-from uqslcat import linalg
+from uqslcat import category, linalg, qmodules
 from uqslcat.category import (IndecLabel, block_decompose, decompose, ext_basis_x,
                               ext_dim, find_isomorphism, hom_space,
                               minimal_resolution, projective_cover,
                               radical_series, resolution_of_irreducible,
                               semisimple_length, socle, yoneda)
-from uqslcat.kronecker import classify, functor_F
+from uqslcat.kronecker import ClassificationError, classify, functor_F
 from uqslcat.qmodules import (CP1, QMod, build_m2, build_o1, build_p, build_w2,
                               direct_sum, irreducible, regular_module, tensor,
-                              verify_module)
+                              verify_module, weight_blocks)
 
 EXT_DEPTH = {2: 8, 3: 8, 4: 6, 5: 5}  # the degrees to which the Ext table of the benchmark resolves
 
@@ -309,10 +309,11 @@ def test_ext_dim_rejects_malformed_irreducibles():
 
 
 def test_resolution_cache_is_bounded():
-    from uqslcat.category import _resolution, resolution_of_irreducible
+    from uqslcat.category import _cover_of_simple, _resolution
 
     bound = _resolution.cache_info().maxsize
     assert bound == sum(2 * p for p in range(2, 7))  # every irreducible up to p = 6
+    assert _cover_of_simple.cache_info().maxsize == bound
     keys = [(p, a, s) for p in range(2, 8) for a in (1, -1) for s in range(1, p + 1)]
     assert len(keys) > bound
     for key in keys:
@@ -323,6 +324,86 @@ def test_resolution_cache_is_bounded():
             for n in range(4):
                 assert ext_dim(p, (1, s), (1, s), n) == (n + 1 if n % 2 == 0 else 0)
                 assert ext_dim(p, (1, s), (-1, p - s), n) == (n + 1 if n % 2 == 1 else 0)
+
+
+def _break_one_image(monkeypatch, which, image):
+    """Make the which-th call of maps_from_generator in the category module
+    send its first generator to image(dst, v) instead of v."""
+    real, calls = category.maps_from_generator, []
+
+    def spy(src, gen, dst, images):
+        calls.append(dst)
+        images = list(images)
+        if len(calls) == which:
+            images[0] = image(dst, images[0])
+        return real(src, gen, dst, images)
+
+    monkeypatch.setattr(category, "maps_from_generator", spy)
+
+
+def test_projective_cover_rejects_a_map_that_misses_a_generator(monkeypatch):
+    _break_one_image(monkeypatch, 1, lambda dst, v: [dst.field.zero] * dst.dim)
+    with pytest.raises(ClassificationError, match="^cover map is not surjective$"):
+        projective_cover(irreducible(3, 1, 1))
+
+
+def test_resolution_step_rejects_a_boundary_that_misses_a_generator(monkeypatch):
+    # the augmentation (call 1) is sound; step 1 (call 2) loses one generator
+    _break_one_image(monkeypatch, 2, lambda dst, v: [dst.field.zero] * dst.dim)
+    with pytest.raises(ClassificationError, match="not exact|not surjective"):
+        minimal_resolution(irreducible(3, 1, 1), 2)
+
+
+def test_resolution_step_rejects_a_generator_outside_the_kernel(monkeypatch):
+    # step 2 sends one of its generators to a vector of the term at the same
+    # weight that d_1 does not kill
+    d1 = minimal_resolution(irreducible(3, 1, 1), 2).boundaries[0]
+
+    def outside(dst, v):
+        lam = dst.weights[next(i for i, x in enumerate(v) if x)]
+        i = next(i for i in dst.spaces[lam] if any(row[i] for row in d1))
+        return [dst.field.one if j == i else x for j, x in enumerate(v)]
+
+    _break_one_image(monkeypatch, 3, outside)
+    with pytest.raises(ClassificationError, match="^boundary composition is nonzero$"):
+        minimal_resolution(irreducible(3, 1, 1), 2)
+
+
+def test_resolution_maps_are_module_maps(monkeypatch):
+    # the augmentation and every boundary keep weight and intertwine E and F
+    # block by block; no resolution step builds a submodule
+    def intertwines(mat, src, dst):
+        blocks = weight_blocks(mat, dst.spaces, src.spaces)
+        if blocks is None:
+            return False
+        for gen in ("E", "F"):
+            for lam, blk in blocks.items():  # dst's gen after blk against blk after src's gen, M_lam -> N_mu
+                mu = src.shift(lam, gen)
+                zero = linalg.zeros(src.field, len(dst.spaces.get(mu, ())), len(src.spaces[lam]))
+                left = linalg.mat_mul(dst.blocks(gen)[lam], blk) if blk else []
+                right = linalg.mat_mul(blocks[mu], src.blocks(gen)[lam]) if blocks.get(mu) else []
+                if not linalg.mat_eq(left or zero, right or zero):
+                    return False
+        return True
+
+    checked = 0
+    for name, res, n in pinned_resolutions():
+        maps = [(res.augmentation, res.terms[0], res.module)]
+        maps += [(res.boundaries[k - 1], res.terms[k], res.terms[k - 1]) for k in range(1, n + 1)]
+        for mat, src, dst in maps:
+            assert intertwines(mat, src, dst), name
+            checked += bool(src.dim)
+    assert checked > 200
+    broken = linalg.mat_copy(res.boundaries[0])
+    broken[0][0] = broken[0][0] + res.module.field.one
+    assert not intertwines(broken, res.terms[1], res.terms[0])
+
+    def no_submodule(*args):
+        raise AssertionError("a resolution step built a submodule")
+
+    monkeypatch.setattr(category, "submodule", no_submodule)
+    monkeypatch.setattr(qmodules, "submodule", no_submodule)
+    assert minimal_resolution(irreducible(4, -1, 1), 4).content[4] == [((-1, 1), 5)]
 
 
 def test_shared_resolutions_are_left_as_they_were():
