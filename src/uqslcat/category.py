@@ -23,14 +23,13 @@ Minimal projective resolutions are built by iterating projective
 covers, which solve for no intertwiner either: the cover of a simple is
 cyclic on its top vector, so its maps into a module are the top-weight
 vectors of its Casimir block, and those outside F M + E^s M generate a
-minimal cover.  Each syzygy is covered inside the term that holds it,
-where it is kept as null vectors at each weight, so the cover map is the
-next boundary; each boundary block is row-reduced once, for the next
-syzygy and for the rank that the exactness check reuses.  Since covers
-are minimal, Hom(-, simple) kills all differentials and Ext dimensions
-are the multiplicities in the terms; Yoneda products lift cocycles
-through the resolutions as chain maps, solved degree by degree over
-those same top-vector maps.
+minimal cover.  Each syzygy is covered inside the term that holds it, as
+null vectors at each weight, so the cover map is the next boundary; each
+boundary block is row-reduced once, for the next syzygy and for the rank
+that the exactness check reuses.  Since covers are minimal, Hom(-, simple)
+kills all differentials and Ext dimensions are the multiplicities in the
+terms; Yoneda products lift cocycles through the resolutions as chain
+maps, solved degree by degree over those same top-vector maps.
 
 Every step works one weight space at a time.  A module's own grading (its
 weight spaces, q and the weight blocks of E and F) is what the QMod stores,
@@ -41,7 +40,7 @@ and E and F act on vectors through QMod.apply; only module maps
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import linalg
 from .cyclotomic import CycField, CycNum, dot
@@ -319,17 +318,16 @@ def _projective_generators(m: QMod, top: int) -> list[list[CycNum]]:
             if socle.add(m.apply("F", m.apply("E", v)))]
 
 
-def _top_radical(m: QMod, a: int, s: int, span=None) -> linalg.RowSpace:
-    """rad(m) at the top weight lambda = a q^(s-1) of X^a_s, in the Casimir
-    block of X^a_s: F M_(lambda q^2) + E^s M_(lambda q^(-2s)), where
-    lambda q^(-2s) is the top weight of the opposite simple X^(-a)_(p-s);
-    or the same for the submodule of m with the vectors span[mu] at mu."""
+def _top_radical(m: QMod, a: int, s: int, span) -> linalg.RowSpace:
+    """rad(N) at the top weight lambda = a q^(s-1) of X^a_s, in the Casimir block of
+    X^a_s, for the submodule N of m that span(mu) spans at each weight mu (all of m
+    for partial(weight_vectors, m)): F N_(lambda q^2) + E^s N_(lambda q^(-2s)), where
+    lambda q^(-2s) is the top weight of the opposite simple X^(-a)_(p-s)."""
     lam = irreducible_weights(m.p, a, s)[0]
     radical = linalg.RowSpace(m.field, m.dim)
-    at = (lambda mu: weight_vectors(m, mu)) if span is None else (lambda mu: span.get(mu, []))
-    for v in at(m.shift(lam, "E")):
+    for v in span(m.shift(lam, "E")):
         radical.add(m.apply("F", v))
-    for v in at(m.shift(lam, "F", s)):
+    for v in span(m.shift(lam, "F", s)):
         for _ in range(s):
             v = m.apply("E", v)
         radical.add(v)
@@ -349,7 +347,7 @@ def _decompose_length_two(m: QMod, emb, s_block: int) -> list[tuple[IndecLabel, 
     these two sets of vectors."""
     p = m.p
     tops = {1: s_block, -1: p - s_block}
-    radicals = {sign: _top_radical(m, sign, s_top) for sign, s_top in tops.items()}
+    radicals = {sign: _top_radical(m, sign, s_top, partial(weight_vectors, m)) for sign, s_top in tops.items()}
     socles = {sign: radicals[-sign].basis() for sign in tops}
     out = []
     dims = 0
@@ -393,13 +391,13 @@ def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
     return build_p(p, a, s), s
 
 
-def _top_vectors(m: QMod, a: int, s: int, span=None) -> list[list[CycNum]]:
-    """A basis of the images of the top vector under Hom(cover of X^a_s, m):
-    the vectors of weight lambda = a q^(s-1) in the Casimir block of X^a_s,
-    where m can meet other blocks too, as the null space of casimir_nil on
-    the vectors of that weight of m, or of its submodule span (_top_radical)."""
+def _top_vectors(m: QMod, a: int, s: int, span) -> list[list[CycNum]]:
+    """A basis of the images of the top vector under Hom(cover of X^a_s, N),
+    for the submodule N of m that span spans (see _top_radical): the vectors
+    of N of weight lambda = a q^(s-1) in the Casimir block of X^a_s, where N
+    can meet other blocks too, as the null space of casimir_nil on them."""
     lam, j = irreducible_weights(m.p, a, s)[0], s if a > 0 else m.p - s
-    cols = linalg.transpose(weight_vectors(m, lam) if span is None else span.get(lam, []))  # m.dim x n
+    cols = linalg.transpose(span(lam))  # m.dim x n
     if not cols:
         return []
     nil = linalg.mat_mul(casimir_nil(m, lam, [j])[j], [cols[i] for i in m.spaces[lam]])
@@ -412,18 +410,17 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
     cyclic on its top vector, so its maps into m are the _top_vectors of m,
     and those independent modulo the _top_radical generate the summands of
     the cover, one per copy of X^a_s in the top of m."""
-    return _graded_cover(m)[:3]
+    return _graded_cover(m, partial(weight_vectors, m), range(m.p + 1))[:3]
 
 
-def _graded_cover(m: QMod, span=None, casimir=None):
-    """projective_cover, with the weight blocks of its map and their null
-    spaces from one elimination each; given span (see _top_radical), the
-    cover into m of that submodule, from tops in the Casimir blocks casimir,
-    whose surjectivity Resolution._verify_step checks."""
+def _graded_cover(m: QMod, span, casimir):
+    """The cover of the submodule of m that span spans (see _top_radical),
+    from tops in the Casimir blocks casimir, as a map into m, with the weight
+    blocks of that map and their null spaces from one elimination each."""
     cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
     for a in (1, -1):
         for s in range(1, m.p + 1):
-            if casimir is not None and (s if a > 0 else m.p - s) not in casimir:
+            if (s if a > 0 else m.p - s) not in casimir:
                 continue
             tops = _top_vectors(m, a, s, span)
             if not tops:
@@ -439,7 +436,7 @@ def _graded_cover(m: QMod, span=None, casimir=None):
     sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
     blocks = _graded(sur, m.spaces, cover.spaces, "cover map is not graded")
     kernel = {lam: graded_kernel(cover, {lam: blk}) for lam, blk in blocks.items()}
-    if span is None and cover.dim - sum(map(len, kernel.values())) != m.dim:
+    if cover.dim - sum(map(len, kernel.values())) != sum(len(span(mu)) for mu in m.spaces):
         raise ClassificationError("cover map is not surjective")
     return cover, sur, content, blocks, kernel
 
@@ -462,12 +459,14 @@ class Resolution:
             raise ValueError("length must be >= 0")
         while self.length() < length:  # cover the module, or the newest kernel inside its term
             if not self.terms:
-                term, self.augmentation, content, blocks, kernel = _graded_cover(self.module)
+                term, self.augmentation, content, blocks, kernel = _graded_cover(
+                    self.module, partial(weight_vectors, self.module), range(self.module.p + 1))
             else:
                 casimir = {s if a > 0 else self.module.p - s for (a, s), _ in self.content[-1]}
-                term, boundary, content, blocks, kernel = _graded_cover(self.terms[-1], self._kernel, casimir)
+                term, boundary, content, blocks, kernel = _graded_cover(
+                    self.terms[-1], lambda mu: self._kernel.get(mu, []), casimir)
+                self._verify_step(term, blocks, kernel)  # a step that fails leaves self as it was
                 self.boundaries.append(boundary)
-                self._verify_step(term, blocks, kernel)
             self.terms.append(term)
             self.content.append(content)
             self._kernel, self._newest_blocks = kernel, blocks
@@ -634,7 +633,8 @@ def _term_homs(content, dst: QMod) -> list:
     summands = []  # (dim of the cover, its maps into dst)
     for (a, s), mult in content:
         pmod, top = _cover_of_simple(dst.p, a, s)
-        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, _top_vectors(dst, a, s)))] * mult
+        tops = _top_vectors(dst, a, s, partial(weight_vectors, dst))
+        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, tops))] * mult
     width, zero = sum(d for d, _ in summands), dst.field.zero
     homs, off = [], 0
     for d, maps in summands:

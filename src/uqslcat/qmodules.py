@@ -264,14 +264,13 @@ def weight_blocks(mat, rows, cols) -> dict | None:
 def graded_kernel(src: QMod, blocks) -> list[list[CycNum]]:
     """The kernel of a map out of src from its blocks on the weight spaces
     of src: the null vectors of each block, lifted to vectors of src, in the
-    order of linalg.nullspace on the whole map (by their last nonzero, as
-    the null vectors of one block already are)."""
+    order of linalg.nullspace on the whole map (by their last nonzero)."""
     field, out = src.field, []
     for lam, blk in blocks.items():
         for v in linalg.nullspace(blk) if blk else linalg.identity(field, len(src.spaces[lam])):
             lift = dict(zip(src.spaces[lam], v))
             out.append([lift.get(i, field.zero) for i in range(src.dim)])
-    return sorted(out, key=lambda v: max(i for i, x in enumerate(v) if x)) if len(blocks) > 1 else out
+    return sorted(out, key=lambda v: max(i for i, x in enumerate(v) if x))
 
 
 @dataclass

@@ -364,9 +364,11 @@ def test_resolution_step_rejects_a_generator_outside_the_kernel(monkeypatch):
         i = next(i for i in dst.spaces[lam] if any(row[i] for row in d1))
         return [dst.field.one if j == i else x for j, x in enumerate(v)]
 
-    _break_one_image(monkeypatch, 3, outside)
+    res = category.Resolution(irreducible(3, 1, 1)).extend_to(1)
+    _break_one_image(monkeypatch, 1, outside)
     with pytest.raises(ClassificationError, match="^boundary composition is nonzero$"):
-        minimal_resolution(irreducible(3, 1, 1), 2)
+        res.extend_to(2)
+    assert (res.length(), len(res.boundaries)) == (1, 1)  # the failed step left no trace
 
 
 def test_resolution_maps_are_module_maps(monkeypatch):
