@@ -29,27 +29,34 @@ boundary block is row-reduced once, for the next syzygy and for the rank
 that the exactness check reuses.  Since covers are minimal, Hom(-, simple)
 kills all differentials and Ext dimensions are the multiplicities in the
 terms; Yoneda products lift cocycles through the resolutions as chain
-maps, solved degree by degree over those same top-vector maps.
+maps, solved degree by degree over those same top-vector maps.  A map out
+of a sum of covers is fixed by the images of their top vectors, so each
+lift is solved at those columns alone and then checked on the whole term.
 
 Every step works one weight space at a time.  A module's own grading (its
-weight spaces, q and the weight blocks of E and F) is what the QMod stores,
-and E and F act on vectors through QMod.apply; only module maps
-(certificates, cover maps, boundaries) are sliced here, by weight_blocks.
+weight spaces, q and the weight blocks of E and F) is what the QMod stores.
+Covers, resolution steps and chain lifts keep each vector in the
+coordinates of one weight space and move it through the weight blocks of E
+and F: a map out of a sum of covers is the images of their basis vectors,
+one weight space each, and a boundary's weight blocks are assembled from
+them.  Dense maps are built only to be returned (augmentations, boundaries,
+chain maps, the columns of a decomposition); only the certificate is
+sliced, by weight_blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
+from itertools import groupby
 
 from . import linalg
 from .cyclotomic import CycField, CycNum, dot
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
                         canonical_rep, classify, functor_G, glued_form)
-from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, casimir_nil, direct_sum, dual,
-                       family_label, graded_kernel, intertwiner_basis, irreducible, irreducible_weights,
-                       maps_from_generator, radical_series, socle_columns, submodule, weight_blocks,
-                       weight_vectors)
+from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, direct_sum, dual, family_label,
+                       intertwiner_basis, irreducible, irreducible_weights, maps_from_generator,
+                       radical_series, socle_columns, submodule, weight_blocks)
 from .qmodules import semisimple_length_of as semisimple_length
 
 
@@ -250,7 +257,9 @@ def _verify_certificate(m: QMod, entries, cert) -> None:
     if rebuilt.dim != m.dim or len(cert[0]) != m.dim:
         raise ClassificationError("certificate has wrong dimensions")
     theirs = rebuilt.spaces
-    blocks = _graded(cert, m.spaces, theirs, "certificate does not intertwine K")
+    blocks = weight_blocks(cert, m.spaces, theirs)
+    if blocks is None:
+        raise ClassificationError("certificate does not intertwine K")
     if any(len(blk) != len(theirs[lam]) or linalg.rank(blk) != len(blk) for lam, blk in blocks.items()):
         raise ClassificationError("certificate is not invertible")
     for gen in ("E", "F"):
@@ -259,15 +268,6 @@ def _verify_certificate(m: QMod, entries, cert) -> None:
             if (mu := m.shift(lam, gen)) in theirs and not linalg.mat_eq(
                     linalg.mat_mul(lhs[lam], blocks[lam]), linalg.mat_mul(blocks[mu], rhs[lam])):
                 raise ClassificationError(f"certificate does not intertwine {gen}")
-
-
-def _graded(mat, rows, cols, failure: str) -> dict:
-    """weight_blocks of a module map, raising ClassificationError(failure)
-    instead of None."""
-    blocks = weight_blocks(mat, rows, cols)
-    if blocks is None:
-        raise ClassificationError(failure)
-    return blocks
 
 
 def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
@@ -284,10 +284,10 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
     if bp.s in (0, p):
         a = 1 if bp.s == p else -1
         x = irreducible(p, a, p)
-        homs = maps_from_generator(x, 0, m, weight_vectors(m, x.weights[0]))
+        homs = maps_from_generator(x, 0, m, _weight_basis(m, x.weights[0]))
         if len(homs) * p != m.dim:
             raise ClassificationError("semisimple block of unexpected size")
-        return [(IndecLabel("X", a, p), linalg.mat_mul(bp.embedding, phi)) for phi in homs]
+        return [(IndecLabel("X", a, p), linalg.mat_mul(bp.embedding, _dense(m, x.weights, cols))) for cols in homs]
     out: list[tuple[IndecLabel, list]] = []
     dual_rows: list[list[CycNum]] = []
     dm = dual(m)
@@ -297,10 +297,10 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
         dual_gens = _projective_generators(dm, proj.weights[s])
         if len(gens) != len(dual_gens):
             raise ClassificationError("the module and its dual have different projective parts")
-        for phi in maps_from_generator(proj, s, m, gens):
-            out.append((IndecLabel("P", a, s), linalg.mat_mul(bp.embedding, phi)))
-        for psi in maps_from_generator(proj, s, dm, dual_gens):
-            dual_rows.extend(linalg.transpose(psi))
+        for cols in maps_from_generator(proj, s, m, gens):
+            out.append((IndecLabel("P", a, s), linalg.mat_mul(bp.embedding, _dense(m, proj.weights, cols))))
+        for cols in maps_from_generator(proj, s, dm, dual_gens):
+            dual_rows.extend(linalg.transpose(_dense(dm, proj.weights, cols)))
     rest, emb = m, bp.embedding
     if dual_rows:
         rest, rest_emb = submodule(m, linalg.nullspace(dual_rows))
@@ -311,26 +311,54 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
 
 
 def _projective_generators(m: QMod, top: int) -> list[list[CycNum]]:
-    """Vectors of the top weight of a projective cover whose F E v are
-    independent: the generators of a maximal projective part of that type."""
-    socle = linalg.RowSpace(m.field, m.dim)
-    return [v for v in weight_vectors(m, top)
-            if socle.add(m.apply("F", m.apply("E", v)))]
+    """Vectors of the weight space at the top weight of a projective cover,
+    in its coordinates, whose F E v are independent: the generators of a
+    maximal projective part of that type."""
+    up = m.shift(top, "E")
+    if top not in m.spaces or up not in m.spaces:
+        return []
+    e, f, socle = m.blocks("E")[top], m.blocks("F")[up], linalg.RowSpace(m.field, len(m.spaces[top]))
+    return [v for v in _weight_basis(m, top) if socle.add(linalg.mat_vec(f, linalg.mat_vec(e, v)))]
+
+
+def _weight_basis(m: QMod, mu: int) -> list[list[CycNum]]:
+    """The unit vectors of the weight space of m at mu, in its coordinates:
+    the span of all of m, as _top_radical and _top_vectors read spans."""
+    return linalg.identity(m.field, len(m.spaces.get(mu, ())))
+
+
+def _dense(dst: QMod, weights, cols) -> list:
+    """The dst.dim x len(cols) matrix whose column j is cols[j], a vector of
+    the weight space of dst at weights[j] in its coordinates."""
+    out = linalg.zeros(dst.field, dst.dim, len(cols))
+    for j, (lam, col) in enumerate(zip(weights, cols)):
+        for i, x in zip(dst.spaces.get(lam, ()), col):
+            out[i][j] = x
+    return out
+
+
+def _lift(m: QMod, lam: int, vecs) -> list[list[CycNum]]:
+    """The vectors of m with the coordinates vecs on its weight space at lam."""
+    return linalg.transpose(_dense(m, [lam] * len(vecs), vecs))
 
 
 def _top_radical(m: QMod, a: int, s: int, span) -> linalg.RowSpace:
     """rad(N) at the top weight lambda = a q^(s-1) of X^a_s, in the Casimir block of
-    X^a_s, for the submodule N of m that span(mu) spans at each weight mu (all of m
-    for partial(weight_vectors, m)): F N_(lambda q^2) + E^s N_(lambda q^(-2s)), where
-    lambda q^(-2s) is the top weight of the opposite simple X^(-a)_(p-s)."""
-    lam = irreducible_weights(m.p, a, s)[0]
-    radical = linalg.RowSpace(m.field, m.dim)
-    for v in span(m.shift(lam, "E")):
-        radical.add(m.apply("F", v))
-    for v in span(m.shift(lam, "F", s)):
-        for _ in range(s):
-            v = m.apply("E", v)
-        radical.add(v)
+    X^a_s, for the submodule N of m that span(mu) spans at each weight mu, in the
+    coordinates of each weight space (all of m for partial(_weight_basis, m)):
+    F N_(lambda q^2) + E^s N_(lambda q^(-2s)), where lambda q^(-2s) is the top weight
+    of the opposite simple X^(-a)_(p-s), as vectors of M_lambda, reached through
+    the weight blocks of E and F."""
+    lam, e, f = irreducible_weights(m.p, a, s)[0], m.blocks("E"), m.blocks("F")
+    radical = linalg.RowSpace(m.field, len(m.spaces.get(lam, ())))
+    up, low = m.shift(lam, "E"), m.shift(lam, "F", s)
+    for v in span(up):
+        radical.add(linalg.mat_vec(f[up], v))
+    for v in span(low):
+        for k in range(s):  # empty once the orbit passes a missing weight
+            v = linalg.mat_vec(e[m.shift(low, "E", k)], v) if v else v
+        if v:
+            radical.add(v)
     return radical
 
 
@@ -347,15 +375,17 @@ def _decompose_length_two(m: QMod, emb, s_block: int) -> list[tuple[IndecLabel, 
     these two sets of vectors."""
     p = m.p
     tops = {1: s_block, -1: p - s_block}
-    radicals = {sign: _top_radical(m, sign, s_top, partial(weight_vectors, m)) for sign, s_top in tops.items()}
+    lams = {sign: irreducible_weights(p, sign, s_top)[0] for sign, s_top in tops.items()}
+    radicals = {sign: _top_radical(m, sign, s_top, partial(_weight_basis, m)) for sign, s_top in tops.items()}
     socles = {sign: radicals[-sign].basis() for sign in tops}
     out = []
     dims = 0
     for sign, s_top in tops.items():
-        v0 = [v for v in weight_vectors(m, irreducible_weights(p, sign, s_top)[0]) if radicals[sign].add(v)]
+        v0 = [v for v in _weight_basis(m, lams[sign]) if radicals[sign].add(v)]
         if v0:
             dims += len(v0) * s_top + len(socles[sign]) * (p - s_top)
-            out.extend(_classify_part(m, emb, sign, s_top, v0, socles[sign]))
+            out.extend(_classify_part(m, emb, sign, s_top, _lift(m, lams[sign], v0),
+                                      _lift(m, lams[-sign], socles[sign])))
     if dims != m.dim:
         raise ClassificationError("plus/minus top split does not exhaust the remainder")
     return out
@@ -393,15 +423,32 @@ def _cover_of_simple(p: int, a: int, s: int) -> tuple[QMod, int]:
 
 def _top_vectors(m: QMod, a: int, s: int, span) -> list[list[CycNum]]:
     """A basis of the images of the top vector under Hom(cover of X^a_s, N),
-    for the submodule N of m that span spans (see _top_radical): the vectors
-    of N of weight lambda = a q^(s-1) in the Casimir block of X^a_s, where N
-    can meet other blocks too, as the null space of casimir_nil on them."""
+    for the submodule N of m that span spans (see _top_radical), in the
+    coordinates of M_lambda: the vectors of N of weight lambda = a q^(s-1) in
+    the Casimir block j of X^a_s, where N can meet other blocks too, as the
+    null space of casimir_nil on them, applied to each through the weight
+    blocks of E and F: (q - q^-1)^2 E F + q^(lambda-1) + q^(1-lambda) - q^j - q^-j,
+    twice for 0 < j < p."""
     lam, j = irreducible_weights(m.p, a, s)[0], s if a > 0 else m.p - s
-    cols = linalg.transpose(span(lam))  # m.dim x n
+    cols = linalg.transpose(span(lam))  # n x k
     if not cols:
         return []
-    nil = linalg.mat_mul(casimir_nil(m, lam, [j])[j], [cols[i] for i in m.spaces[lam]])
-    return [linalg.mat_vec(cols, c) for c in linalg.nullspace(nil)]
+    n, f, q, zero = len(cols), m.blocks("F")[lam], m.qpow, m.field.zero
+    e = m.blocks("E")[m.shift(lam, "F")] if f else [[]] * n
+    c, shift = (q(1) - q(-1)) ** 2, q(lam - 1) + q(1 - lam) - q(j) - q(-j)
+    op = [[c * x for x in row] + [shift if i == r else zero for i in range(n)] for r, row in enumerate(e)]
+    nil = lambda vecs: linalg.mat_mul(op, linalg.mat_mul(f, vecs) + vecs)  # [c E | shift] on [F v; v]
+    null = nil(nil(cols)) if 0 < j < m.p else nil(cols)
+    return [linalg.mat_vec(cols, k) for k in linalg.nullspace(null)]
+
+
+def _images(dst: QMod, gens) -> list[list[CycNum]]:
+    """The images in dst of the basis of the direct sum of the covers in gens,
+    in order, under the map that sends the top vector of each (cover, index of
+    its top vector, v) to the vector v of dst: each a vector of the weight
+    space of dst at its weight, in that space's coordinates."""
+    return [col for (pmod, top), run in groupby(gens, key=lambda g: g[:2])
+            for cols in maps_from_generator(pmod, top, dst, [v for _, _, v in run]) for col in cols]
 
 
 def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], int]]]:
@@ -410,14 +457,15 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
     cyclic on its top vector, so its maps into m are the _top_vectors of m,
     and those independent modulo the _top_radical generate the summands of
     the cover, one per copy of X^a_s in the top of m."""
-    return _graded_cover(m, partial(weight_vectors, m), range(m.p + 1))[:3]
+    return _graded_cover(m, partial(_weight_basis, m), range(m.p + 1))[:3]
 
 
 def _graded_cover(m: QMod, span, casimir):
-    """The cover of the submodule of m that span spans (see _top_radical),
-    from tops in the Casimir blocks casimir, as a map into m, with the weight
-    blocks of that map and their null spaces from one elimination each."""
-    cover_mods, cover_maps, content = [], [], []  # cover_maps: m.dim x dim(P) blocks
+    """The cover of the submodule of m that span spans (see _top_radical), from
+    tops in the Casimir blocks casimir, as a dense map into m, with the weight
+    blocks of that map, assembled from the images of the covers' basis in the
+    weight spaces of m, and their null spaces from one elimination each."""
+    gens, content = [], []  # gens: (cover, index of its top vector, image of that vector)
     for a in (1, -1):
         for s in range(1, m.p + 1):
             if (s if a > 0 else m.p - s) not in casimir:
@@ -426,19 +474,17 @@ def _graded_cover(m: QMod, span, casimir):
             if not tops:
                 continue
             radical = _top_radical(m, a, s, span)
-            gens = [v for v in tops if radical.add(v)]
-            if gens:
-                pmod, top = _cover_of_simple(m.p, a, s)
-                cover_mods += [pmod] * len(gens)
-                cover_maps += maps_from_generator(pmod, top, m, gens)
-                content.append(((a, s), len(gens)))
-    cover = direct_sum(*cover_mods) if cover_mods else QMod._from_blocks(m.p, m.field, [], {}, {})
-    sur = [[x for phi in cover_maps for x in phi[i]] for i in range(m.dim)]
-    blocks = _graded(sur, m.spaces, cover.spaces, "cover map is not graded")
-    kernel = {lam: graded_kernel(cover, {lam: blk}) for lam, blk in blocks.items()}
+            new = [v for v in tops if radical.add(v)]
+            if new:
+                gens += [(*_cover_of_simple(m.p, a, s), v) for v in new]
+                content.append(((a, s), len(new)))
+    cover = direct_sum(*(g[0] for g in gens)) if gens else QMod._from_blocks(m.p, m.field, [], {}, {})
+    images = _images(m, gens)
+    blocks = {lam: linalg.transpose([images[c] for c in idx]) for lam, idx in cover.spaces.items()}
+    kernel = {lam: linalg.nullspace(blk) if blk else _weight_basis(cover, lam) for lam, blk in blocks.items()}
     if cover.dim - sum(map(len, kernel.values())) != sum(len(span(mu)) for mu in m.spaces):
         raise ClassificationError("cover map is not surjective")
-    return cover, sur, content, blocks, kernel
+    return cover, _dense(m, cover.weights, images), content, blocks, kernel
 
 
 @dataclass
@@ -448,7 +494,7 @@ class Resolution:
     content: list[list[tuple[tuple[int, int], int]]] = dc_field(default_factory=list)
     boundaries: list = dc_field(default_factory=list)  # d_k: terms[k] -> terms[k-1], k >= 1
     augmentation: list = dc_field(default_factory=list)  # terms[0] -> module
-    _kernel: dict = dc_field(default_factory=dict)  # weight -> the kernel of the newest map there
+    _kernel: dict = dc_field(default_factory=dict)  # weight -> the kernel of the newest map there, in its coordinates
     _newest_blocks: dict = dc_field(default_factory=dict)  # weight blocks of the newest map
 
     def length(self) -> int:
@@ -460,7 +506,7 @@ class Resolution:
         while self.length() < length:  # cover the module, or the newest kernel inside its term
             if not self.terms:
                 term, self.augmentation, content, blocks, kernel = _graded_cover(
-                    self.module, partial(weight_vectors, self.module), range(self.module.p + 1))
+                    self.module, partial(_weight_basis, self.module), range(self.module.p + 1))
             else:
                 casimir = {s if a > 0 else self.module.p - s for (a, s), _ in self.content[-1]}
                 term, boundary, content, blocks, kernel = _graded_cover(
@@ -616,28 +662,40 @@ def yoneda(u: ExtClass, v: ExtClass) -> ExtClass:
 
 
 def _solve_in_hom(res: Resolution, k: int, dst: QMod, image_of, rhs, failure: str):
-    """The map L in Hom(res.terms[k], dst) with image_of(L) = rhs, for a
-    linear image_of; raises ClassificationError(failure) when there is none."""
-    homs = _term_homs(res.content[k], dst)
-    coeffs = linalg.solve_combination([image_of(h) for h in homs], rhs)
+    """The map L in Hom(res.terms[k], dst) with image_of(L) = rhs, for a linear
+    image_of that acts on each column alone (a product on the left, a slice
+    of rows); raises ClassificationError(failure) when there is none.  A map
+    out of the term is fixed by the images of the top vectors of its summands
+    (see _term_homs), so L is solved at those generator columns only; that is
+    the whole system when rhs is a module map, and the full check of
+    image_of(L) = rhs keeps L exact when it is not."""
+    summands, zero = _term_homs(res.content[k], dst), dst.field.zero
+    at = [sum(c.dim for c, _, _ in summands[:i]) + top for i, (_, top, _) in enumerate(summands)]
+    unknowns = [(i, v) for i, (_, _, tops) in enumerate(summands) for v in tops]  # the basis maps
+    lams = [c.weights[top] for c, top, _ in summands]
+    sent = image_of(_dense(dst, [lams[i] for i, _ in unknowns], [v for _, v in unknowns]))
+    coeffs = linalg.solve_combination([[[row[u] if c == i else zero for c in range(len(at))] for row in sent]
+                                       for u, (i, _) in enumerate(unknowns)], [[row[c] for c in at] for row in rhs])
     if coeffs is None:
         raise ClassificationError(failure)
-    return linalg.mat_comb(dst.field, ((c, h) for c, h in zip(coeffs, homs) if c), dst.dim, res.terms[k].dim)
+    tops = [[zero] * len(dst.spaces.get(lam, ())) for lam in lams]  # where L sends each summand's top vector
+    for x, (i, v) in zip(coeffs, unknowns):
+        if x:
+            tops[i] = [y + x * z for y, z in zip(tops[i], v)]
+    lift = _dense(dst, res.terms[k].weights, _images(dst, [(c, top, v) for (c, top, _), v in zip(summands, tops)]))
+    if not linalg.mat_eq(image_of(lift), rhs):
+        raise ClassificationError(failure)
+    return lift
 
 
 def _term_homs(content, dst: QMod) -> list:
-    """A basis of Hom(P, dst) for the direct sum P of the covers that
-    content lists, in order.  Each cover is cyclic on its top vector, so
-    the basis is the maps that send one summand's top vector to one of the
-    _top_vectors of dst and kill the other summands."""
-    summands = []  # (dim of the cover, its maps into dst)
+    """Hom(P, dst) for the direct sum P of the covers that content lists, per
+    summand of P, in order: the cover, the index of its top vector, and the
+    _top_vectors of dst, where maps out of that cover can send it.  Each cover
+    is cyclic on its top vector, so any choice of images of these vectors is
+    a map (see _images), and the maps that send one summand's top vector to
+    one of its _top_vectors and kill the other summands are a basis."""
+    summands = []
     for (a, s), mult in content:
-        pmod, top = _cover_of_simple(dst.p, a, s)
-        tops = _top_vectors(dst, a, s, partial(weight_vectors, dst))
-        summands += [(pmod.dim, maps_from_generator(pmod, top, dst, tops))] * mult
-    width, zero = sum(d for d, _ in summands), dst.field.zero
-    homs, off = [], 0
-    for d, maps in summands:
-        homs += [[[zero] * off + row + [zero] * (width - off - d) for row in phi] for phi in maps]
-        off += d
-    return homs
+        summands += [(*_cover_of_simple(dst.p, a, s), _top_vectors(dst, a, s, partial(_weight_basis, dst)))] * mult
+    return summands

@@ -27,9 +27,10 @@ DEFAULT_MAX_P = 6
 # of memory, while building M-:3:100 at p = 6 (dimension 597) takes 0.25 s
 # (2-vCPU x86-64 VM, Python 3.11).
 MAX_FAMILY_SIZE = 100
-# The largest Ext degree, resolution length or Yoneda word length: run time grows about
-# cubically: a resolution of X+_1 at p = 6 takes 4.0 s of CPU to length 40, 0.5 s to
-# length 20, and a 20-letter yoneda word at p = 6 up to 1.8 s (2-vCPU x86-64 VM, Python 3.11).
+# The largest Ext degree, resolution length or Yoneda word length: run time grows faster
+# than quadratically: a resolution of X+_1 at p = 6 takes 1.0-1.2 s of CPU to length 40,
+# 0.15-0.2 s to length 20, and a 20-letter yoneda word at p = 6 0.3 s (2-vCPU x86-64 VM,
+# Python 3.11).
 MAX_DEGREE = 20
 
 
@@ -249,9 +250,9 @@ def cmd_yoneda(args) -> int:
     p, s = args.p, args.s
     if not 1 <= s <= p - 1:
         raise ValueError(f"Ext generators need 1 <= s <= p-1, got s={s}")
-    tokens = [t.strip() for t in args.word.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("empty generator word")
+    tokens = [t.strip() for t in args.word.split(",")]
+    if "" in tokens:
+        raise ValueError(f"empty generator in the word {quoted(args.word)}")
     _check_degree("word length", len(tokens))
     gens = category.ext_basis_x(p, 1, s)
     def gen_of(tok: str):

@@ -596,13 +596,17 @@ def weight_vectors(m: QMod, weight: int) -> list[list[CycNum]]:
 
 
 def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[list[CycNum]]]:
-    """For each image v, the map src -> dst sending the basis vector gen of
-    src to v: every other basis vector of src is (a multiple of) an E/F word
-    applied to gen, found along columns of E and F with a single nonzero
-    entry, and is sent to that word applied to v.  The result intertwines
-    exactly when v is killed by all that kills gen; within one Casimir block
-    this holds for every v of the weight of gen when src is a projective
-    cover or the Steinberg module and gen its top vector."""
+    """For each image v, a vector of the weight space of dst at the weight of
+    the basis vector gen of src, in that space's coordinates, the map
+    src -> dst sending gen to v, as the images of the basis vectors of src in
+    order, each a vector of the weight space of dst at its weight (empty where
+    dst has none): every other basis vector of src is (a multiple of) an E/F
+    word applied to gen, found along columns of E and F with a single nonzero
+    entry, and is sent to that word applied to v, one weight block of dst at a
+    time.  The result intertwines exactly when v is killed by all that kills
+    gen; within one Casimir block this holds for every v of the weight of gen
+    when src is a projective cover or the Steinberg module and gen its top
+    vector."""
     steps, reached = [], [gen]  # steps: (basis index, from index, generator, coefficient)
     for i in reached:
         lam = src.weights[i]
@@ -614,12 +618,14 @@ def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[lis
                 steps.append((col[0][0], i, g, col[0][1].inv()))
     if len(reached) != src.dim:
         raise ValueError(f"basis vector {gen} does not generate the module along single-entry columns")
-    out = []
+    blocks, zero, out = {g: dst.blocks(g) for g in STEP}, dst.field.zero, []
     for v in images:
-        cols = {gen: list(v)}
+        cols = [None] * src.dim
+        cols[gen] = list(v)
         for j, i, g, inv in steps:
-            cols[j] = [x * inv if x else x for x in dst.apply(g, cols[i])]
-        out.append([[cols[j][r] for j in range(src.dim)] for r in range(dst.dim)])
+            cols[j] = ([x * inv if x else x for x in linalg.mat_vec(blocks[g][src.weights[i]], cols[i])]
+                       if cols[i] else [zero] * len(dst.spaces.get(src.weights[j], ())))
+        out.append(cols)
     return out
 
 
@@ -675,19 +681,21 @@ def socle_columns(m: QMod) -> list[list[CycNum]]:
     """Basis of the maximal semisimple submodule: the span of the images
     of all maps from irreducibles.  Hom(X^a_s, m) is the space of vectors v
     of weight a q^(s-1) with E v = 0 and F^s v = 0, the relations of the top
-    vector of X^a_s, each sent through maps_from_generator."""
+    vector of X^a_s, and the image of such a map is spanned by v, F v, ...,
+    F^(s-1) v, the images of the basis of X^a_s."""
     rs, out, f = linalg.RowSpace(m.field, m.dim), [], m.blocks("F")
     for a in (1, -1):
         for s in range(1, m.p + 1):
-            x = irreducible(m.p, a, s)
-            lam = x.weights[0]
+            lam = irreducible_weights(m.p, a, s)[0]
             if lam in m.spaces:
                 fs = f[lam]  # F^k on M_lambda, with no rows once the orbit passes a missing weight
                 for k in range(1, s):
                     fs = linalg.mat_mul(f[m.shift(lam, "F", k)], fs) if fs else fs
-                tops = graded_kernel(m, {lam: m.blocks("E")[lam] + fs})
-                for phi in maps_from_generator(x, 0, m, tops):
-                    out += [list(col) for col in zip(*phi) if rs.add(col)]
+                for v in graded_kernel(m, {lam: m.blocks("E")[lam] + fs}):
+                    for _ in range(s):
+                        if rs.add(v):
+                            out.append(v)
+                        v = m.apply("F", v)
     return out
 
 

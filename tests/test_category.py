@@ -328,29 +328,32 @@ def test_resolution_cache_is_bounded():
 
 
 def _break_one_image(monkeypatch, which, image):
-    """Make the which-th call of maps_from_generator in the category module
-    send its first generator to image(dst, v) instead of v."""
-    real, calls = category.maps_from_generator, []
+    """Make the which-th call of _images in the category module, where the
+    top vectors of the covers get their images, send its first top vector to
+    image(dst, lam, v) instead of v, a vector of the weight space of dst at lam
+    in its coordinates."""
+    real, calls = category._images, []
 
-    def spy(src, gen, dst, images):
+    def spy(dst, gens):
         calls.append(dst)
-        images = list(images)
+        gens = list(gens)
         if len(calls) == which:
-            images[0] = image(dst, images[0])
-        return real(src, gen, dst, images)
+            cover, top, v = gens[0]
+            gens[0] = (cover, top, image(dst, cover.weights[top], v))
+        return real(dst, gens)
 
-    monkeypatch.setattr(category, "maps_from_generator", spy)
+    monkeypatch.setattr(category, "_images", spy)
 
 
 def test_projective_cover_rejects_a_map_that_misses_a_generator(monkeypatch):
-    _break_one_image(monkeypatch, 1, lambda dst, v: [dst.field.zero] * dst.dim)
+    _break_one_image(monkeypatch, 1, lambda dst, lam, v: [dst.field.zero] * len(v))
     with pytest.raises(ClassificationError, match="^cover map is not surjective$"):
         projective_cover(irreducible(3, 1, 1))
 
 
 def test_resolution_step_rejects_a_boundary_that_misses_a_generator(monkeypatch):
     # the augmentation (call 1) is sound; step 1 (call 2) loses one generator
-    _break_one_image(monkeypatch, 2, lambda dst, v: [dst.field.zero] * dst.dim)
+    _break_one_image(monkeypatch, 2, lambda dst, lam, v: [dst.field.zero] * len(v))
     with pytest.raises(ClassificationError, match="not exact|not surjective"):
         minimal_resolution(irreducible(3, 1, 1), 2)
 
@@ -360,10 +363,9 @@ def test_resolution_step_rejects_a_generator_outside_the_kernel(monkeypatch):
     # weight that d_1 does not kill
     d1 = minimal_resolution(irreducible(3, 1, 1), 2).boundaries[0]
 
-    def outside(dst, v):
-        lam = dst.weights[next(i for i, x in enumerate(v) if x)]
-        i = next(i for i in dst.spaces[lam] if any(row[i] for row in d1))
-        return [dst.field.one if j == i else x for j, x in enumerate(v)]
+    def outside(dst, lam, v):
+        i = next(k for k, c in enumerate(dst.spaces[lam]) if any(row[c] for row in d1))
+        return [dst.field.one if k == i else x for k, x in enumerate(v)]
 
     res = category.Resolution(irreducible(3, 1, 1)).extend_to(1)
     _break_one_image(monkeypatch, 1, outside)
@@ -407,6 +409,29 @@ def test_resolution_maps_are_module_maps(monkeypatch):
     monkeypatch.setattr(category, "submodule", no_submodule)
     monkeypatch.setattr(qmodules, "submodule", no_submodule)
     assert minimal_resolution(irreducible(4, -1, 1), 4).content[4] == [((-1, 1), 5)]
+
+
+def test_resolution_steps_and_chain_lifts_stay_in_weight_spaces(monkeypatch):
+    # resolution steps and chain lifts slice no dense map, lift no kernel out
+    # of its weight spaces and build no submodule
+    category._resolution.cache_clear()
+    res = minimal_resolution(irreducible(4, -1, 1), 1)  # builds the two covers it alternates, densely
+    gens = ext_basis_x(3, 1, 1)
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} was called")
+        return call
+
+    for module, name in ((category, "weight_blocks"), (qmodules, "weight_blocks"), (qmodules, "graded_kernel"),
+                         (category, "submodule"), (qmodules, "submodule")):
+        monkeypatch.setattr(module, name, refuse(name))
+    assert res.extend_to(8).content[8] == [((-1, 1), 9)]
+    w = gens[(1, 1)]
+    for degree in range(2, 6):
+        w = yoneda(gens[(-1 if degree % 2 == 0 else 1, 1)], w)
+    assert w.degree == 5 and not w.is_zero()
+    assert resolution_of_irreducible(3, 1, 1, 0).length() == 5  # extended under the spies
 
 
 def test_shared_resolutions_are_left_as_they_were():

@@ -79,6 +79,12 @@ def test_yoneda_words(capsys):
     assert code == 0 and json.loads(out)["degree"] == 2
 
 
+@pytest.mark.parametrize("word", ["x+:1,,x-:1", "x-:1,x+:1,", ",x+:1", "", " ", "x+:1, ,x-:1"])
+def test_yoneda_word_with_an_empty_generator_exits_one(capsys, word):
+    code, out, err = run_capture(capsys, ["yoneda", "--p", "2", "--s", "1", "--word", word])
+    assert code == 1 and out == "" and err.count("\n") == 1 and "empty generator" in err, err
+
+
 def test_kron_classify(tmp_path, capsys):
     from uqslcat.cyclotomic import CycField
     from uqslcat.kronecker import QuiverRep

@@ -194,7 +194,7 @@ def test_off_block_action_fails_with_one_message():
     for gen in ("E", "F"):
         m = _off_weight(gen)
         for run in (lambda: submodule(m, linalg.identity(m.field, m.dim)), lambda: list(casimir_blocks(m)),
-                    lambda: _top_vectors(m, 1, 3, partial(qmodules.weight_vectors, m))):
+                    lambda: _top_vectors(m, 1, 3, partial(category._weight_basis, m))):
             with pytest.raises(ValueError, match="^E or F has an entry off its weight blocks$"):
                 run()
 
@@ -237,9 +237,10 @@ def test_tensor_needs_modules_over_the_same_field():
 
 def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypatch):
     """weight_blocks runs only in the dense constructor, called by the
-    canonical builders, and on module maps (category._graded); no E or F
-    view is derived at all, so no module built by direct_sum, submodule,
-    dual or relabel derives one."""
+    canonical builders, and on the one module map it slices, the certificate
+    of a decomposition (category._verify_certificate); no E or F view is
+    derived at all, so no module built by direct_sum, submodule, dual or
+    relabel derives one."""
     rng = random.Random(713)
     sums = [scrambled_sum(p, random_labels(p, rng, rng.randint(1, 4)), rng) for p in (2, 3) * 5]
     reg = regular_module(3)
@@ -270,7 +271,7 @@ def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypat
     gens = ext_basis_x(3, 1, 1)
     assert not yoneda(gens[(1, 2)], yoneda(gens[(-1, 1)], gens[(1, 1)])).is_zero()
     assert views == []
-    assert {caller for caller, _ in scans} == {"__init__", "_graded"}
+    assert {caller for caller, _ in scans} == {"__init__", "_verify_certificate"}
     assert {how for caller, how in scans if caller == "__init__"} <= {"irreducible", "build_glued", "build_p"}
     # module maps, which keep weights: their rows are the target's weight spaces
-    assert {how for caller, how in scans if caller == "_graded"} == {MappingProxyType}
+    assert {how for caller, how in scans if caller == "_verify_certificate"} == {MappingProxyType}

@@ -14,11 +14,11 @@ from functools import partial
 
 from conftest import sample_zs, scramble
 from uqslcat import linalg
-from uqslcat.category import (IndecLabel, _term_homs, _top_radical, block_decompose, decompose,
-                              minimal_resolution, projective_cover)
+from uqslcat.category import (IndecLabel, _dense, _images, _lift, _term_homs, _top_radical, _weight_basis,
+                              block_decompose, decompose, minimal_resolution, projective_cover)
 from uqslcat.qmodules import (build_p, direct_sum, intertwiner_basis, irreducible,
                               irreducible_weights, maps_from_generator, radical_columns,
-                              regular_module, socle_columns, submodule, weight_vectors)
+                              regular_module, socle_columns, submodule)
 
 
 def random_labels(p, rng, count, families="XWMOP"):
@@ -75,7 +75,8 @@ def test_maps_from_generator_span_the_hom_spaces():
         else:
             sources = [(build_p(p, 1, piece.s), piece.s), (build_p(p, -1, p - piece.s), p - piece.s)]
         for src, gen in sources:
-            maps = maps_from_generator(src, gen, m, weight_vectors(m, src.weights[gen]))
+            maps = [_dense(m, src.weights, cols)
+                    for cols in maps_from_generator(src, gen, m, _weight_basis(m, src.weights[gen]))]
             assert map_span(maps, src, m) == map_span(intertwiner_basis(src, m), src, m)
             for phi in maps:
                 for g in ("E", "F", "K"):
@@ -101,7 +102,7 @@ def test_top_radical_is_the_radical_at_the_top_weight():
                 top = irreducible_weights(p, sign, s_top)[0]
                 at_top = [v for v in rad if any(x for x, w in zip(v, b.weights) if w == top)]
                 want = span(b.field, at_top, b.dim)
-                assert _top_radical(b, sign, s_top, partial(weight_vectors, b)).basis() == want
+                assert _lift(b, top, _top_radical(b, sign, s_top, partial(_weight_basis, b)).basis()) == want
                 checked += bool(want)
     assert checked >= 4
 
@@ -175,6 +176,16 @@ def test_projective_cover_against_the_generic_solver():
     assert mixed >= 3 and len(block_decompose(modules[-1])) > 1
 
 
+def term_hom_basis(content, term, dst):
+    """The dense maps term -> dst that send the top vector of one summand to
+    one of the vectors _term_homs lists for it and kill the other summands."""
+    summands = _term_homs(content, dst)
+    zero = lambda cover, top: [dst.field.zero] * len(dst.spaces.get(cover.weights[top], ()))
+    return [_dense(dst, term.weights, _images(dst, [(c, t, v if j == i else zero(c, t))
+                                                    for j, (c, t, _) in enumerate(summands)]))
+            for i, (_, _, tops) in enumerate(summands) for v in tops]
+
+
 def test_term_homs_span_the_hom_spaces_of_resolution_terms():
     # Hom from each term into itself, and into the kernel of its map (a
     # module that is not projective), for every irreducible at p = 2..4
@@ -187,4 +198,4 @@ def test_term_homs_span_the_hom_spaces_of_resolution_terms():
                     term = res.terms[k]
                     for dst in (term, submodule(term, linalg.nullspace(maps[k]))[0]):
                         want = intertwiner_basis(term, dst)
-                        assert map_span(_term_homs(res.content[k], dst), term, dst) == map_span(want, term, dst)
+                        assert map_span(term_hom_basis(res.content[k], term, dst), term, dst) == map_span(want, term, dst)
