@@ -134,10 +134,13 @@ def test_hopf_axioms_pass():
 
 
 def test_hopf_negative_control():
-    rep = verify_hopf(2, break_delta_e=True)
-    assert not rep.passed
-    bad = {k for k, v in rep.axioms.items() if not v}
-    assert bad & {"coassociativity", "antipode_law"}
+    # Delta(E) = 1 (x) E breaks the [E, F] relation; the coproduct it
+    # defines on the basis is still multiplicative and coassociative
+    for p in (2, 3, 4):
+        rep = verify_hopf(p, break_delta_e=True)
+        assert {k for k, v in rep.axioms.items() if not v} == {"counit_law", "antipode_law", "coproduct_algebra_map"}
+        assert rep.failures == ["counit law fails on (1, 0, 0)", "antipode law fails on (1, 0, 0)",
+                                "Delta([E,F]) relation"]
 
 
 def test_hopf_negative_control_per_monomial():
@@ -150,6 +153,24 @@ def test_hopf_negative_control_per_monomial():
     rep = verify_hopf(2, alg=alg)
     assert {k for k, v in rep.axioms.items() if not v} == {"antipode_law"}
     assert rep.failures == ["antipode law fails on (1, 0, 1)"]
+
+
+def test_coproduct_perturbed_on_one_monomial_is_not_an_algebra_map():
+    # one term dropped from Delta of one monomial t (not 1, E, F or C) must
+    # be found at t itself: every monomial is checked as g * t'
+    generators = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    for p, cases in ((2, 10), (3, 46)):
+        seen = 0
+        for t in base_algebra(p).monos:
+            alg = QuantumAlgebra(p)
+            delta = alg.delta_mono(t)
+            if t in generators or len(delta) < 2:
+                continue
+            seen += 1
+            alg._delta_cache[t] = delta[:-1]
+            rep = verify_hopf(p, alg=alg)
+            assert not rep.axioms["coproduct_algebra_map"] and f"Delta not multiplicative on {t}" in rep.failures
+        assert seen == cases
 
 
 def test_tensor_elements_of_different_shapes_are_rejected():
@@ -362,6 +383,10 @@ def test_product_memo_is_bounded(monkeypatch):
         return z
 
     alg.const_product = spy
+    rng = random.Random(55)
+    for _ in range(3):
+        a, b = rich_elem(alg, rng, 4), rich_elem(alg, rng, 4)
+        coproduct(a) * coproduct(b)
     assert verify_hopf(3, alg=alg).passed
     assert max(sizes) == 16 and sizes.count(1) > 1
     assert center_basis(3, alg=alg) and max(sizes) == 16
