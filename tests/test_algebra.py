@@ -370,8 +370,9 @@ def test_grouped_products_and_coproducts_equal_streaming_reference():
 
 
 def test_product_memo_is_bounded(monkeypatch):
-    # a bound far below the distinct products of the checks: the memo is
-    # emptied when full, never exceeds the bound, and the results stay right
+    # a bound far below the distinct products of coproducts of rich elements
+    # (verify_hopf(3) alone takes only 6): the memo is emptied when full,
+    # never exceeds the bound, and the results stay right
     monkeypatch.setattr(algebra, "PRODUCT_MEMO_SIZE", 16)
     alg, sizes = QuantumAlgebra(3), []
     const_product = alg.const_product
