@@ -34,14 +34,15 @@ of a sum of covers is fixed by the images of their top vectors, so each
 lift is solved at those columns alone and then checked on the whole term.
 
 Every step works one weight space at a time.  A module's own grading (its
-weight spaces, q and the weight blocks of E and F) is what the QMod stores.
+weight spaces, q and the weight blocks of E and F) is what the QMod stores,
+and every map of a resolution, an extension class or a chain lift is a
+ModMap, its weight blocks, composed, added and compared block by block.
 Covers, resolution steps and chain lifts keep each vector in the
 coordinates of one weight space and move it through the weight blocks of E
-and F: a map out of a sum of covers is the images of their basis vectors,
-one weight space each, and a boundary's weight blocks are assembled from
-them.  Dense maps are built only to be returned (augmentations, boundaries,
-chain maps, the columns of a decomposition); only the certificate is
-sliced, by weight_blocks.
+and F; a map out of a sum of covers is assembled from the images of their
+basis vectors.  A dense matrix is built only when a dense view is read
+(augmentation, boundaries, cocycle, the surjection of projective_cover) and
+for the columns of a decomposition; only its certificate is sliced.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ from . import linalg
 from .cyclotomic import CycField, CycNum, dot
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
                         canonical_rep, classify, functor_G, glued_form)
-from .qmodules import (CP1, QMod, build_o1, build_p, casimir_blocks, direct_sum, dual, family_label,
-                       intertwiner_basis, irreducible, irreducible_weights, maps_from_generator,
-                       radical_series, socle_columns, submodule, weight_blocks)
+from .qmodules import (CP1, ModMap, QMod, _sign, build_o1, build_p, casimir_blocks, direct_sum, dual,
+                       family_label, intertwiner_basis, irreducible, irreducible_weights, lift,
+                       maps_from_generator, radical_series, socle_columns, submodule, weight_basis,
+                       weight_blocks)
 from .qmodules import semisimple_length_of as semisimple_length
 
 
@@ -284,10 +286,11 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
     if bp.s in (0, p):
         a = 1 if bp.s == p else -1
         x = irreducible(p, a, p)
-        homs = maps_from_generator(x, 0, m, _weight_basis(m, x.weights[0]))
+        homs = maps_from_generator(x, 0, m, weight_basis(m, x.weights[0]))
         if len(homs) * p != m.dim:
             raise ClassificationError("semisimple block of unexpected size")
-        return [(IndecLabel("X", a, p), linalg.mat_mul(bp.embedding, _dense(m, x.weights, cols))) for cols in homs]
+        return [(IndecLabel("X", a, p), linalg.mat_mul(bp.embedding, ModMap.from_images(x, m, cols).dense()))
+                for cols in homs]
     out: list[tuple[IndecLabel, list]] = []
     dual_rows: list[list[CycNum]] = []
     dm = dual(m)
@@ -298,9 +301,9 @@ def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
         if len(gens) != len(dual_gens):
             raise ClassificationError("the module and its dual have different projective parts")
         for cols in maps_from_generator(proj, s, m, gens):
-            out.append((IndecLabel("P", a, s), linalg.mat_mul(bp.embedding, _dense(m, proj.weights, cols))))
+            out.append((IndecLabel("P", a, s), linalg.mat_mul(bp.embedding, ModMap.from_images(proj, m, cols).dense())))
         for cols in maps_from_generator(proj, s, dm, dual_gens):
-            dual_rows.extend(linalg.transpose(_dense(dm, proj.weights, cols)))
+            dual_rows.extend(linalg.transpose(ModMap.from_images(proj, dm, cols).dense()))
     rest, emb = m, bp.embedding
     if dual_rows:
         rest, rest_emb = submodule(m, linalg.nullspace(dual_rows))
@@ -318,34 +321,13 @@ def _projective_generators(m: QMod, top: int) -> list[list[CycNum]]:
     if top not in m.spaces or up not in m.spaces:
         return []
     e, f, socle = m.blocks("E")[top], m.blocks("F")[up], linalg.RowSpace(m.field, len(m.spaces[top]))
-    return [v for v in _weight_basis(m, top) if socle.add(linalg.mat_vec(f, linalg.mat_vec(e, v)))]
-
-
-def _weight_basis(m: QMod, mu: int) -> list[list[CycNum]]:
-    """The unit vectors of the weight space of m at mu, in its coordinates:
-    the span of all of m, as _top_radical and _top_vectors read spans."""
-    return linalg.identity(m.field, len(m.spaces.get(mu, ())))
-
-
-def _dense(dst: QMod, weights, cols) -> list:
-    """The dst.dim x len(cols) matrix whose column j is cols[j], a vector of
-    the weight space of dst at weights[j] in its coordinates."""
-    out = linalg.zeros(dst.field, dst.dim, len(cols))
-    for j, (lam, col) in enumerate(zip(weights, cols)):
-        for i, x in zip(dst.spaces.get(lam, ()), col):
-            out[i][j] = x
-    return out
-
-
-def _lift(m: QMod, lam: int, vecs) -> list[list[CycNum]]:
-    """The vectors of m with the coordinates vecs on its weight space at lam."""
-    return linalg.transpose(_dense(m, [lam] * len(vecs), vecs))
+    return [v for v in weight_basis(m, top) if socle.add(linalg.mat_vec(f, linalg.mat_vec(e, v)))]
 
 
 def _top_radical(m: QMod, a: int, s: int, span) -> linalg.RowSpace:
     """rad(N) at the top weight lambda = a q^(s-1) of X^a_s, in the Casimir block of
     X^a_s, for the submodule N of m that span(mu) spans at each weight mu, in the
-    coordinates of each weight space (all of m for partial(_weight_basis, m)):
+    coordinates of each weight space (all of m for partial(weight_basis, m)):
     F N_(lambda q^2) + E^s N_(lambda q^(-2s)), where lambda q^(-2s) is the top weight
     of the opposite simple X^(-a)_(p-s), as vectors of M_lambda, reached through
     the weight blocks of E and F."""
@@ -376,16 +358,16 @@ def _decompose_length_two(m: QMod, emb, s_block: int) -> list[tuple[IndecLabel, 
     p = m.p
     tops = {1: s_block, -1: p - s_block}
     lams = {sign: irreducible_weights(p, sign, s_top)[0] for sign, s_top in tops.items()}
-    radicals = {sign: _top_radical(m, sign, s_top, partial(_weight_basis, m)) for sign, s_top in tops.items()}
+    radicals = {sign: _top_radical(m, sign, s_top, partial(weight_basis, m)) for sign, s_top in tops.items()}
     socles = {sign: radicals[-sign].basis() for sign in tops}
     out = []
     dims = 0
     for sign, s_top in tops.items():
-        v0 = [v for v in _weight_basis(m, lams[sign]) if radicals[sign].add(v)]
+        v0 = [v for v in weight_basis(m, lams[sign]) if radicals[sign].add(v)]
         if v0:
             dims += len(v0) * s_top + len(socles[sign]) * (p - s_top)
-            out.extend(_classify_part(m, emb, sign, s_top, _lift(m, lams[sign], v0),
-                                      _lift(m, lams[-sign], socles[sign])))
+            out.extend(_classify_part(m, emb, sign, s_top, lift(m, lams[sign], v0),
+                                      lift(m, lams[-sign], socles[sign])))
     if dims != m.dim:
         raise ClassificationError("plus/minus top split does not exhaust the remainder")
     return out
@@ -457,14 +439,15 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
     cyclic on its top vector, so its maps into m are the _top_vectors of m,
     and those independent modulo the _top_radical generate the summands of
     the cover, one per copy of X^a_s in the top of m."""
-    return _graded_cover(m, partial(_weight_basis, m), range(m.p + 1))[:3]
+    f, content, _ = _graded_cover(m, partial(weight_basis, m), range(m.p + 1))
+    return f.src, f.dense(), content
 
 
 def _graded_cover(m: QMod, span, casimir):
     """The cover of the submodule of m that span spans (see _top_radical), from
-    tops in the Casimir blocks casimir, as a dense map into m, with the weight
-    blocks of that map, assembled from the images of the covers' basis in the
-    weight spaces of m, and their null spaces from one elimination each."""
+    tops in the Casimir blocks casimir, as a ModMap into m, assembled from the
+    images of the covers' basis in the weight spaces of m, with the null spaces
+    of its blocks from one elimination each."""
     gens, content = [], []  # gens: (cover, index of its top vector, image of that vector)
     for a in (1, -1):
         for s in range(1, m.p + 1):
@@ -479,54 +462,54 @@ def _graded_cover(m: QMod, span, casimir):
                 gens += [(*_cover_of_simple(m.p, a, s), v) for v in new]
                 content.append(((a, s), len(new)))
     cover = direct_sum(*(g[0] for g in gens)) if gens else QMod._from_blocks(m.p, m.field, [], {}, {})
-    images = _images(m, gens)
-    blocks = {lam: linalg.transpose([images[c] for c in idx]) for lam, idx in cover.spaces.items()}
-    kernel = {lam: linalg.nullspace(blk) if blk else _weight_basis(cover, lam) for lam, blk in blocks.items()}
+    f = ModMap.from_images(cover, m, _images(m, gens))
+    kernel = {lam: linalg.nullspace(blk) if blk else weight_basis(cover, lam) for lam, blk in f.blocks.items()}
     if cover.dim - sum(map(len, kernel.values())) != sum(len(span(mu)) for mu in m.spaces):
         raise ClassificationError("cover map is not surjective")
-    return cover, _dense(m, cover.weights, images), content, blocks, kernel
+    return f, content, kernel
 
 
 @dataclass
 class Resolution:
+    """The maps of a minimal projective resolution of module, as ModMaps: the
+    augmentation terms[0] -> module, then d_k: terms[k] -> terms[k-1].  terms,
+    augmentation and boundaries are read-only views; the last two are dense,
+    derived on each read."""
     module: QMod
-    terms: list[QMod] = dc_field(default_factory=list)
     content: list[list[tuple[tuple[int, int], int]]] = dc_field(default_factory=list)
-    boundaries: list = dc_field(default_factory=list)  # d_k: terms[k] -> terms[k-1], k >= 1
-    augmentation: list = dc_field(default_factory=list)  # terms[0] -> module
+    maps: list[ModMap] = dc_field(default_factory=list)
     _kernel: dict = dc_field(default_factory=dict)  # weight -> the kernel of the newest map there, in its coordinates
-    _newest_blocks: dict = dc_field(default_factory=dict)  # weight blocks of the newest map
+
+    terms = property(lambda self: [f.src for f in self.maps])
+    augmentation = property(lambda self: self.maps[0].dense() if self.maps else [])
+    boundaries = property(lambda self: [f.dense() for f in self.maps[1:]])
 
     def length(self) -> int:
-        return len(self.terms) - 1
+        return len(self.maps) - 1
 
     def extend_to(self, length: int) -> "Resolution":
         if length < 0:
             raise ValueError("length must be >= 0")
         while self.length() < length:  # cover the module, or the newest kernel inside its term
-            if not self.terms:
-                term, self.augmentation, content, blocks, kernel = _graded_cover(
-                    self.module, partial(_weight_basis, self.module), range(self.module.p + 1))
+            if not self.maps:
+                f, content, kernel = _graded_cover(
+                    self.module, partial(weight_basis, self.module), range(self.module.p + 1))
             else:
                 casimir = {s if a > 0 else self.module.p - s for (a, s), _ in self.content[-1]}
-                term, boundary, content, blocks, kernel = _graded_cover(
-                    self.terms[-1], lambda mu: self._kernel.get(mu, []), casimir)
-                self._verify_step(term, blocks, kernel)  # a step that fails leaves self as it was
-                self.boundaries.append(boundary)
-            self.terms.append(term)
+                f, content, kernel = _graded_cover(self.maps[-1].src, lambda mu: self._kernel.get(mu, []), casimir)
+                self._verify_step(f, kernel)  # a step that fails leaves self as it was
+            self.maps.append(f)
             self.content.append(content)
-            self._kernel, self._newest_blocks = kernel, blocks
+            self._kernel = kernel
         return self
 
-    def _verify_step(self, term: QMod, cur: dict, kernel: dict) -> None:
+    def _verify_step(self, d: ModMap, kernel: dict) -> None:
         """d_(k-1) d_k = 0 and exactness at the newest term, per weight: rank d_k is
         the nullity of d_(k-1), each read off the elimination of its block."""
-        mid, prev = self.terms[-1].spaces, self._newest_blocks
-        for lam in mid:
-            blk = cur.get(lam, [])
-            if blk and prev[lam] and not linalg.is_zero_mat(linalg.mat_mul(prev[lam], blk)):
-                raise ClassificationError("boundary composition is nonzero")
-            if len(term.spaces.get(lam, ())) - len(kernel.get(lam, ())) != len(self._kernel[lam]):
+        if not (self.maps[-1] @ d).is_zero():
+            raise ClassificationError("boundary composition is nonzero")
+        for lam in d.dst.spaces:
+            if len(d.src.spaces.get(lam, ())) - len(kernel.get(lam, ())) != len(self._kernel[lam]):
                 raise ClassificationError("resolution is not exact")
 
 
@@ -572,59 +555,50 @@ class ExtClass:
     degree: int
     source: tuple[int, int]
     target: tuple[int, int]
-    cocycle: list  # dim(X_target) x dim(term_degree of the source resolution)
+    map: ModMap  # term_degree of the source resolution -> X_target
 
-    def _compat(self, other: "ExtClass"):
-        if (self.p, self.degree, self.source, self.target) != (
-            other.p,
-            other.degree,
-            other.source,
-            other.target,
-        ):
-            raise ValueError("extension classes live in different Ext spaces")
+    cocycle = property(lambda self: self.map.dense())  # dim(X_target) x dim(term_degree)
 
     def __add__(self, other: "ExtClass") -> "ExtClass":
-        self._compat(other)
-        return ExtClass(self.p, self.degree, self.source, self.target,
-                        linalg.mat_add(self.cocycle, other.cocycle))
+        if (self.p, self.degree, self.source, self.target) != (other.p, other.degree, other.source, other.target):
+            raise ValueError("extension classes live in different Ext spaces")
+        return ExtClass(self.p, self.degree, self.source, self.target, self.map + other.map)
 
     def __sub__(self, other: "ExtClass") -> "ExtClass":
-        self._compat(other)
-        return ExtClass(self.p, self.degree, self.source, self.target,
-                        linalg.mat_sub(self.cocycle, other.cocycle))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "ExtClass":
         field = CycField(2 * self.p)
         c = c if isinstance(c, CycNum) else field.from_fraction(c)
-        return ExtClass(self.p, self.degree, self.source, self.target,
-                        linalg.mat_scale(c, self.cocycle))
+        return ExtClass(self.p, self.degree, self.source, self.target, self.map.scale(c))
 
     def is_zero(self) -> bool:
-        return linalg.is_zero_mat(self.cocycle)
+        return self.map.is_zero()
 
 
 def extension_class_of_middle(p: int, a: int, s: int, middle: QMod) -> ExtClass:
     """Degree-one class of a short exact sequence X_(-a, p-s) >-> middle ->> X_(a, s),
     where the middle is given on the glued basis (top block then socle
     block, both in standard coordinates)."""
-    res = resolution_of_irreducible(p, a, s, 1)
-    t = p - s
-    # lift the augmentation through the projection of the middle onto its top
-    lift = _solve_in_hom(res, 0, middle, lambda h: h[:s], res.augmentation,
-                         "projective term does not lift over the extension")
-    raw = linalg.mat_mul(lift, res.boundaries[0])
-    for i in range(s):
-        if any(raw[i]):
-            raise ClassificationError("cocycle does not land in the socle")
-    cocycle = [raw[s + k] for k in range(t)]
-    return ExtClass(p, 1, (a, s), (-a, p - s), cocycle)
+    res, one, zero = resolution_of_irreducible(p, a, s, 1), middle.field.one, middle.field.zero
+
+    def onto(x, off):  # the projection of the middle onto the basis of x, its basis vectors off, off + 1, ...
+        return ModMap.from_images(middle, x, [[one if off + j == i else zero for j in x.spaces.get(w, ())]
+                                              for i, w in enumerate(middle.weights)])
+
+    top, socle = onto(res.module, 0), onto(irreducible(p, -a, p - s), s)
+    lift = _solve_in_hom(res, 0, top, res.maps[0], "projective term does not lift over the extension")
+    raw = lift @ res.maps[1]  # the augmentation lifted through the projection onto the top, on the next term
+    if not (top @ raw).is_zero():
+        raise ClassificationError("cocycle does not land in the socle")
+    return ExtClass(p, 1, (a, s), (-a, p - s), socle @ raw)
 
 
 def ext_basis_x(p: int, a: int, s: int) -> dict[tuple[int, int], ExtClass]:
     """The four degree-one generators of the block containing X_(a,s):
     keys (sign, index) with index 1 the Verma gluing (z = 1:0) and
     index 2 the contragredient gluing (z = 0:1)."""
-    a = 1 if a in (1, "+") else -1
+    a = _sign(a)
     if not 1 <= s <= p - 1:
         raise ValueError("Ext generators live in the non-semisimple blocks")
     out: dict[tuple[int, int], ExtClass] = {}
@@ -651,39 +625,39 @@ def yoneda(u: ExtClass, v: ExtClass) -> ExtClass:
     res_b = resolution_of_irreducible(p, *u.source, m_deg)
     # Lambda_k: term_(n+k)(A) -> term_k(B) lifts Lambda_(k-1) d(A) through d(B);
     # at k = 0 it lifts v's cocycle through the augmentation of B
-    through = [res_b.augmentation] + res_b.boundaries
     lam = None
     for k in range(m_deg + 1):
-        rhs = linalg.mat_mul(lam, res_a.boundaries[n + k - 1]) if k else v.cocycle
-        lam = _solve_in_hom(res_a, n + k, res_b.terms[k], lambda h: linalg.mat_mul(through[k], h), rhs,
-                            "chain lift does not exist")
-    cocycle = linalg.mat_mul(u.cocycle, lam)
-    return ExtClass(p, n + m_deg, v.source, u.target, cocycle)
+        rhs = lam @ res_a.maps[n + k] if k else v.map
+        lam = _solve_in_hom(res_a, n + k, res_b.maps[k], rhs, "chain lift does not exist")
+    return ExtClass(p, n + m_deg, v.source, u.target, u.map @ lam)
 
 
-def _solve_in_hom(res: Resolution, k: int, dst: QMod, image_of, rhs, failure: str):
-    """The map L in Hom(res.terms[k], dst) with image_of(L) = rhs, for a linear
-    image_of that acts on each column alone (a product on the left, a slice
-    of rows); raises ClassificationError(failure) when there is none.  A map
-    out of the term is fixed by the images of the top vectors of its summands
-    (see _term_homs), so L is solved at those generator columns only; that is
-    the whole system when rhs is a module map, and the full check of
-    image_of(L) = rhs keeps L exact when it is not."""
-    summands, zero = _term_homs(res.content[k], dst), dst.field.zero
-    at = [sum(c.dim for c, _, _ in summands[:i]) + top for i, (_, top, _) in enumerate(summands)]
-    unknowns = [(i, v) for i, (_, _, tops) in enumerate(summands) for v in tops]  # the basis maps
-    lams = [c.weights[top] for c, top, _ in summands]
-    sent = image_of(_dense(dst, [lams[i] for i, _ in unknowns], [v for _, v in unknowns]))
-    coeffs = linalg.solve_combination([[[row[u] if c == i else zero for c in range(len(at))] for row in sent]
-                                       for u, (i, _) in enumerate(unknowns)], [[row[c] for c in at] for row in rhs])
-    if coeffs is None:
-        raise ClassificationError(failure)
-    tops = [[zero] * len(dst.spaces.get(lam, ())) for lam in lams]  # where L sends each summand's top vector
-    for x, (i, v) in zip(coeffs, unknowns):
-        if x:
-            tops[i] = [y + x * z for y, z in zip(tops[i], v)]
-    lift = _dense(dst, res.terms[k].weights, _images(dst, [(c, top, v) for (c, top, _), v in zip(summands, tops)]))
-    if not linalg.mat_eq(image_of(lift), rhs):
+def _solve_in_hom(res: Resolution, k: int, post: ModMap, rhs: ModMap, failure: str) -> ModMap:
+    """The map L in Hom(res.terms[k], post.src) with post L = rhs; raises
+    ClassificationError(failure) when there is none.  A map out of the term
+    is fixed by the images of the top vectors of its summands (see
+    _term_homs), so L is solved at those vectors only, one small system per
+    summand, in the coordinates of the weight space of its top vector; that
+    is the whole system when rhs is a module map, and the full check of
+    post L = rhs, weight by weight, keeps L exact when it is not."""
+    term, dst = res.maps[k].src, post.src
+    tops, at = [], 0  # tops: where L sends each summand's top vector; at: where the summand starts in term
+    for cover, top, cands in _term_homs(res.content[k], dst):
+        lam = cover.weights[top]
+        x = [dst.field.zero] * len(dst.spaces.get(lam, ()))
+        if cands:
+            col = term.spaces[lam].index(at + top)
+            sent = linalg.transpose([linalg.mat_vec(post.blocks[lam], v) for v in cands])
+            coeffs = linalg.solve(sent, [[row[col]] for row in rhs.blocks[lam]])
+            if coeffs is None:
+                raise ClassificationError(failure)
+            for c, v in zip(coeffs, cands):
+                if c[0]:
+                    x = [y + c[0] * z for y, z in zip(x, v)]
+        tops.append((cover, top, x))
+        at += cover.dim
+    lift = ModMap.from_images(term, dst, _images(dst, tops))
+    if (post @ lift).blocks != rhs.blocks:
         raise ClassificationError(failure)
     return lift
 
@@ -697,5 +671,5 @@ def _term_homs(content, dst: QMod) -> list:
     one of its _top_vectors and kill the other summands are a basis."""
     summands = []
     for (a, s), mult in content:
-        summands += [(*_cover_of_simple(dst.p, a, s), _top_vectors(dst, a, s, partial(_weight_basis, dst)))] * mult
+        summands += [(*_cover_of_simple(dst.p, a, s), _top_vectors(dst, a, s, partial(weight_basis, dst)))] * mult
     return summands

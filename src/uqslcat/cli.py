@@ -28,9 +28,9 @@ DEFAULT_MAX_P = 6
 # (2-vCPU x86-64 VM, Python 3.11).
 MAX_FAMILY_SIZE = 100
 # The largest Ext degree, resolution length or Yoneda word length: run time grows faster
-# than quadratically: a resolution of X+_1 at p = 6 takes 1.0-1.2 s of CPU to length 40,
-# 0.15-0.2 s to length 20, and a 20-letter yoneda word at p = 6 0.3 s (2-vCPU x86-64 VM,
-# Python 3.11).
+# than quadratically: a resolution of X+_1 at p = 6 takes 0.95-1.0 s of CPU to length 40,
+# 0.15-0.16 s to length 20, and a 20-letter Yoneda word 0.2 s at p = 6, s = 1 or at p = 5,
+# s = 2 (2-vCPU x86-64 VM, Python 3.11).
 MAX_DEGREE = 20
 
 

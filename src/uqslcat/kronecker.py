@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from . import linalg
 from .cyclotomic import CycField, CycNum, InternalError, dot, json_field, json_value
 from .polys import roots_in_field
-from .qmodules import CP1, QMod, block_index, build_glued, irreducible_weights, submodule, \
-    weight_vectors
+from .qmodules import CP1, QMod, _sign, block_index, build_glued, irreducible_weights, lift, submodule, \
+    weight_basis
 
 
 class ClassificationError(InternalError):
@@ -249,22 +249,14 @@ def _columns_matrix(field, nrows, cols):
 def _decompose(rep: QuiverRep) -> list[PencilBlock]:
     field = rep.field
     if rep.d0 == 0 or rep.d1 == 0:
-        return [PencilBlock("preinjective", 0, None, [], [_unit(field, rep.d1, i)])
-                for i in range(rep.d1)] + \
-            [PencilBlock("preprojective", 0, None, [_unit(field, rep.d0, i)], [])
-             for i in range(rep.d0)]
+        return [PencilBlock("preinjective", 0, None, [], [u]) for u in linalg.identity(field, rep.d1)] + \
+            [PencilBlock("preprojective", 0, None, [u], []) for u in linalg.identity(field, rep.d0)]
     t, amat, rank = _generic_member(rep)
     if rank < rep.d0:
         return _preprojective_split(rep, rep.d0 - rank)
     if rank < rep.d1:
         return _from_transpose(rep)
     return _regular_blocks(rep, t, amat)
-
-
-def _unit(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
 
 
 def _generic_member(rep: QuiverRep):
@@ -514,14 +506,14 @@ def functor_F(m: QMod, sign) -> QuiverRep:
     the arrows are read off the action on the basis these generate under F.
     Raises ValueError unless G(F(m)) = m on that basis exactly, which
     rejects a module of greater length or with a top of both signs."""
-    sign = 1 if sign in (1, "+") else -1
+    sign = _sign(sign)
     p = m.p
     s_block = block_index(m)
     if not 1 <= s_block <= p - 1:
         raise ValueError("the quiver functor applies to the non-semisimple blocks only")
     s_top = s_block if sign > 0 else p - s_block
-    v0 = weight_vectors(m, irreducible_weights(p, sign, s_top)[0])
-    v1 = weight_vectors(m, irreducible_weights(p, -sign, p - s_top)[0])
+    lams = [irreducible_weights(p, a, s)[0] for a, s in ((sign, s_top), (-sign, p - s_top))]
+    v0, v1 = (lift(m, lam, weight_basis(m, lam)) for lam in lams)
     if len(v0) * s_top + len(v1) * (p - s_top) != m.dim:
         raise ValueError("the top and socle highest weights do not generate the module")
     return glued_form(m, sign, s_top, v0, v1)[0]

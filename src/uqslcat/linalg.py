@@ -325,18 +325,6 @@ def solve(a, b):
     return x
 
 
-def solve_combination(images, rhs):
-    """Coefficients c with sum_k c_k * images[k] = rhs, every image having
-    the shape of rhs, from one solve over the stacked entries; None when rhs
-    lies outside the span of the images."""
-    flat = [[x] for row in rhs for x in row]
-    if not images:
-        return [] if is_zero_mat(flat) else None
-    stacked = [[img[i][j] for img in images] for i, row in enumerate(rhs) for j in range(len(row))]
-    sol = solve(stacked, flat)
-    return None if sol is None else [row[0] for row in sol]
-
-
 def inverse(a):
     """The inverse of a nonempty square matrix, from one elimination of [a | I]."""
     n = len(a)

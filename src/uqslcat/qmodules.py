@@ -10,13 +10,14 @@ weights, converted on loading, and K, JSON and the action of algebra
 elements take q^k from QMod.qpow.  A QMod stores E and F only as their
 weight blocks, fixed at construction, and every check and solve on it
 reads them; dense matrices are sliced once (module input) or derived on
-demand (views).  Module maps are sliced by weight_blocks, which checks
-that no entry lies off them.  The families constructed here, each laid
-out as irreducible chains by one helper plus its gluing entries: the 2p
-irreducibles, the explicit two-step gluings with two modules on top / on
-the bottom, the projective covers, and the general gluing of m top copies
-with n socle copies along a pair of coefficient matrices, which realizes
-every indecomposable of semisimple length two.
+demand (views).  A module map is kept the same way, as a ModMap of weight
+blocks; weight_blocks slices a dense map, checking that no entry lies off
+them, and block_matrix puts the blocks back.  The families constructed
+here, each laid out as irreducible chains by one helper plus its gluing
+entries: the 2p irreducibles, the explicit two-step gluings with two
+modules on top / on the bottom, the projective covers, and the general
+gluing of m top copies with n socle copies along a pair of coefficient
+matrices, which realizes every indecomposable of semisimple length two.
 """
 
 from __future__ import annotations
@@ -164,12 +165,7 @@ class QMod:
                     for i, k in enumerate(self.weights)]
         if gen not in self._action:
             raise ValueError(f"unknown generator {gen!r}")
-        out = linalg.zeros(self.field, self.dim, self.dim)
-        for lam, blk in self.blocks(gen).items():
-            for r, row in zip(self._rows[gen][lam], blk):
-                for c, x in zip(self.spaces[lam], row):
-                    out[r][c] = x
-        return out
+        return block_matrix(self.field, self.blocks(gen), self._rows[gen], self.spaces, self.dim, self.dim)
 
     mat_e = property(lambda self: self.mat("E"))
     mat_f = property(lambda self: self.mat("F"))
@@ -261,15 +257,77 @@ def weight_blocks(mat, rows, cols) -> dict | None:
     return out
 
 
+def block_matrix(field, blocks, rows, cols, nrows: int, ncols: int) -> list:
+    """The nrows x ncols matrix with the weight blocks blocks, laid out as
+    weight_blocks(mat, rows, cols) slices them, and zero elsewhere."""
+    out = linalg.zeros(field, nrows, ncols)
+    for lam, blk in blocks.items():
+        for r, row in zip(rows.get(lam, ()), blk):
+            for c, x in zip(cols[lam], row):
+                out[r][c] = x
+    return out
+
+
+def weight_basis(m: QMod, mu: int) -> list[list[CycNum]]:
+    """The unit vectors of the weight space of m at mu, in its coordinates."""
+    return linalg.identity(m.field, len(m.spaces.get(mu, ())))
+
+
+def lift(m: QMod, lam: int, vecs) -> list[list[CycNum]]:
+    """The vectors of m with the coordinates vecs on its weight space at lam."""
+    idx, out = m.spaces.get(lam, ()), []
+    for v in vecs:
+        out.append([m.field.zero] * m.dim)
+        for i, x in zip(idx, v):
+            out[-1][i] = x
+    return out
+
+
+@dataclass(frozen=True)
+class ModMap:
+    """A map src -> dst that keeps weight, as its weight blocks: blocks[lam] is
+    the dst_lam x src_lam matrix, in the coordinates of the two weight spaces,
+    for every weight lam of src (no rows where dst has none).  dense() derives
+    the dst.dim x src.dim matrix on each call."""
+    src: QMod
+    dst: QMod
+    blocks: dict
+
+    @classmethod
+    def from_images(cls, src: QMod, dst: QMod, cols) -> "ModMap":
+        """The map sending basis vector j of src to cols[j], a vector of the
+        weight space of dst at the weight of j, in that space's coordinates."""
+        return cls(src, dst, {lam: linalg.transpose([cols[c] for c in idx]) for lam, idx in src.spaces.items()})
+
+    def dense(self) -> list:
+        return block_matrix(self.dst.field, self.blocks, self.dst.spaces, self.src.spaces, self.dst.dim, self.src.dim)
+
+    def __matmul__(self, other: "ModMap") -> "ModMap":
+        """self after other, block by block; a weight that self's source lacks
+        gives a zero block."""
+        out = {lam: linalg.mat_mul(self.blocks[lam], blk) if lam in self.blocks
+               else linalg.zeros(self.dst.field, len(self.dst.spaces.get(lam, ())), len(other.src.spaces[lam]))
+               for lam, blk in other.blocks.items()}
+        return ModMap(other.src, self.dst, out)
+
+    def __add__(self, other: "ModMap") -> "ModMap":
+        return ModMap(self.src, self.dst, {lam: linalg.mat_add(blk, other.blocks[lam])
+                                           for lam, blk in self.blocks.items()})
+
+    def scale(self, c) -> "ModMap":
+        return ModMap(self.src, self.dst, {lam: linalg.mat_scale(c, blk) for lam, blk in self.blocks.items()})
+
+    def is_zero(self) -> bool:
+        return all(map(linalg.is_zero_mat, self.blocks.values()))
+
+
 def graded_kernel(src: QMod, blocks) -> list[list[CycNum]]:
     """The kernel of a map out of src from its blocks on the weight spaces
     of src: the null vectors of each block, lifted to vectors of src, in the
     order of linalg.nullspace on the whole map (by their last nonzero)."""
-    field, out = src.field, []
+    out = []
     for lam, blk in blocks.items():
-        for v in linalg.nullspace(blk) if blk else linalg.identity(field, len(src.spaces[lam])):
-            lift = dict(zip(src.spaces[lam], v))
-            out.append([lift.get(i, field.zero) for i in range(src.dim)])
+        out += lift(src, lam, linalg.nullspace(blk) if blk else weight_basis(src, lam))
     return sorted(out, key=lambda v: max(i for i, x in enumerate(v) if x))
 
 
@@ -589,12 +647,6 @@ def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
     return out
 
 
-def weight_vectors(m: QMod, weight: int) -> list[list[CycNum]]:
-    """The basis vectors of m of the given K-weight: a basis of the weight
-    space, since the basis of m is a K-eigenbasis."""
-    return [_basis_vec(m.field, m.dim, i) for i in m.spaces.get(weight, [])]
-
-
 def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[list[CycNum]]]:
     """For each image v, a vector of the weight space of dst at the weight of
     the basis vector gen of src, in that space's coordinates, the map
@@ -661,12 +713,6 @@ def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[Cyc
         for i, (out, _, lam) in enumerate(srcs):
             out[lam] = [row[cut:] if i else row[:cut] for row in sol]
     return QMod._from_blocks(m.p, field, weights, acts[0][2], acts[1][2]), emb
-
-
-def _basis_vec(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
 
 
 def radical_columns(m: QMod) -> list[list[CycNum]]:

@@ -412,26 +412,66 @@ def test_resolution_maps_are_module_maps(monkeypatch):
 
 
 def test_resolution_steps_and_chain_lifts_stay_in_weight_spaces(monkeypatch):
-    # resolution steps and chain lifts slice no dense map, lift no kernel out
-    # of its weight spaces and build no submodule
-    category._resolution.cache_clear()
-    res = minimal_resolution(irreducible(4, -1, 1), 1)  # builds the two covers it alternates, densely
-    gens = ext_basis_x(3, 1, 1)
-
+    # resolution steps, Ext dimensions, extension classes and chain lifts build
+    # no dense map, slice no dense map, lift no kernel out of its weight spaces
+    # and build no submodule
     def refuse(name):
         def call(*args):
             raise AssertionError(f"{name} was called")
         return call
 
+    monkeypatch.setattr(qmodules.ModMap, "dense", refuse("ModMap.dense"))
+    monkeypatch.setattr(qmodules, "block_matrix", refuse("block_matrix"))  # which QMod.mat shares
+    category._resolution.cache_clear()
+    res = minimal_resolution(irreducible(4, -1, 1), 1)  # builds the two covers it alternates, densely
+    resolution_of_irreducible(4, -1, 1, 0)
+    gens = ext_basis_x(3, 1, 1)  # builds its middles densely
     for module, name in ((category, "weight_blocks"), (qmodules, "weight_blocks"), (qmodules, "graded_kernel"),
                          (category, "submodule"), (qmodules, "submodule")):
         monkeypatch.setattr(module, name, refuse(name))
     assert res.extend_to(8).content[8] == [((-1, 1), 9)]
+    assert ext_dim(4, (-1, 1), (-1, 1), 8) == 9
     w = gens[(1, 1)]
     for degree in range(2, 6):
         w = yoneda(gens[(-1 if degree % 2 == 0 else 1, 1)], w)
     assert w.degree == 5 and not w.is_zero()
     assert resolution_of_irreducible(3, 1, 1, 0).length() == 5  # extended under the spies
+
+
+def test_module_maps_agree_with_dense_algebra():
+    # composition, sums, scaling and from_images on the weight blocks give the
+    # dense results on every map of the pinned resolutions, and d_(k-1) d_k = 0;
+    # an augmentation maps into a module that lacks weights of its source, so
+    # it has blocks with no rows, and a map back into the term composed after
+    # it gets explicit zero blocks at those weights
+    def dense_mul(a, b):  # linalg.mat_mul returns [] when a factor has no rows
+        return linalg.mat_mul(a.dense(), b.dense()) or linalg.zeros(a.dst.field, a.dst.dim, b.src.dim)
+
+    def full_shape(f):
+        return all(len(blk) == len(f.dst.spaces.get(lam, ())) and all(len(row) == len(f.src.spaces[lam])
+                                                                      for row in blk)
+                   for lam, blk in f.blocks.items()) and set(f.blocks) == set(f.src.spaces)
+
+    no_rows = checked = 0
+    for name, res, n in pinned_resolutions():
+        for k, f in enumerate(res.maps[:n + 1]):
+            d, q = f.dense(), f.dst.qpow(1)
+            cols = [[d[i][j] for i in f.dst.spaces.get(w, ())] for j, w in enumerate(f.src.weights)]
+            assert linalg.mat_eq(qmodules.ModMap.from_images(f.src, f.dst, cols).dense(), d), name
+            assert linalg.mat_eq((f + f.scale(q)).dense(), linalg.mat_add(d, linalg.mat_scale(q, d))), name
+            assert full_shape(f) and f.is_zero() == linalg.is_zero_mat(d), name
+            if k:
+                comp = res.maps[k - 1] @ f
+                assert full_shape(comp) and comp.is_zero(), name
+                assert linalg.mat_eq(comp.dense(), dense_mul(res.maps[k - 1], f)), name
+            checked += bool(f.src.dim)
+        aug, one = res.maps[0], res.module.field.one
+        g = qmodules.ModMap.from_images(res.module, aug.src, [[one] * len(aug.src.spaces.get(w, ()))
+                                                              for w in res.module.weights])
+        for comp, (a, b) in ((g @ aug, (g, aug)), (aug @ g, (aug, g))):
+            assert full_shape(comp) and linalg.mat_eq(comp.dense(), dense_mul(a, b)), name
+        no_rows += sum(not blk for blk in aug.blocks.values())
+    assert checked > 200 and no_rows > 0
 
 
 def test_shared_resolutions_are_left_as_they_were():
@@ -509,10 +549,12 @@ def test_alternating_words_nonzero():
 
 def test_yoneda_refuses_a_cocycle_that_is_not_a_module_map():
     # a degree-one cocycle with one entry changed off the top vectors of the
-    # summands of its term is no module map, so the lift through the
-    # augmentation must fail, whichever columns the lift is solved at
+    # summands of its term is no module map: changed inside a weight block,
+    # the lift through the augmentation must fail, whichever columns the lift
+    # is solved at; changed off the weight blocks, it is no map that keeps
+    # weight, and slicing it into weight blocks refuses it
     gens = ext_basis_x(3, 1, 1)
-    checked = 0
+    checked, off_blocks = 0, 0
     for v in gens.values():
         u = next(g for g in gens.values() if g.source == v.target)
         res = resolution_of_irreducible(3, *v.source, 1)
@@ -526,10 +568,29 @@ def test_yoneda_refuses_a_cocycle_that_is_not_a_module_map():
             for c in sorted(set(range(len(row))) - tops):
                 cocycle = linalg.mat_copy(v.cocycle)
                 cocycle[r][c] = cocycle[r][c] + cocycle[r][c].field.one
-                with pytest.raises(ClassificationError, match="^chain lift does not exist$"):
-                    yoneda(u, dataclasses.replace(v, cocycle=cocycle))
+                blocks = weight_blocks(cocycle, v.map.dst.spaces, v.map.src.spaces)
+                if blocks is None:
+                    off_blocks += 1
+                else:
+                    with pytest.raises(ClassificationError, match="^chain lift does not exist$"):
+                        yoneda(u, dataclasses.replace(v, map=qmodules.ModMap(v.map.src, v.map.dst, blocks)))
                 checked += 1
-    assert checked == 60
+    assert (checked, off_blocks) == (60, 44)
+
+
+def test_signs_are_checked():
+    # every sign other than 1 and "+" was once taken as -1: ext_basis_x(3, 7, 1)
+    # returned four classes, "plus" gave the generators of the block of X-_2,
+    # and functor_F(m, 5) ran as sign -1
+    m = build_w2(3, 1, 1)
+    for run in (lambda: ext_basis_x(3, 7, 1), lambda: functor_F(m, 5), lambda: functor_F(m, 0)):
+        with pytest.raises(ValueError, match="^bad sign"):
+            run()
+    assert irreducible(3, "plus", 1).label == "X+_1"
+    assert {key: c.source for key, c in ext_basis_x(3, "plus", 1).items()} == {
+        (1, 1): (1, 1), (1, 2): (1, 1), (-1, 1): (-1, 2), (-1, 2): (-1, 2)}
+    plus, one = functor_F(m, "plus"), functor_F(m, 1)
+    assert (plus.d0, plus.d1, plus.r, plus.rbar) == (one.d0, one.d1, one.r, one.rbar)
 
 
 def test_ext_classes_are_cocycles():

@@ -194,7 +194,7 @@ def test_off_block_action_fails_with_one_message():
     for gen in ("E", "F"):
         m = _off_weight(gen)
         for run in (lambda: submodule(m, linalg.identity(m.field, m.dim)), lambda: list(casimir_blocks(m)),
-                    lambda: _top_vectors(m, 1, 3, partial(category._weight_basis, m))):
+                    lambda: _top_vectors(m, 1, 3, partial(qmodules.weight_basis, m))):
             with pytest.raises(ValueError, match="^E or F has an entry off its weight blocks$"):
                 run()
 

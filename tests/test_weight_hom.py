@@ -14,11 +14,11 @@ from functools import partial
 
 from conftest import sample_zs, scramble
 from uqslcat import linalg
-from uqslcat.category import (IndecLabel, _dense, _images, _lift, _term_homs, _top_radical, _weight_basis,
-                              block_decompose, decompose, minimal_resolution, projective_cover)
-from uqslcat.qmodules import (build_p, direct_sum, intertwiner_basis, irreducible,
-                              irreducible_weights, maps_from_generator, radical_columns,
-                              regular_module, socle_columns, submodule)
+from uqslcat.category import (IndecLabel, _images, _term_homs, _top_radical, block_decompose, decompose,
+                              minimal_resolution, projective_cover)
+from uqslcat.qmodules import (ModMap, build_p, direct_sum, intertwiner_basis, irreducible,
+                              irreducible_weights, lift, maps_from_generator, radical_columns,
+                              regular_module, socle_columns, submodule, weight_basis)
 
 
 def random_labels(p, rng, count, families="XWMOP"):
@@ -75,8 +75,8 @@ def test_maps_from_generator_span_the_hom_spaces():
         else:
             sources = [(build_p(p, 1, piece.s), piece.s), (build_p(p, -1, p - piece.s), p - piece.s)]
         for src, gen in sources:
-            maps = [_dense(m, src.weights, cols)
-                    for cols in maps_from_generator(src, gen, m, _weight_basis(m, src.weights[gen]))]
+            maps = [ModMap.from_images(src, m, cols).dense()
+                    for cols in maps_from_generator(src, gen, m, weight_basis(m, src.weights[gen]))]
             assert map_span(maps, src, m) == map_span(intertwiner_basis(src, m), src, m)
             for phi in maps:
                 for g in ("E", "F", "K"):
@@ -102,7 +102,7 @@ def test_top_radical_is_the_radical_at_the_top_weight():
                 top = irreducible_weights(p, sign, s_top)[0]
                 at_top = [v for v in rad if any(x for x, w in zip(v, b.weights) if w == top)]
                 want = span(b.field, at_top, b.dim)
-                assert _lift(b, top, _top_radical(b, sign, s_top, partial(_weight_basis, b)).basis()) == want
+                assert lift(b, top, _top_radical(b, sign, s_top, partial(weight_basis, b)).basis()) == want
                 checked += bool(want)
     assert checked >= 4
 
@@ -181,8 +181,8 @@ def term_hom_basis(content, term, dst):
     one of the vectors _term_homs lists for it and kill the other summands."""
     summands = _term_homs(content, dst)
     zero = lambda cover, top: [dst.field.zero] * len(dst.spaces.get(cover.weights[top], ()))
-    return [_dense(dst, term.weights, _images(dst, [(c, t, v if j == i else zero(c, t))
-                                                    for j, (c, t, _) in enumerate(summands)]))
+    return [ModMap.from_images(term, dst, _images(dst, [(c, t, v if j == i else zero(c, t))
+                                                        for j, (c, t, _) in enumerate(summands)])).dense()
             for i, (_, _, tops) in enumerate(summands) for v in tops]
 
 
