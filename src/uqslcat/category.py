@@ -586,7 +586,7 @@ def extension_class_of_middle(p: int, a: int, s: int, middle: QMod) -> ExtClass:
         return ModMap.from_images(middle, x, [[one if off + j == i else zero for j in x.spaces.get(w, ())]
                                               for i, w in enumerate(middle.weights)])
 
-    top, socle = onto(res.module, 0), onto(irreducible(p, -a, p - s), s)
+    top, socle = onto(res.module, 0), onto(_resolution(p, -a, p - s).module, s)  # the cached irreducibles
     lift = _solve_in_hom(res, 0, top, res.maps[0], "projective term does not lift over the extension")
     raw = lift @ res.maps[1]  # the augmentation lifted through the projection onto the top, on the next term
     if not (top @ raw).is_zero():
