@@ -425,7 +425,7 @@ def test_resolution_steps_and_chain_lifts_stay_in_weight_spaces(monkeypatch):
     category._resolution.cache_clear()
     res = minimal_resolution(irreducible(4, -1, 1), 1)  # builds the two covers it alternates, densely
     resolution_of_irreducible(4, -1, 1, 0)
-    gens = ext_basis_x(3, 1, 1)  # builds its middles densely
+    gens = ext_basis_x(3, 1, 1)  # builds its middles from dense E and F
     for module, name in ((category, "weight_blocks"), (qmodules, "weight_blocks"), (qmodules, "graded_kernel"),
                          (category, "submodule"), (qmodules, "submodule")):
         monkeypatch.setattr(module, name, refuse(name))
@@ -580,7 +580,7 @@ def test_yoneda_refuses_a_cocycle_that_is_not_a_module_map():
 
 def test_signs_are_checked():
     # every sign other than 1 and "+" was once taken as -1: ext_basis_x(3, 7, 1)
-    # returned four classes, "plus" gave the generators of the block of X-_2,
+    # returned four classes, "plus" gave the generators of the block of X-_1,
     # and functor_F(m, 5) ran as sign -1
     m = build_w2(3, 1, 1)
     for run in (lambda: ext_basis_x(3, 7, 1), lambda: functor_F(m, 5), lambda: functor_F(m, 0)):
