@@ -16,8 +16,8 @@ the dual as complement; the semisimple-length-two remainder splits by
 the sign of its top and goes through the Kronecker-quiver functor, read
 off highest-weight vectors, where the pencil canonical form names every
 summand.  Each step keeps explicit bases, so the final report carries an
-exact isomorphism certificate from the direct sum of freshly rebuilt
-canonical modules onto the input.
+exact isomorphism certificate from the direct sum of the rebuilt canonical
+modules onto the input.
 
 Minimal projective resolutions are built by iterating projective
 covers, which solve for no intertwiner either: the cover of a simple is
@@ -35,14 +35,16 @@ lift is solved at those columns alone and then checked on the whole term.
 
 Every step works one weight space at a time.  A module's own grading (its
 weight spaces, q and the weight blocks of E and F) is what the QMod stores,
-and every map of a resolution, an extension class or a chain lift is a
-ModMap, its weight blocks, composed, added and compared block by block.
-Covers, resolution steps and chain lifts keep each vector in the
-coordinates of one weight space and move it through the weight blocks of E
-and F; a map out of a sum of covers is assembled from the images of their
-basis vectors.  A dense matrix is built only when a dense view is read
-(augmentation, boundaries, cocycle, the surjection of projective_cover) and
-for the columns of a decomposition; only its certificate is sliced.
+and every map of a decomposition, a resolution, an extension class or a
+chain lift is a ModMap, its weight blocks, composed, added and compared
+block by block.  Every step keeps each vector in the coordinates of one
+weight space and moves it through the weight blocks of E and F; a map out
+of a sum of covers is assembled from the images of their basis vectors,
+and a certificate from the blocks of its summands, side by side at each
+weight.  A dense matrix is built only when a dense view is read
+(augmentation, boundaries, cocycle, certificate, the surjection of
+projective_cover) and for the one result of find_isomorphism; no map is
+sliced.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ from functools import lru_cache, partial
 from itertools import groupby
 
 from . import linalg
-from .cyclotomic import CycField, CycNum, dot
+from .cyclotomic import CycField, CycNum
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
                         canonical_rep, classify, functor_G, glued_form)
-from .qmodules import (CP1, ModMap, QMod, _sign, build_o1, build_p, casimir_blocks, direct_sum, dual,
-                       family_label, intertwiner_basis, irreducible, irreducible_weights, lift,
-                       maps_from_generator, radical_series, socle_columns, submodule, weight_basis,
-                       weight_blocks)
+from .qmodules import (CP1, ModMap, QMod, _sign, block_matrix, build_o1, build_p, casimir_blocks,
+                       column_submodule, direct_sum, dual, family_label, intertwiner_basis, irreducible,
+                       irreducible_weights, maps_from_generator, radical_series, socle_columns, submodule,
+                       weight_basis)
 from .qmodules import semisimple_length_of as semisimple_length
 
 
@@ -85,7 +87,8 @@ def find_isomorphism(a: QMod, b: QMod):
     """An invertible intertwiner a -> b, or None when a and b are not
     isomorphic.  Decisive by Krull-Schmidt: both modules are decomposed,
     they are isomorphic exactly when their indecomposable summands agree
-    with multiplicities, and the map is then cert_b cert_a^-1.  Raises
+    with multiplicities, and the map is then cert_b cert_a^-1, taken
+    block by block at each weight.  Raises
     EigenvalueOutsideField, instead of guessing, when ``decompose`` meets
     a pencil eigenvalue outside the field of the modules."""
     if a.p != b.p:
@@ -97,7 +100,8 @@ def find_isomorphism(a: QMod, b: QMod):
     ra, rb = decompose(a), decompose(b)
     if ra.entries != rb.entries:
         return None
-    return linalg.mat_mul(rb.certificate, linalg.inverse(ra.certificate))
+    blocks = {lam: linalg.mat_mul(rb.map.blocks[lam], linalg.inverse(blk)) for lam, blk in ra.map.blocks.items()}
+    return block_matrix(a.field, blocks, b.spaces, a.spaces, b.dim, a.dim)
 
 
 # -- blocks, socle, radical --------------------------------------------------------
@@ -107,22 +111,30 @@ def find_isomorphism(a: QMod, b: QMod):
 class BlockPiece:
     s: int
     module: QMod
-    embedding: list  # dim(m) x dim(piece)
+    embedding: ModMap  # piece -> m
 
 
 def block_decompose(m: QMod) -> list[BlockPiece]:
     """Split into the generalized eigenspaces of the Casimir action; the
     piece at index s is the part where C - beta_s acts nilpotently."""
-    pieces = [BlockPiece(s, *submodule(m, cols)) for s, cols in casimir_blocks(m) if cols]
+    pieces = [BlockPiece(s, *_span_submodule(m, span)) for s, span in casimir_blocks(m) if span]
     if sum(bp.module.dim for bp in pieces) != m.dim:
         raise ClassificationError("Casimir blocks do not exhaust the module")
     return pieces
 
 
+def _span_submodule(m: QMod, span) -> tuple[QMod, ModMap]:
+    """The submodule of m that the null vectors span[lam] span at each weight
+    lam, in the coordinates of M_lam, with its embedding; its basis comes in
+    the order of linalg.nullspace on all of m, by the index in m of the last
+    nonzero entry of each vector."""
+    last = lambda lv: m.spaces[lv[0]][max(i for i, x in enumerate(lv[1]) if x)]
+    return submodule(m, sorted(((lam, v) for lam, vecs in span.items() for v in vecs), key=last))
+
+
 def socle(m: QMod) -> tuple[QMod, list]:
     """The maximal semisimple submodule with its embedding."""
-    cols = socle_columns(m)
-    return submodule(m, cols)
+    return column_submodule(m, socle_columns(m))
 
 
 # -- labels for the classification --------------------------------------------------
@@ -200,9 +212,14 @@ def _label_from_pencil(blk: PencilBlock, sign: int, s_top: int, p: int) -> Indec
 
 @dataclass
 class DecompReport:
+    """The summands of module, with the isomorphism map from the direct sum of
+    the rebuilt entries, in order, onto module; certificate is its dense
+    matrix, a read-only view derived on each read."""
     module: QMod
     entries: list[tuple[IndecLabel, int]]
-    certificate: list  # dim x dim isomorphism from the rebuilt direct sum
+    map: ModMap
+
+    certificate = property(lambda self: self.map.dense())
 
     def multiset(self) -> dict[str, int]:
         return {str(lbl): mult for lbl, mult in self.entries}
@@ -224,45 +241,43 @@ def decompose(m: QMod) -> DecompReport:
     isomorphism certificate from the direct sum of canonical rebuilds."""
     from .qmodules import verify_module
 
+    if m.field.order != 2 * m.p:
+        raise ValueError(f"decompose needs a module over the field of order 2p = {2 * m.p}, not {m.field.order}")
     chk = verify_module(m)
     if not chk.ok:
         raise ValueError(f"not a module: {chk.violations}")
-    pieces: list[tuple[IndecLabel, list]] = []  # (label, columns dim(m) x dim(label))
+    pieces: list[tuple[IndecLabel, ModMap]] = []  # (label, embedding of the rebuilt label into m)
     for blockpiece in block_decompose(m):
         pieces.extend(_decompose_block(blockpiece))
-    pieces.sort(key=lambda lc: lc[0].sort_key())
+    pieces.sort(key=lambda lf: lf[0].sort_key())
     entries: list[tuple[IndecLabel, int]] = []
     for lbl, _ in pieces:
         if entries and entries[-1][0] == lbl:
             entries[-1] = (lbl, entries[-1][1] + 1)
         else:
             entries.append((lbl, 1))
-    cols: list[list[CycNum]] = []
-    for _, piece_cols in pieces:
-        for j in range(len(piece_cols[0]) if piece_cols else 0):
-            cols.append([piece_cols[i][j] for i in range(m.dim)])
-    cert = [[cols[j][i] for j in range(len(cols))] for i in range(m.dim)]
-    _verify_certificate(m, entries, cert)
-    return DecompReport(m, entries, cert)
+    # at each weight, the summands' blocks side by side, as direct_sum lays out their bases
+    blocks = {lam: [sum(rows, []) for rows in zip(*(f.blocks[lam] for _, f in pieces if lam in f.blocks))]
+              for lam in m.spaces}
+    return DecompReport(m, entries, _verify_certificate(m, entries, blocks))
 
 
-def _verify_certificate(m: QMod, entries, cert) -> None:
-    """Check that cert is an isomorphism from the rebuilt entries onto m, one
-    weight space at a time: no entry off its weight blocks (K), square blocks
-    of full rank (invertible), and E and F intertwined block by block, on
-    the weight blocks of E and F that each module keeps."""
+def _verify_certificate(m: QMod, entries, blocks) -> ModMap:
+    """The isomorphism from the rebuilt entries onto m with the weight blocks
+    blocks (the m_lam x rebuilt_lam block at each weight lam), checked one
+    weight space at a time: it keeps weight (K) by construction, its blocks
+    are square of full rank (invertible), and it intertwines E and F block
+    by block, on the weight blocks of E and F that each module keeps."""
     if m.dim == 0:
         if entries:
             raise ClassificationError("empty module with entries")
-        return
+        return ModMap(QMod._from_blocks(m.p, m.field, [], {}, {}), m, {})
     rebuilt = direct_sum(*[lbl.rebuild(m.p) for lbl, mult in entries for _ in range(mult)])
-    if rebuilt.dim != m.dim or len(cert[0]) != m.dim:
-        raise ClassificationError("certificate has wrong dimensions")
     theirs = rebuilt.spaces
-    blocks = weight_blocks(cert, m.spaces, theirs)
-    if blocks is None:
-        raise ClassificationError("certificate does not intertwine K")
-    if any(len(blk) != len(theirs[lam]) or linalg.rank(blk) != len(blk) for lam, blk in blocks.items()):
+    if rebuilt.dim != m.dim or set(theirs) != set(blocks):
+        raise ClassificationError("certificate has wrong dimensions")
+    if any(len(blk) != len(theirs[lam]) or any(len(row) != len(blk) for row in blk) or linalg.rank(blk) != len(blk)
+           for lam, blk in blocks.items()):
         raise ClassificationError("certificate is not invertible")
     for gen in ("E", "F"):
         lhs, rhs = m.blocks(gen), rebuilt.blocks(gen)
@@ -270,44 +285,48 @@ def _verify_certificate(m: QMod, entries, cert) -> None:
             if (mu := m.shift(lam, gen)) in theirs and not linalg.mat_eq(
                     linalg.mat_mul(lhs[lam], blocks[lam]), linalg.mat_mul(blocks[mu], rhs[lam])):
                 raise ClassificationError(f"certificate does not intertwine {gen}")
+    return ModMap(rebuilt, m, blocks)
 
 
-def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, list]]:
-    """All summands of one Casimir block.  In a semisimple block every
-    highest-weight vector spans a copy of the Steinberg module.  Otherwise
-    the projective summands come at once: P = P^a_s is cyclic on its top
-    vector b_0, so Hom(P, m) is the weight space of b_0, and v generates an
-    embedded copy exactly when F E v, the image of the socle of P, is
-    nonzero; generators with independent F E v embed the whole projective
-    part.  A projective part of dual(m) picked the same way pairs perfectly
-    with it, since the rest of m has no projective summand, so its
-    annihilator is a complement."""
-    m, p = bp.module, bp.module.p
+def _decompose_block(bp: BlockPiece) -> list[tuple[IndecLabel, ModMap]]:
+    """All summands of one Casimir block, each with the embedding of its
+    rebuild into the module.  In a semisimple block every highest-weight
+    vector spans a copy of the Steinberg module.  Otherwise the projective
+    summands come at once: P = P^a_s is cyclic on its top vector b_0, so
+    Hom(P, m) is the weight space of b_0, and v generates an embedded copy
+    exactly when F E v, the image of the socle of P, is nonzero; generators
+    with independent F E v embed the whole projective part.  A projective
+    part of dual(m) picked the same way pairs perfectly with it, since the
+    rest of m has no projective summand, so its annihilator is a complement,
+    one null space per weight: each row of a map into dual(m) is a
+    functional on one weight space of m."""
+    m, p, emb = bp.module, bp.module.p, bp.embedding
     if bp.s in (0, p):
         a = 1 if bp.s == p else -1
-        x = irreducible(p, a, p)
-        homs = maps_from_generator(x, 0, m, weight_basis(m, x.weights[0]))
+        x, top = _cover_of_simple(p, a, p)
+        homs = maps_from_generator(x, top, m, weight_basis(m, x.weights[top]))
         if len(homs) * p != m.dim:
             raise ClassificationError("semisimple block of unexpected size")
-        return [(IndecLabel("X", a, p), linalg.mat_mul(bp.embedding, ModMap.from_images(x, m, cols).dense()))
-                for cols in homs]
-    out: list[tuple[IndecLabel, list]] = []
-    dual_rows: list[list[CycNum]] = []
+        return [(IndecLabel("X", a, p), emb @ ModMap.from_images(x, m, cols)) for cols in homs]
+    out: list[tuple[IndecLabel, ModMap]] = []
+    dual_rows: dict[int, list] = {}  # weight lam of m -> functionals on M_lam
     dm = dual(m)
     for a, s in ((1, bp.s), (-1, p - bp.s)):
-        proj = build_p(p, a, s)  # generated by its top vector b_0, the basis vector s
-        gens = _projective_generators(m, proj.weights[s])
-        dual_gens = _projective_generators(dm, proj.weights[s])
+        proj, top = _cover_of_simple(p, a, s)
+        gens = _projective_generators(m, proj.weights[top])
+        dual_gens = _projective_generators(dm, proj.weights[top])
         if len(gens) != len(dual_gens):
             raise ClassificationError("the module and its dual have different projective parts")
-        for cols in maps_from_generator(proj, s, m, gens):
-            out.append((IndecLabel("P", a, s), linalg.mat_mul(bp.embedding, ModMap.from_images(proj, m, cols).dense())))
-        for cols in maps_from_generator(proj, s, dm, dual_gens):
-            dual_rows.extend(linalg.transpose(ModMap.from_images(proj, dm, cols).dense()))
-    rest, emb = m, bp.embedding
+        out += [(IndecLabel("P", a, s), emb @ ModMap.from_images(proj, m, cols))
+                for cols in maps_from_generator(proj, top, m, gens)]
+        for cols in maps_from_generator(proj, top, dm, dual_gens):
+            for w, row in zip(proj.weights, cols):  # dual(m) at weight w is M_(-w) with the dual basis
+                dual_rows.setdefault(-w % (2 * p), []).append(row)
+    rest = m
     if dual_rows:
-        rest, rest_emb = submodule(m, linalg.nullspace(dual_rows))
-        emb = linalg.mat_mul(emb, rest_emb)
+        rest, rest_emb = _span_submodule(m, {lam: linalg.nullspace(dual_rows[lam]) if lam in dual_rows
+                                             else weight_basis(m, lam) for lam in m.spaces})
+        emb = emb @ rest_emb
     if rest.dim:
         out.extend(_decompose_length_two(rest, emb, bp.s))
     return out
@@ -344,7 +363,7 @@ def _top_radical(m: QMod, a: int, s: int, span) -> linalg.RowSpace:
     return radical
 
 
-def _decompose_length_two(m: QMod, emb, s_block: int) -> list[tuple[IndecLabel, list]]:
+def _decompose_length_two(m: QMod, emb: ModMap, s_block: int) -> list[tuple[IndecLabel, ModMap]]:
     """Split the projective-free remainder into its +/- parts by the sign
     of the top, and classify each through the Kronecker functor.
 
@@ -366,29 +385,29 @@ def _decompose_length_two(m: QMod, emb, s_block: int) -> list[tuple[IndecLabel, 
         v0 = [v for v in weight_basis(m, lams[sign]) if radicals[sign].add(v)]
         if v0:
             dims += len(v0) * s_top + len(socles[sign]) * (p - s_top)
-            out.extend(_classify_part(m, emb, sign, s_top, lift(m, lams[sign], v0),
-                                      lift(m, lams[-sign], socles[sign])))
+            out.extend(_classify_part(m, emb, sign, s_top, v0, socles[sign]))
     if dims != m.dim:
         raise ClassificationError("plus/minus top split does not exhaust the remainder")
     return out
 
 
-def _classify_part(m: QMod, emb, sign: int, s_top: int, v0, v1) -> list[tuple[IndecLabel, list]]:
+def _classify_part(m: QMod, emb: ModMap, sign: int, s_top: int, v0, v1) -> list[tuple[IndecLabel, ModMap]]:
     """The summands of the part of m that the top vectors v0 generate over
-    the socle highest-weight vectors v1, with their columns through emb."""
+    the socle highest-weight vectors v1, with their embeddings through emb.
+    Copy k of a quiver column c is sum_j c_j (copy k of j): at the weight of
+    each top (socle) copy, a summand maps in by its block's columns u0 (u1)."""
     try:
         rep, ev = glued_form(m, sign, s_top, v0, v1)  # ev: G(F(part)) -> m
     except ValueError as err:
         raise ClassificationError(f"quiver functor: {err}") from err
-    full, t = linalg.mat_mul(emb, ev), m.p - s_top
-
-    def spread(cols, copies, offset):  # copy k of a quiver column c is sum_j c_j (copy k of j)
-        return [[dot(m.field, ((c, row[offset + j * copies + k]) for j, c in enumerate(col) if c))
-                 for row in full] for col in cols for k in range(copies)]
-
-    return [(_label_from_pencil(blk, sign, s_top, m.p),
-             linalg.transpose(spread(blk.u0, s_top, 0) + spread(blk.u1, t, rep.d0 * s_top)))
-            for blk in classify(rep).blocks]
+    full, p = emb @ ev, m.p
+    out = []
+    for blk in classify(rep).blocks:
+        lbl = _label_from_pencil(blk, sign, s_top, p)
+        copies = [(irreducible_weights(p, sign, s_top), blk.u0), (irreducible_weights(p, -sign, p - s_top), blk.u1)]
+        out.append((lbl, full @ ModMap(lbl.rebuild(p), ev.src, {lam: linalg.transpose(cols)
+                                                                for lams, cols in copies if cols for lam in lams})))
+    return out
 
 
 # -- projective covers and minimal resolutions ------------------------------------------

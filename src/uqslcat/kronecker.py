@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from . import linalg
 from .cyclotomic import CycField, CycNum, InternalError, dot, json_field, json_value
 from .polys import roots_in_field
-from .qmodules import CP1, QMod, _sign, block_index, build_glued, irreducible_weights, lift, submodule, \
-    weight_basis
+from .qmodules import CP1, QMod, _sign, block_index, build_glued, irreducible_weights, submodule, weight_basis
 
 
 class ClassificationError(InternalError):
@@ -218,32 +217,20 @@ def classify(rep: QuiverRep) -> QuiverDecomp:
     canon = QuiverRep(0, 0, [], [], field)
     for blk in blocks:
         canon = canon.direct_sum(blk.canonical(field))
-    s0 = _columns_matrix(field, rep.d0, [col for blk in blocks for col in blk.u0])
-    s1 = _columns_matrix(field, rep.d1, [col for blk in blocks for col in blk.u1])
+    s0 = linalg.transpose([col for blk in blocks for col in blk.u0]) or linalg.zeros(field, rep.d0, 0)
+    s1 = linalg.transpose([col for blk in blocks for col in blk.u1]) or linalg.zeros(field, rep.d1, 0)
     if rep.d0 and linalg.rank(s0) != rep.d0:
         raise ClassificationError("base change on V0 is not invertible")
     if rep.d1 and linalg.rank(s1) != rep.d1:
         raise ClassificationError("base change on V1 is not invertible")
-    if not linalg.mat_eq(_safe_mul(rep.r, s0), _safe_mul(s1, canon.r)):
-        raise ClassificationError("certificate fails to intertwine r")
-    if not linalg.mat_eq(_safe_mul(rep.rbar, s0), _safe_mul(s1, canon.rbar)):
-        raise ClassificationError("certificate fails to intertwine rbar")
+    zero = linalg.zeros(field, rep.d1, rep.d0)  # what mat_mul leaves as [] when a factor has no rows
+    for name, arrow, canon_arrow in (("r", rep.r, canon.r), ("rbar", rep.rbar, canon.rbar)):
+        if not linalg.mat_eq(linalg.mat_mul(arrow, s0) or zero, linalg.mat_mul(s1, canon_arrow) or zero):
+            raise ClassificationError(f"certificate fails to intertwine {name}")
     counted: dict[tuple, int] = {}  # in first-seen order
     for blk in blocks:
         counted[blk.label()] = counted.get(blk.label(), 0) + 1
     return QuiverDecomp(list(counted.items()), blocks, s0, s1, canon)
-
-
-def _safe_mul(a, b):
-    if not a or not b or not a[0] or not b[0]:
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return [[None] * cols for _ in range(rows)] if rows and cols else ([[] for _ in range(rows)] if rows else [])
-    return linalg.mat_mul(a, b)
-
-
-def _columns_matrix(field, nrows, cols):
-    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
 
 
 def _decompose(rep: QuiverRep) -> list[PencilBlock]:
@@ -363,10 +350,9 @@ def _from_transpose(rep: QuiverRep) -> list[PencilBlock]:
     through the rows of the inverse base changes; preprojective and
     preinjective swap, and a regular block keeps its point with its basis
     reversed (the transposed Jordan block is lower triangular)."""
-    field = rep.field
     blocks = _decompose(rep.transposed())
-    inv1 = linalg.inverse(_columns_matrix(field, rep.d1, [c for b in blocks for c in b.u0]))
-    inv0 = linalg.inverse(_columns_matrix(field, rep.d0, [c for b in blocks for c in b.u1]))
+    inv1 = linalg.inverse(linalg.transpose([c for b in blocks for c in b.u0]))
+    inv0 = linalg.inverse(linalg.transpose([c for b in blocks for c in b.u1]))
     swap = {"preprojective": "preinjective", "preinjective": "preprojective", "regular": "regular"}
     out, at0, at1 = [], 0, 0
     for blk in blocks:
@@ -383,11 +369,11 @@ def _restrict(rep: QuiverRep, u0, u1):
     (in V1), in those bases, with the column matrices (U0, U1)."""
     field = rep.field
     k0, k1 = len(u0), len(u1)
-    U0 = _columns_matrix(field, rep.d0, u0)
-    U1 = _columns_matrix(field, rep.d1, u1)
+    U0 = linalg.transpose(u0) or linalg.zeros(field, rep.d0, 0)
+    U1 = linalg.transpose(u1) or linalg.zeros(field, rep.d1, 0)
     if k0 and k1:
-        r_s = linalg.solve(U1, _safe_mul(rep.r, U0))
-        rb_s = linalg.solve(U1, _safe_mul(rep.rbar, U0))
+        r_s = linalg.solve(U1, linalg.mat_mul(rep.r, U0))
+        rb_s = linalg.solve(U1, linalg.mat_mul(rep.rbar, U0))
         if r_s is None or rb_s is None:
             raise ClassificationError("the columns do not span an arrow-stable subrepresentation")
     else:
@@ -470,28 +456,30 @@ def _eigenvalue_to_z(field, shift: CycNum, mu: CycNum) -> CP1:
 
 def glued_form(m: QMod, sign: int, s_top: int, v0, v1):
     """(rep, basis) for top highest-weight vectors v0 and socle
-    highest-weight vectors v1 of m: the columns of basis are F^nu u for u
-    in v0, nu < s_top, then F^k w for w in v1, k < p - s_top, the basis of
-    build_glued(p, sign, s_top, rep) in its order, and rep is read off the
-    action of m on them.  Raises ValueError unless they are independent,
-    span a submodule and carry exactly the action of build_glued(rep), so
-    that basis is an injective module map from it into m."""
-    p, field, t = m.p, m.field, m.p - s_top
-    cols = []
-    for vecs, length in ((v0, s_top), (v1, t)):
+    highest-weight vectors v1 of m, in the coordinates of their weight
+    spaces: the ModMap basis sends the basis of build_glued(p, sign, s_top,
+    rep), in its order, to F^nu u for u in v0, nu < s_top, then F^k w for w
+    in v1, k < p - s_top, and rep is read off the action of m on them.
+    Raises ValueError unless they are independent (weight by weight), span a
+    submodule and carry exactly the action of build_glued(rep), so that
+    basis is an injective module map from it into m."""
+    p, field, t, f = m.p, m.field, m.p - s_top, m.blocks("F")
+    chains = []  # (weight, vector of that weight space)
+    for vecs, (a, length) in ((v0, (sign, s_top)), (v1, (-sign, t))):
         for v in vecs:
-            for _ in range(length):
-                cols.append(v)
-                v = m.apply("F", v)
-    if cols and linalg.rank(cols) != len(cols):
+            for lam in irreducible_weights(p, a, length):
+                chains.append((lam, v))
+                v = linalg.mat_vec(f[lam], v) if v else v  # empty where the weight is missing
+    by_weight: dict[int, list] = {}
+    for lam, v in chains:
+        by_weight.setdefault(lam, []).append(v)
+    if any(linalg.rank(vecs) != len(vecs) for vecs in by_weight.values()):
         raise ValueError("the highest-weight vectors generate dependent columns")
-    sub, basis = submodule(m, cols)
+    sub, basis = submodule(m, chains)
     d0, d1 = len(v0), len(v1)
-    top, soc = (lambda j, nu: j * s_top + nu), (lambda i, k: d0 * s_top + i * t + k)
-    unit = linalg.identity(field, sub.dim)  # F on the bottom and E on the top of each top copy, in sub
-    r, rbar = ([sub.apply(g, unit[top(j, nu)]) for j in range(d0)] for g, nu in (("F", s_top - 1), ("E", 0)))
-    rep = QuiverRep(d0, d1, [[r[j][soc(i, 0)] for j in range(d0)] for i in range(d1)],
-                    [[rbar[j][soc(i, t - 1)] for j in range(d0)] for i in range(d1)], field)
+    tops = irreducible_weights(p, sign, s_top)  # F on the bottom and E on the top of each top copy reach the socle
+    r, rbar = (sub.blocks(g)[lam] if d0 else [[]] * d1 for g, lam in (("F", tops[-1]), ("E", tops[0])))
+    rep = QuiverRep(d0, d1, r, rbar, field)
     glued = build_glued(p, sign, s_top, rep)
     if not (sub.weights == glued.weights and all(sub.blocks(g) == glued.blocks(g) for g in "EF")):
         raise ValueError("the module is not one top glued over one socle along its representation")
@@ -512,8 +500,7 @@ def functor_F(m: QMod, sign) -> QuiverRep:
     if not 1 <= s_block <= p - 1:
         raise ValueError("the quiver functor applies to the non-semisimple blocks only")
     s_top = s_block if sign > 0 else p - s_block
-    lams = [irreducible_weights(p, a, s)[0] for a, s in ((sign, s_top), (-sign, p - s_top))]
-    v0, v1 = (lift(m, lam, weight_basis(m, lam)) for lam in lams)
+    v0, v1 = (weight_basis(m, irreducible_weights(p, a, s)[0]) for a, s in ((sign, s_top), (-sign, p - s_top)))
     if len(v0) * s_top + len(v1) * (p - s_top) != m.dim:
         raise ValueError("the top and socle highest weights do not generate the module")
     return glued_form(m, sign, s_top, v0, v1)[0]

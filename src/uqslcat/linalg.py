@@ -82,7 +82,7 @@ def mat_neg(a):
 
 
 def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
+    return [[c * x if x else x for x in row] for row in a]
 
 
 def mat_comb(field: CycField, terms, m: int, n: int):

@@ -681,28 +681,20 @@ def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[lis
     return out
 
 
-def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[CycNum]]]:
-    """Restrict the action to the span of K-homogeneous columns; returns
-    the submodule and the embedding matrix (dim x k).  One solve per weight
-    mu expresses the images of the columns of weights mu - 2 under E and
-    mu + 2 under F in the columns of weight mu: the submodule's blocks into
-    mu.  Raises ValueError when a column is not K-homogeneous, when E or F
-    has an entry off its weight blocks, or when the columns do not span a
-    submodule."""
-    field, k = m.field, len(columns)
-    if k == 0:
-        return QMod._from_blocks(m.p, field, [], {}, {}), [[] for _ in range(m.dim)]
-    emb = linalg.transpose(columns)
-    weights = []
-    for col in columns:
-        wset = {m.weights[i] for i, x in enumerate(col) if x}
-        if len(wset) != 1:
-            raise ValueError("submodule basis vectors must be K-homogeneous")
-        weights.append(wset.pop())
+def submodule(m: QMod, basis) -> tuple[QMod, ModMap]:
+    """Restrict the action to the span of basis, a list of pairs (weight lam,
+    vector of M_lam in its coordinates); returns the submodule, on that basis
+    in order, and its embedding as a ModMap.  One solve per weight mu
+    expresses the images of the vectors of weights mu - 2 under E and mu + 2
+    under F in the vectors of weight mu: the submodule's blocks into mu.
+    Raises ValueError when E or F has an entry off its weight blocks, or when
+    the vectors do not span a submodule."""
+    weights = [lam for lam, _ in basis]
     spaces, sub = m.spaces, weight_spaces(weights)
+    emb = {lam: linalg.transpose([basis[j][1] for j in idx]) for lam, idx in sub.items()}
     # E, then F: the generator that moves a target weight back to its source, the blocks of m, those of the submodule
     acts = [(back, m.blocks(gen), dict.fromkeys(sub, [])) for gen, back in (("E", "F"), ("F", "E"))]
-    part = lambda lam: [[emb[i][j] for j in sub.get(lam, [])] for i in spaces[lam]]
+    part = lambda lam: emb[lam] if lam in emb else [[]] * len(spaces[lam])
     for mu in spaces:
         srcs = [(out, blocks, lam) for back, blocks, out in acts if (lam := m.shift(mu, back)) in sub]
         images = [linalg.mat_mul(blocks[lam], part(lam)) for _, blocks, lam in srcs]
@@ -712,7 +704,22 @@ def submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[Cyc
         cut = len(sub[srcs[0][2]]) if srcs else 0  # sol has the first source's columns, then the second's
         for i, (out, _, lam) in enumerate(srcs):
             out[lam] = [row[cut:] if i else row[:cut] for row in sol]
-    return QMod._from_blocks(m.p, field, weights, acts[0][2], acts[1][2]), emb
+    sm = QMod._from_blocks(m.p, m.field, weights, acts[0][2], acts[1][2])
+    return sm, ModMap(sm, m, emb)
+
+
+def column_submodule(m: QMod, columns: list[list[CycNum]]) -> tuple[QMod, list[list[CycNum]]]:
+    """submodule on K-homogeneous columns, vectors of m: returns the
+    submodule and the embedding matrix (dim x k).  Raises ValueError when a
+    column is not K-homogeneous, and as submodule does."""
+    basis = []
+    for col in columns:
+        wset = {m.weights[i] for i, x in enumerate(col) if x}
+        if len(wset) != 1:
+            raise ValueError("submodule basis vectors must be K-homogeneous")
+        lam = wset.pop()
+        basis.append((lam, [col[i] for i in m.spaces[lam]]))
+    return submodule(m, basis)[0], linalg.transpose(columns) or [[] for _ in range(m.dim)]
 
 
 def radical_columns(m: QMod) -> list[list[CycNum]]:
@@ -750,7 +757,7 @@ def radical_series(m: QMod) -> list[tuple[QMod, list]]:
     entry is (N_k, embedding into m), starting at k = 1."""
     series, cur, cur_emb = [], m, linalg.identity(m.field, m.dim)
     while cur.dim:
-        nxt, emb = submodule(cur, radical_columns(cur))
+        nxt, emb = column_submodule(cur, radical_columns(cur))
         if nxt.dim == cur.dim:
             raise ValueError("radical series does not terminate")
         cur, cur_emb = nxt, (linalg.mat_mul(cur_emb, emb) if nxt.dim else [])
@@ -783,21 +790,22 @@ def casimir_nil(m: QMod, lam: int, js) -> dict[int, list[list[CycNum]]]:
 
 
 def casimir_blocks(m: QMod):
-    """Yield (s, columns) for the Casimir blocks s = 0..p: a basis of the
-    part of m where C - beta_s is nilpotent, from the kernels of casimir_nil
-    on the weight spaces, built only where block s can meet M_k: the weight
-    q^k has (q^k)^p = (-1)^(s-1), that is k = s - 1 (mod 2), as for the
-    weights of X+_s and X-_(p-s)."""
+    """Yield (s, span) for the Casimir blocks s = 0..p: span maps each weight
+    lam to a basis, in the coordinates of M_lam, of the part of M_lam where
+    C - beta_s is nilpotent (the kernel of casimir_nil), wherever it is not
+    zero.  Block s can meet M_k only where the weight q^k has
+    (q^k)^p = (-1)^(s-1), that is k = s - 1 (mod 2), as for the weights of
+    X+_s and X-_(p-s)."""
     nils = {k: casimir_nil(m, k, range(1 - k % 2, m.p + 1, 2)) for k in m.spaces}
     for s in range(m.p + 1):
-        yield s, graded_kernel(m, {lam: nil[s] for lam, nil in nils.items() if s in nil})
+        yield s, {lam: ker for lam, nil in nils.items() if s in nil and (ker := linalg.nullspace(nil[s]))}
 
 
 def block_index(m: QMod) -> int:
     """The Casimir block s in 0..p the module lives in; raises when the
     module mixes blocks."""
-    for s, cols in casimir_blocks(m):
-        if len(cols) == m.dim:
+    for s, span in casimir_blocks(m):
+        if sum(map(len, span.values())) == m.dim:
             return s
     raise ValueError("module does not lie in a single Casimir block")
 

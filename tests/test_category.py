@@ -3,11 +3,13 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 from conftest import sample_zs, scramble
-from uqslcat import category, linalg, qmodules
+from test_weight_hom import random_labels, scrambled_sum
+from uqslcat import category, kronecker, linalg, qmodules
 from uqslcat.category import (IndecLabel, block_decompose, decompose, ext_basis_x,
                               ext_dim, find_isomorphism, hom_space,
                               minimal_resolution, projective_cover,
@@ -15,7 +17,7 @@ from uqslcat.category import (IndecLabel, block_decompose, decompose, ext_basis_
                               semisimple_length, socle, yoneda)
 from uqslcat.kronecker import ClassificationError, classify, functor_F
 from uqslcat.qmodules import (CP1, QMod, build_m2, build_o1, build_p, build_w2,
-                              direct_sum, irreducible, regular_module, tensor,
+                              coerce_field, direct_sum, irreducible, regular_module, tensor,
                               verify_module, weight_blocks)
 
 EXT_DEPTH = {2: 8, 3: 8, 4: 6, 5: 5}  # the degrees to which the Ext table of the benchmark resolves
@@ -183,14 +185,14 @@ def test_resolution_kernels_are_w_family():
     # kernel of the k-th map is the W-family member with k+2 tops of the
     # alternating label
     from uqslcat import linalg as la
-    from uqslcat.qmodules import submodule
+    from uqslcat.qmodules import column_submodule
 
     for p, a, s in ((2, 1, 1), (3, 1, 1), (3, -1, 2)):
         res = minimal_resolution(irreducible(p, a, s), 3)
         maps = [res.augmentation] + res.boundaries
         for k in range(3):
             cols = la.nullspace(maps[k])
-            ker, _ = submodule(res.terms[k], cols)
+            ker, _ = column_submodule(res.terms[k], cols)
             got = decompose(ker).multiset()
             sign = -a if k % 2 == 0 else a
             s_top = (p - s) if k % 2 == 0 else s
@@ -426,7 +428,7 @@ def test_resolution_steps_and_chain_lifts_stay_in_weight_spaces(monkeypatch):
     res = minimal_resolution(irreducible(4, -1, 1), 1)  # builds the two covers it alternates, densely
     resolution_of_irreducible(4, -1, 1, 0)
     gens = ext_basis_x(3, 1, 1)  # builds its middles from dense E and F
-    for module, name in ((category, "weight_blocks"), (qmodules, "weight_blocks"), (qmodules, "graded_kernel"),
+    for module, name in ((qmodules, "weight_blocks"), (qmodules, "graded_kernel"),
                          (category, "submodule"), (qmodules, "submodule")):
         monkeypatch.setattr(module, name, refuse(name))
     assert res.extend_to(8).content[8] == [((-1, 1), 9)]
@@ -436,6 +438,53 @@ def test_resolution_steps_and_chain_lifts_stay_in_weight_spaces(monkeypatch):
         w = yoneda(gens[(-1 if degree % 2 == 0 else 1, 1)], w)
     assert w.degree == 5 and not w.is_zero()
     assert resolution_of_irreducible(3, 1, 1, 0).length() == 5  # extended under the spies
+
+
+def test_decompose_stays_in_weight_spaces(monkeypatch):
+    # decompose, from the Casimir split to the certificate check, builds no
+    # dense map, lifts no vector out of its weight space and slices no module
+    # map: only the dense constructor of the rebuilt canonical modules slices
+    # their E and F; reading the certificate of a report builds its matrix
+    rng = random.Random(713)
+    modules = [scrambled_sum(p, random_labels(p, rng, rng.randint(1, 4)), rng) for p in (2, 3) * 5]
+    modules.append(regular_module(3))
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} was called")
+        return call
+
+    real_blocks = qmodules.weight_blocks
+
+    def slice_action(mat, rows, cols):  # a module map's rows are its target's weight spaces
+        if isinstance(rows, MappingProxyType):
+            raise AssertionError("weight_blocks sliced a module map")
+        return real_blocks(mat, rows, cols)
+
+    for module in (qmodules, category, kronecker):
+        for name in ("lift", "block_matrix", "graded_kernel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    assert not hasattr(category, "weight_blocks") and not hasattr(kronecker, "weight_blocks")
+    monkeypatch.setattr(qmodules, "weight_blocks", slice_action)
+    monkeypatch.setattr(qmodules.ModMap, "dense", refuse("ModMap.dense"))
+    reports = [decompose(m) for m in modules]
+    with pytest.raises(AssertionError, match="^ModMap.dense was called$"):
+        reports[0].certificate
+    monkeypatch.undo()
+    for m, report in zip(modules, reports):
+        assert weight_blocks(report.certificate, m.spaces, report.map.src.spaces) == report.map.blocks
+        assert sum(lbl.dim(m.p) * mult for lbl, mult in report.entries) == m.dim
+
+
+def test_decompose_refuses_a_module_over_a_larger_field():
+    # over Q(zeta_8) a p = 2 module passed the relation check and the Casimir
+    # split, then failed deep inside with mismatched cyclotomic orders
+    m = coerce_field(build_p(2, 1, 1), 8)
+    want = "^decompose needs a module over the field of order 2p = 4, not 8$"
+    for run in (lambda: decompose(m), lambda: find_isomorphism(m, m)):
+        with pytest.raises(ValueError, match=want):
+            run()
 
 
 def test_module_maps_agree_with_dense_algebra():

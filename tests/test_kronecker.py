@@ -310,3 +310,36 @@ def test_transpose_swaps_the_singular_kinds(rng):
     dt = classify(rep.transposed())
     _assert_certified(rep.transposed(), dt)
     assert entry_set(dt) == sorted((swap[kind], n, z, m) for kind, n, z, m in MIXTURE_ENTRIES)
+
+
+def test_classify_checks_its_certificate_on_empty_shapes(monkeypatch):
+    # with d0 = 0, with d1 = 0, and with a block that has no V1 columns, both
+    # sides of each intertwining check are d1 x d0 matrices of field elements;
+    # an arrow perturbed after the blocks were found is still refused
+    from uqslcat import kronecker
+
+    field = CycField(6)
+    zero_one = canonical_rep(field, "preprojective", 0)  # X: one V0 column, no V1 column
+    mixed = zero_one.direct_sum(canonical_rep(field, "preprojective", 1)).direct_sum(
+        canonical_rep(field, "regular", 1, CP1.of(3, 1, 2)))
+    reps = [QuiverRep(0, 2, [[], []], [[], []], field), QuiverRep(3, 0, [], [], field), mixed]
+    compared, real_eq = [], linalg.mat_eq
+
+    def spy_eq(a, b):
+        compared.append((a, b))
+        return real_eq(a, b)
+
+    monkeypatch.setattr(linalg, "mat_eq", spy_eq)
+    for rep in reps:
+        compared.clear()
+        decomp = classify(rep)
+        assert len(compared) == 2 and decomp.summand_count() == (rep.d0 + rep.d1 if rep is not mixed else 3)
+        for side in (mat for pair in compared for mat in pair):
+            assert len(side) == rep.d1 and all(len(row) == rep.d0 for row in side)
+            assert all(x is not None and x.field is field for row in side for x in row)
+    assert any(blk.u0 and not blk.u1 for blk in classify(mixed).blocks)
+    found, r = kronecker._decompose(mixed), linalg.mat_copy(mixed.r)
+    r[0][0] = r[0][0] + field.one
+    monkeypatch.setattr(kronecker, "_decompose", lambda rep: list(found))
+    with pytest.raises(kronecker.ClassificationError, match="^certificate fails to intertwine r$"):
+        classify(QuiverRep(mixed.d0, mixed.d1, r, mixed.rbar, field))

@@ -13,7 +13,6 @@ its dense E or F."""
 import random
 import sys
 from functools import partial
-from types import MappingProxyType
 
 import pytest
 
@@ -25,8 +24,8 @@ from uqslcat.category import (_top_vectors, _verify_certificate, block_decompose
 from uqslcat.cyclotomic import CycField
 from uqslcat.kronecker import ClassificationError, QuiverRep
 from uqslcat.qmodules import (CP1, QMod, action_matrix, build_glued, build_m2, build_o1, build_p, build_w2,
-                              casimir_blocks, coerce_field, direct_sum, dual, irreducible, regular_module,
-                              socle_columns, submodule, tensor, verify_module, weight_blocks, weight_spaces)
+                              casimir_blocks, coerce_field, column_submodule, direct_sum, dual, irreducible, lift,
+                              regular_module, socle_columns, tensor, verify_module, weight_blocks, weight_spaces)
 
 
 def modules():
@@ -46,14 +45,15 @@ def test_casimir_blocks_and_submodules_match_the_dense_computation():
         cd = casimir(m.p)
         act = action_matrix(m, cd.element)
         total = 0
-        for s, cols in casimir_blocks(m):
+        for s, span_at in casimir_blocks(m):
+            cols = [v for lam, vecs in span_at.items() for v in lift(m, lam, vecs)]
             shifted = [[x - cd.roots[s] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(act)]
             nil = shifted if s in (0, m.p) else linalg.mat_mul(shifted, shifted)
             assert span(m.field, cols, m.dim) == span(m.field, linalg.nullspace(nil), m.dim), (m, s)
             total += len(cols)
             if not cols:
                 continue
-            sub, emb = submodule(m, cols)
+            sub, emb = column_submodule(m, cols)
             for gen in ("E", "F"):
                 assert linalg.mat_eq(sub.mat(gen), linalg.solve(emb, linalg.mat_mul(m.mat(gen), emb)))
             assert verify_module(sub).ok
@@ -115,36 +115,38 @@ def test_verify_module_negative_controls(build, violation):
 def test_certificate_check_rejects_each_corruption():
     rng = random.Random(11)
     m = scrambled_sum(3, random_labels(3, rng, 4, families="WMP"), rng)
+    # the check takes the weight blocks of a certificate: an entry off them is
+    # no map that keeps weight, and slicing the dense certificate refuses it
     report = decompose(m)
     rebuilt = direct_sum(*[lbl.rebuild(3) for lbl, mult in report.entries for _ in range(mult)])
-    _verify_certificate(m, report.entries, report.certificate)
+    blocks = lambda cert: weight_blocks(cert, m.spaces, rebuilt.spaces)
+    assert _verify_certificate(m, report.entries, blocks(report.certificate)).blocks == report.map.blocks
     weights = rebuilt.weights
     i, j = next((i, j) for i in range(m.dim) for j in range(m.dim) if m.weights[i] != weights[j])
     off = linalg.mat_copy(report.certificate)
     off[i][j] = m.field.one
-    with pytest.raises(ClassificationError, match="intertwine K"):
-        _verify_certificate(m, report.entries, off)
+    assert blocks(off) is None
     j1, j2 = next((j1, j2) for j1 in range(m.dim) for j2 in range(j1 + 1, m.dim) if weights[j1] == weights[j2])
     deficient = linalg.mat_copy(report.certificate)
     for row in deficient:
         row[j2] = row[j1]
     with pytest.raises(ClassificationError, match="not invertible"):
-        _verify_certificate(m, report.entries, deficient)
+        _verify_certificate(m, report.entries, blocks(deficient))
     j = next(j for j in range(m.dim) if any(rebuilt.mat_e[j]) or any(rebuilt.mat_f[j]))
     rescaled = linalg.mat_copy(report.certificate)
     for row in rescaled:
         row[j] = row[j] * m.field.from_fraction(2)
     with pytest.raises(ClassificationError, match="intertwine [EF]"):
-        _verify_certificate(m, report.entries, rescaled)
+        _verify_certificate(m, report.entries, blocks(rescaled))
 
 
 def test_submodule_rejects_columns_outside_a_submodule():
     m = irreducible(3, 1, 3)
     zero, one = m.field.zero, m.field.one
     with pytest.raises(ValueError, match="do not span a submodule"):
-        submodule(m, [[zero, zero, one]])  # E a_2 is a multiple of a_1
+        column_submodule(m, [[zero, zero, one]])  # E a_2 is a multiple of a_1
     with pytest.raises(ValueError, match="K-homogeneous"):
-        submodule(m, [[one, one, zero]])
+        column_submodule(m, [[one, one, zero]])
 
 
 def test_casimir_blocks_reject_an_off_weight_action():
@@ -159,12 +161,12 @@ def graded_sources():
     zero, one, two = field.zero, field.one, field.from_fraction(2)
     glued = build_glued(3, -1, 2, QuiverRep(2, 2, [[one, zero], [two, one]], [[zero, one], [one, two]], field))
     x, p_mod = irreducible(3, 1, 2), build_p(3, -1, 1)
-    soc, _ = submodule(p_mod, socle_columns(p_mod))
+    soc, _ = column_submodule(p_mod, socle_columns(p_mod))
     yield from (irreducible(3, -1, 3), glued, build_w2(3, 1, 1), build_m2(3, -1, 2),
                 build_o1(3, 1, 1, CP1.of(3, 1, 2)), p_mod, soc)
     yield from (direct_sum(x, p_mod), tensor(x, p_mod), dual(p_mod))
     yield from (regular_module(2), coerce_field(build_p(2, 1, 1), 8), QMod.from_json(glued.to_json()))
-    yield from (glued.relabel("G"), submodule(p_mod, [])[0], dual(dual(glued)),
+    yield from (glued.relabel("G"), column_submodule(p_mod, [])[0], dual(dual(glued)),
                 coerce_field(direct_sum(irreducible(2, 1, 2), build_p(2, -1, 1)), 8))
     rng = random.Random(5)
     yield scrambled_sum(3, random_labels(3, rng, 3), rng)
@@ -193,7 +195,7 @@ def test_cached_grading_matches_the_dense_slices():
 def test_off_block_action_fails_with_one_message():
     for gen in ("E", "F"):
         m = _off_weight(gen)
-        for run in (lambda: submodule(m, linalg.identity(m.field, m.dim)), lambda: list(casimir_blocks(m)),
+        for run in (lambda: column_submodule(m, linalg.identity(m.field, m.dim)), lambda: list(casimir_blocks(m)),
                     lambda: _top_vectors(m, 1, 3, partial(qmodules.weight_basis, m))):
             with pytest.raises(ValueError, match="^E or F has an entry off its weight blocks$"):
                 run()
@@ -237,8 +239,8 @@ def test_tensor_needs_modules_over_the_same_field():
 
 def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypatch):
     """weight_blocks runs only in the dense constructor, called by the
-    canonical builders, and on the one module map it slices, the certificate
-    of a decomposition (category._verify_certificate); no E or F view is
+    canonical builders: no module map is sliced, not even the certificate
+    of a decomposition, which is kept as weight blocks; no E or F view is
     derived at all, so no module built by direct_sum, submodule, dual or
     relabel derives one."""
     rng = random.Random(713)
@@ -261,7 +263,6 @@ def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypat
         return real_mat(self, gen)
 
     monkeypatch.setattr(qmodules, "weight_blocks", spy_blocks)
-    monkeypatch.setattr(category, "weight_blocks", spy_blocks)
     monkeypatch.setattr(QMod, "mat", spy_mat)
     for m in sums + [reg]:
         decompose(m)
@@ -271,7 +272,5 @@ def test_package_paths_scan_no_built_module_and_derive_no_dense_action(monkeypat
     gens = ext_basis_x(3, 1, 1)
     assert not yoneda(gens[(1, 2)], yoneda(gens[(-1, 1)], gens[(1, 1)])).is_zero()
     assert views == []
-    assert {caller for caller, _ in scans} == {"__init__", "_verify_certificate"}
-    assert {how for caller, how in scans if caller == "__init__"} <= {"irreducible", "build_glued", "build_p"}
-    # module maps, which keep weights: their rows are the target's weight spaces
-    assert {how for caller, how in scans if caller == "_verify_certificate"} == {MappingProxyType}
+    assert {caller for caller, _ in scans} == {"__init__"}
+    assert {how for caller, how in scans} <= {"irreducible", "build_glued", "build_p"}

@@ -16,9 +16,9 @@ from conftest import sample_zs, scramble
 from uqslcat import linalg
 from uqslcat.category import (IndecLabel, _images, _term_homs, _top_radical, block_decompose, decompose,
                               minimal_resolution, projective_cover)
-from uqslcat.qmodules import (ModMap, build_p, direct_sum, intertwiner_basis, irreducible,
+from uqslcat.qmodules import (ModMap, build_p, column_submodule, direct_sum, intertwiner_basis, irreducible,
                               irreducible_weights, lift, maps_from_generator, radical_columns,
-                              regular_module, socle_columns, submodule, weight_basis)
+                              regular_module, socle_columns, weight_basis)
 
 
 def random_labels(p, rng, count, families="XWMOP"):
@@ -196,6 +196,6 @@ def test_term_homs_span_the_hom_spaces_of_resolution_terms():
                 maps = [res.augmentation] + res.boundaries
                 for k in range(4):
                     term = res.terms[k]
-                    for dst in (term, submodule(term, linalg.nullspace(maps[k]))[0]):
+                    for dst in (term, column_submodule(term, linalg.nullspace(maps[k]))[0]):
                         want = intertwiner_basis(term, dst)
                         assert map_span(term_hom_basis(res.content[k], term, dst), term, dst) == map_span(want, term, dst)
