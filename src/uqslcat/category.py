@@ -1,11 +1,13 @@
 """Categorical analysis of the finite-dimensional module category.
 
-hom_space is the one general Hom solve: a single null space over the
-weight-compatible entries of the map.  Nothing else solves for an
-intertwiner.  The socle, the radical series and the semisimple length
-come from weight vectors: Hom(X^a_s, M) is the space of vectors of weight
-a q^(s-1) killed by E and F^s, and the radical is the annihilator of the
-socle of the dual.
+Nothing solves for the entries of an unknown map: every Hom is read off
+the structure of the category.  hom_space takes P1 -> P0 -> a from the
+minimal resolution of a; a map out of a sum of covers is fixed by the
+images of their top vectors, so Hom(a, b), the maps P0 -> b that kill the
+image of P1, is one small null space.  The socle, the radical series and
+the semisimple length come from weight vectors: Hom(X^a_s, M) is the
+space of vectors of weight a q^(s-1) killed by E and F^s, and the radical
+is the annihilator of the socle of the dual.
 
 The decomposition algorithm follows the structure of the category and
 solves for no intertwiner: split into Casimir blocks; inside a block the
@@ -58,8 +60,8 @@ from .cyclotomic import CycField, CycNum
 from .kronecker import (ClassificationError, EigenvalueOutsideField, PencilBlock,
                         canonical_rep, classify, functor_G, glued_form)
 from .qmodules import (CP1, ModMap, QMod, _sign, block_matrix, build_o1, build_p, casimir_blocks,
-                       column_submodule, direct_sum, dual, family_label, intertwiner_basis, irreducible,
-                       irreducible_weights, maps_from_generator, radical_series, socle_columns, submodule,
+                       column_submodule, direct_sum, dual, family_label, irreducible, irreducible_weights,
+                       maps_from_generator, radical_series, require_own_field, socle_columns, submodule,
                        weight_basis)
 from .qmodules import semisimple_length_of as semisimple_length
 
@@ -79,8 +81,41 @@ class HomBasis:
 
 
 def hom_space(a: QMod, b: QMod) -> HomBasis:
-    """Exact basis of the intertwiner space Hom(a, b)."""
-    return HomBasis(a, b, intertwiner_basis(a, b))
+    """Exact basis of Hom(a, b), from P1 -> P0 -> a in the resolution of a: the
+    maps sum_j c_j psi_j, over the _term_homs basis of Hom(P0, b), that kill d1
+    of the top vectors of P1, each composed with a weight-wise section s of
+    d0 (psi kills ker d0); in the canonical basis of their span (linalg.span_basis)
+    on the weight-compatible entries, row by row."""
+    if a.p != b.p:
+        raise ValueError("Hom needs modules with the same p")
+    for m in (a, b):
+        require_own_field(m, "hom_space")
+    res = minimal_resolution(a, 1)
+    d0, d1 = res.maps
+    p0 = d0.src
+    blank, psis, at = [[b.field.zero] * len(b.spaces.get(w, ())) for w in p0.weights], [], 0
+    for cover, top, cands in _term_homs(res.content[0], b):  # at: where the summand starts in P0
+        psis += [ModMap.from_images(p0, b, blank[:at] + cols + blank[at + cover.dim:])
+                 for cols in maps_from_generator(cover, top, b, cands)]
+        at += cover.dim
+    tops, at = [], 0  # the image under d1 of each summand's top vector of P1, at its weight
+    for (sign, s), mult in res.content[1]:
+        cover, top = _cover_of_simple(a.p, sign, s)
+        lam = cover.weights[top]
+        tops += [(lam, [row[d1.src.spaces[lam].index(k)] for row in d1.blocks[lam]])
+                 for k in range(at + top, at + mult * cover.dim, cover.dim)]
+        at += mult * cover.dim
+    killed = linalg.transpose([[x for lam, v in tops for x in linalg.mat_vec(psi.blocks[lam], v)] for psi in psis])
+    kernel = linalg.nullspace(killed) if killed else linalg.identity(b.field, len(psis))
+    section = ModMap(a, p0, {lam: linalg.solve(d0.blocks[lam], linalg.identity(a.field, len(idx)))
+                             for lam, idx in a.spaces.items()})
+    pairs = [(r, c) for r in range(b.dim) for c in range(a.dim) if b.weights[r] == a.weights[c]]
+    flats = [[phi[r][c] for r, c in pairs] for phi in ((psi @ section).dense() for psi in psis)]
+    maps = [linalg.zeros(b.field, b.dim, a.dim) for _ in kernel]
+    for phi, v in zip(maps, linalg.span_basis(linalg.mat_mul(kernel, flats))):
+        for (r, c), x in zip(pairs, v):
+            phi[r][c] = x
+    return HomBasis(a, b, maps)
 
 
 def find_isomorphism(a: QMod, b: QMod):
@@ -241,8 +276,7 @@ def decompose(m: QMod) -> DecompReport:
     isomorphism certificate from the direct sum of canonical rebuilds."""
     from .qmodules import verify_module
 
-    if m.field.order != 2 * m.p:
-        raise ValueError(f"decompose needs a module over the field of order 2p = {2 * m.p}, not {m.field.order}")
+    require_own_field(m, "decompose")
     chk = verify_module(m)
     if not chk.ok:
         raise ValueError(f"not a module: {chk.violations}")
@@ -458,6 +492,7 @@ def projective_cover(m: QMod) -> tuple[QMod, list, list[tuple[tuple[int, int], i
     cyclic on its top vector, so its maps into m are the _top_vectors of m,
     and those independent modulo the _top_radical generate the summands of
     the cover, one per copy of X^a_s in the top of m."""
+    require_own_field(m, "projective_cover")
     f, content, _ = _graded_cover(m, partial(weight_basis, m), range(m.p + 1))
     return f.src, f.dense(), content
 
@@ -547,6 +582,7 @@ def resolution_of_irreducible(p: int, a: int, s: int, length: int) -> Resolution
 
 def minimal_resolution(x: QMod, length: int) -> Resolution:
     """Iterated projective covers, with exactness verified exactly."""
+    require_own_field(x, "minimal_resolution")
     return Resolution(x).extend_to(length)
 
 

@@ -19,19 +19,21 @@ The classification finds each kind of summand in one pass:
   CP1, and an eigenvalue whose minimal polynomial does not split over
   the field is reported as an error, never approximated.
 
-Each Jordan block is put into its literal canonical matrix form by
-solving for an isomorphism from the canonical representation, and the
-assembled base change is verified before returning.
+Each Jordan block takes its literal canonical matrix form from one Jordan
+chain, which with its shifts spans the maps from the canonical block; no
+Hom space is solved for, and the assembled base change is verified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import linalg
 from .cyclotomic import CycField, CycNum, InternalError, dot, json_field, json_value
 from .polys import roots_in_field
-from .qmodules import CP1, QMod, _sign, block_index, build_glued, irreducible_weights, submodule, weight_basis
+from .qmodules import (CP1, QMod, _sign, block_index, build_glued, irreducible_weights, require_own_field, submodule,
+                       weight_basis)
 
 
 class ClassificationError(InternalError):
@@ -143,37 +145,10 @@ def canonical_rep(field: CycField, kind: str, n: int, z: CP1 | None = None) -> Q
     if kind == "regular":
         if z is None or n < 1:
             raise ValueError("a regular block needs a point z and n >= 1")
-        jordan = linalg.zeros(field, n, n)
-        ident = linalg.identity(field, n)
-        if z.z1:
-            lam = z.z2
-            for i in range(n):
-                jordan[i][i] = lam
-                if i + 1 < n:
-                    jordan[i][i + 1] = one
-            return QuiverRep(n, n, ident, jordan, field)
-        for i in range(n - 1):
-            jordan[i][i + 1] = one
-        return QuiverRep(n, n, jordan, ident, field)
+        lam, ident = z.z2 if z.z1 else zero, linalg.identity(field, n)
+        jordan = [[lam if j == i else one if j == i + 1 else zero for j in range(n)] for i in range(n)]
+        return QuiverRep(n, n, ident, jordan, field) if z.z1 else QuiverRep(n, n, jordan, ident, field)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def rep_hom_basis(a: QuiverRep, b: QuiverRep):
-    """Basis of quiver-representation morphisms a -> b, as pairs
-    (phi0, phi1) with b.r phi0 = phi1 a.r and b.rbar phi0 = phi1 a.rbar;
-    the unknowns are the entries of phi0, row by row, then those of phi1."""
-    n0 = b.d0 * a.d0
-
-    def entries():  # ((equation, unknown), coefficient) of b.x phi0 - phi1 a.x = 0 for x = r, rbar
-        for x, (mat_b, mat_a) in enumerate(((b.r, a.r), (b.rbar, a.rbar))):
-            for i in range(b.d1):
-                for j in range(a.d0):
-                    yield from ((((x, i, j), k * a.d0 + j), mat_b[i][k]) for k in range(b.d0))
-                    yield from ((((x, i, j), n0 + i * a.d1 + k), -mat_a[k][j]) for k in range(a.d1))
-
-    return [([v[k * a.d0:(k + 1) * a.d0] for k in range(b.d0)],
-             [v[n0 + i * a.d1:n0 + (i + 1) * a.d1] for i in range(b.d1)])
-            for v in linalg.sparse_nullspace(a.field, entries(), n0 + b.d1 * a.d1)]
 
 
 @dataclass
@@ -392,21 +367,40 @@ def _decompose_on(rep: QuiverRep, u0, u1) -> list[PencilBlock]:
     ]
 
 
-def _canonical_block(rep: QuiverRep, kind, n, z, u0, u1) -> PencilBlock:
-    """Adjust the bases of an identified indecomposable summand so the
-    restricted arrows take the literal canonical matrix form."""
-    field = rep.field
+def _regular_hom_basis(sub: QuiverRep, n: int, z: CP1):
+    """Hom(canonical, sub) for sub isomorphic to the canonical regular block of
+    size n at z, in the canonical basis on the entries of phi0, then of phi1,
+    row by row (linalg.span_basis).  With x the arrow that is I in the
+    canonical form (r when z1 != 0, else rbar) and y the other, N = x^-1 y - z2 I
+    (x^-1 y at 0:1) has one Jordan chain: for a unit vector w outside ker N^(n-1),
+    phi0 = (N^(n-1) w, ..., w) and x phi0 are an isomorphism, and as the maps
+    commuting with a nilpotent Jordan block are its polynomials, the Hom is
+    spanned by (phi0 S^k, x phi0 S^k), k < n, S the shift of the canonical block."""
+    field, zero = sub.field, sub.field.zero
+    x, y = (sub.r, sub.rbar) if z.z1 else (sub.rbar, sub.r)
+    lam = z.z2 if z.z1 else zero
+    nil = [[v - lam if i == j else v for j, v in enumerate(row)]
+           for i, row in enumerate(linalg.mat_mul(linalg.inverse(x), y))]
+    powers = list(accumulate([nil] * (n - 1), linalg.mat_mul, initial=linalg.identity(field, n)))  # N^k, k < n
+    top = next((k for k in range(n) if any(row[k] for row in powers[-1])), None)
+    if top is None:
+        raise ClassificationError("regular block has no Jordan chain of its size")
+    chain = [[row[top] for row in powers[n - 1 - j]] for j in range(n)]  # chain[j]: column j of phi0
+    shifted = (linalg.transpose([[zero] * n] * k + chain[:n - k]) for k in range(n))  # phi0 S^k, the chain moved right
+    flats = [[v for mat in (phi0, linalg.mat_mul(x, phi0)) for row in mat for v in row] for phi0 in shifted]
+    return [tuple([v[off + i * n:off + (i + 1) * n] for i in range(n)] for off in (0, n * n))
+            for v in linalg.span_basis(flats)]
+
+
+def _canonical_block(rep: QuiverRep, n: int, z: CP1, u0, u1) -> PencilBlock:
+    """Bring a regular Jordan block of size n at z to the literal canonical form
+    by the first isomorphism in _regular_hom_basis (x phi0 has the rank of phi0)."""
     sub, U0, U1 = _restrict(rep, u0, u1)
-    k0, k1 = sub.d0, sub.d1
-    canon = canonical_rep(field, kind, n, z)
-    iso = next(((phi0, phi1) for phi0, phi1 in rep_hom_basis(canon, sub)
-                if (not k0 or linalg.rank(phi0) == k0) and (not k1 or linalg.rank(phi1) == k1)), None)
-    if iso is None:
-        raise ClassificationError(f"no isomorphism to canonical {kind} block")
-    phi0, phi1 = iso
-    new_u0 = [linalg.mat_vec(U0, [phi0[i][j] for i in range(k0)]) for j in range(canon.d0)]
-    new_u1 = [linalg.mat_vec(U1, [phi1[i][j] for i in range(k1)]) for j in range(canon.d1)]
-    return PencilBlock(kind, n, z, new_u0, new_u1)
+    for phi0, phi1 in _regular_hom_basis(sub, n, z):
+        if linalg.rank(phi0) == n:
+            return PencilBlock("regular", n, z, [linalg.mat_vec(U0, col) for col in linalg.transpose(phi0)],
+                               [linalg.mat_vec(U1, col) for col in linalg.transpose(phi1)])
+    raise ClassificationError("no isomorphism to the canonical regular block")
 
 
 def _regular_blocks(rep: QuiverRep, t: CycNum, amat) -> list[PencilBlock]:
@@ -439,7 +433,7 @@ def _regular_blocks(rep: QuiverRep, t: CycNum, amat) -> list[PencilBlock]:
                         chain.insert(0, linalg.mat_vec(nmat, chain[0]))
                     chains.append(chain)
         z = _eigenvalue_to_z(field, t, mu)
-        blocks += [_canonical_block(rep, "regular", len(ch), z, ch, [linalg.mat_vec(amat, v) for v in ch])
+        blocks += [_canonical_block(rep, len(ch), z, ch, [linalg.mat_vec(amat, v) for v in ch])
                    for ch in chains]
     return blocks
 
@@ -494,6 +488,7 @@ def functor_F(m: QMod, sign) -> QuiverRep:
     the arrows are read off the action on the basis these generate under F.
     Raises ValueError unless G(F(m)) = m on that basis exactly, which
     rejects a module of greater length or with a top of both signs."""
+    require_own_field(m, "functor_F")
     sign = _sign(sign)
     p = m.p
     s_block = block_index(m)

@@ -295,17 +295,13 @@ def nullspace(a) -> list[list[CycNum]]:
     return basis
 
 
-def sparse_nullspace(field: CycField, entries, ncols: int) -> list[list[CycNum]]:
-    """Basis of the null space of the system given as ((equation, unknown),
-    coefficient) pairs in ncols unknowns, repeats summed: canonical from the
-    reduced echelon form, so the order of the equations does not matter;
-    every unit vector when no equation is left."""
-    eqs = accumulate(entries)
-    row_of = {key: i for i, key in enumerate(dict.fromkeys(key for key, _ in eqs))}
-    mat = zeros(field, len(row_of), ncols)
-    for (key, col), x in eqs.items():
-        mat[row_of[key]][col] = x
-    return nullspace(mat) if mat else identity(field, ncols)
+def span_basis(vectors) -> list[list[CycNum]]:
+    """The canonical basis of the span of vectors, whatever their order: the
+    reduced echelon form with the coordinates read from last to first, its
+    rows ordered by their last nonzero entry, which is 1.  nullspace returns
+    its basis in this form."""
+    red, pivots = rref([v[::-1] for v in vectors])
+    return [red[r][::-1] for r in reversed(range(len(pivots)))]
 
 
 def solve(a, b):

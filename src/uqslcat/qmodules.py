@@ -609,42 +609,7 @@ def action_matrix(m: QMod, elem: AlgElem):
                                    for term, c in elem.terms.items()), m.dim, m.dim)
 
 
-# -- intertwiners and sub/quotient structure ------------------------------------
-
-
-def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
-    """Canonical basis of Hom(src, dst): matrices Phi with
-    Phi E = E Phi, Phi F = F Phi, Phi K = K Phi, solved exactly on
-    K-weight-compatible positions."""
-    if src.p != dst.p:
-        raise ValueError("intertwiners need the same p")
-    field = src.field
-    pairs = [
-        (r, c)
-        for r in range(dst.dim)
-        for c in range(src.dim)
-        if dst.weights[r] == src.weights[c]
-    ]
-    unk = {rc: k for k, rc in enumerate(pairs)}
-
-    def entries():  # ((equation, unknown), coefficient) of g_dst Phi - Phi g_src = 0
-        for gname, g_dst, g_src in (("E", dst.mat_e, src.mat_e), ("F", dst.mat_f, src.mat_f)):
-            for (k, c), col in unk.items():
-                for r in range(dst.dim):
-                    if g_dst[r][k]:
-                        yield ((gname, r, c), col), g_dst[r][k]
-            for (r, k), col in unk.items():
-                for c in range(src.dim):
-                    if g_src[k][c]:
-                        yield ((gname, r, c), col), -g_src[k][c]
-
-    out = []
-    for v in linalg.sparse_nullspace(field, entries(), len(pairs)):
-        phi = linalg.zeros(field, dst.dim, src.dim)
-        for (r, c), col in unk.items():
-            phi[r][c] = v[col]
-        out.append(phi)
-    return out
+# -- maps out of a generator, sub/quotient structure ------------------------------
 
 
 def maps_from_generator(src: QMod, gen: int, dst: QMod, images) -> list[list[list[CycNum]]]:
@@ -808,6 +773,13 @@ def block_index(m: QMod) -> int:
         if sum(map(len, span.values())) == m.dim:
             return s
     raise ValueError("module does not lie in a single Casimir block")
+
+
+def require_own_field(m: QMod, what: str) -> None:
+    """Refuse, in one line, a module that is not over Q(zeta_2p): the covers,
+    gluings and rebuilt families that what compares it with are."""
+    if m.field.order != 2 * m.p:
+        raise ValueError(f"{what} needs a module over the field of order 2p = {2 * m.p}, not {m.field.order}")
 
 
 def coerce_field(m: QMod, order: int) -> QMod:

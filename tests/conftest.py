@@ -1,6 +1,7 @@
-"""Shared test helpers: module scrambling, decisive isomorphism tests on
-Hom spaces, and an independent decomposability oracle for quiver
-representations based on the endomorphism algebra."""
+"""Shared test helpers: module scrambling, the generic Hom solvers kept as
+oracles, decisive isomorphism tests on Hom spaces, and an independent
+decomposability oracle for quiver representations based on the
+endomorphism algebra."""
 
 import itertools
 import random
@@ -8,8 +9,8 @@ import random
 import pytest
 
 from uqslcat import linalg
-from uqslcat.cyclotomic import CycField
-from uqslcat.kronecker import QuiverRep, rep_hom_basis
+from uqslcat.cyclotomic import CycField, CycNum
+from uqslcat.kronecker import QuiverRep
 from uqslcat.polys import factor_squarefree, pdeg, pdivmod, pgcd, pderiv, pmonic, ptrim
 from uqslcat.qmodules import CP1, QMod
 
@@ -48,6 +49,75 @@ def scramble(m: QMod, rng: random.Random) -> QMod:
     me = linalg.mat_mul(ginv, linalg.mat_mul(m.mat_e, g))
     mf = linalg.mat_mul(ginv, linalg.mat_mul(m.mat_f, g))
     return QMod(m.p, me, mf, m.weights, field=field)
+
+
+# -- the generic Hom solvers, one unknown per entry of the map: oracles only ----
+
+
+def sparse_nullspace(field: CycField, entries, ncols: int) -> list[list[CycNum]]:
+    """Basis of the null space of the system given as ((equation, unknown),
+    coefficient) pairs in ncols unknowns, repeats summed: canonical from the
+    reduced echelon form, so the order of the equations does not matter;
+    every unit vector when no equation is left."""
+    eqs = linalg.accumulate(entries)
+    row_of = {key: i for i, key in enumerate(dict.fromkeys(key for key, _ in eqs))}
+    mat = linalg.zeros(field, len(row_of), ncols)
+    for (key, col), x in eqs.items():
+        mat[row_of[key]][col] = x
+    return linalg.nullspace(mat) if mat else linalg.identity(field, ncols)
+
+
+def intertwiner_basis(src: QMod, dst: QMod) -> list[list[list[CycNum]]]:
+    """Canonical basis of Hom(src, dst): matrices Phi with
+    Phi E = E Phi, Phi F = F Phi, Phi K = K Phi, solved exactly on
+    K-weight-compatible positions."""
+    if src.p != dst.p:
+        raise ValueError("intertwiners need the same p")
+    field = src.field
+    pairs = [
+        (r, c)
+        for r in range(dst.dim)
+        for c in range(src.dim)
+        if dst.weights[r] == src.weights[c]
+    ]
+    unk = {rc: k for k, rc in enumerate(pairs)}
+
+    def entries():  # ((equation, unknown), coefficient) of g_dst Phi - Phi g_src = 0
+        for gname, g_dst, g_src in (("E", dst.mat_e, src.mat_e), ("F", dst.mat_f, src.mat_f)):
+            for (k, c), col in unk.items():
+                for r in range(dst.dim):
+                    if g_dst[r][k]:
+                        yield ((gname, r, c), col), g_dst[r][k]
+            for (r, k), col in unk.items():
+                for c in range(src.dim):
+                    if g_src[k][c]:
+                        yield ((gname, r, c), col), -g_src[k][c]
+
+    out = []
+    for v in sparse_nullspace(field, entries(), len(pairs)):
+        phi = linalg.zeros(field, dst.dim, src.dim)
+        for (r, c), col in unk.items():
+            phi[r][c] = v[col]
+        out.append(phi)
+    return out
+
+
+def rep_hom_basis(a: QuiverRep, b: QuiverRep):
+    """Basis of quiver-representation morphisms a -> b, as pairs
+    (phi0, phi1) with b.r phi0 = phi1 a.r and b.rbar phi0 = phi1 a.rbar;
+    the unknowns are the entries of phi0, row by row, then those of phi1."""
+    n0 = b.d0 * a.d0
+
+    def entries():  # ((equation, unknown), coefficient) of b.x phi0 - phi1 a.x = 0 for x = r, rbar
+        for x, (mat_b, mat_a) in enumerate(((b.r, a.r), (b.rbar, a.rbar))):
+            for i in range(b.d1):
+                for j in range(a.d0):
+                    yield from ((((x, i, j), k * a.d0 + j), mat_b[i][k]) for k in range(b.d0))
+                    yield from ((((x, i, j), n0 + i * a.d1 + k), -mat_a[k][j]) for k in range(a.d1))
+
+    return [([v[k * a.d0:(k + 1) * a.d0] for k in range(b.d0)],
+             [v[n0 + i * a.d1:n0 + (i + 1) * a.d1] for i in range(b.d1)])
+            for v in sparse_nullspace(a.field, entries(), n0 + b.d1 * a.d1)]
 
 
 def span_has_invertible(homs, dim, field) -> bool:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import intertwiner_basis
 from uqslcat import linalg
 from uqslcat.algebra import TensorElem, coproduct, counit, extended_algebra, verify_hopf
 from uqslcat.braiding import (braid_action, k_diagonal, monodromy, r_matrix,
@@ -12,7 +13,7 @@ from uqslcat.braiding import (braid_action, k_diagonal, monodromy, r_matrix,
                               ribbon_scalars, tensor_action,
                               verify_quasitriangular, verify_ribbon)
 from uqslcat.cli import run
-from uqslcat.qmodules import build_p, coerce_field, direct_sum, intertwiner_basis, irreducible, tensor
+from uqslcat.qmodules import build_p, coerce_field, direct_sum, irreducible, tensor
 
 
 def test_extended_algebra_relations():

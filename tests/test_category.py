@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from conftest import sample_zs, scramble
+from conftest import intertwiner_basis, sample_zs, scramble
 from test_weight_hom import random_labels, scrambled_sum
 from uqslcat import category, kronecker, linalg, qmodules
 from uqslcat.category import (IndecLabel, block_decompose, decompose, ext_basis_x,
@@ -239,7 +239,6 @@ def test_projectives_are_injective():
     # do not vanish for a non-simple target, so this is an independent
     # check of injectivity
     from uqslcat import linalg as la
-    from uqslcat.qmodules import intertwiner_basis
 
     def ext1(p, source, target):
         res = minimal_resolution(irreducible(p, *source), 2)
@@ -485,6 +484,22 @@ def test_decompose_refuses_a_module_over_a_larger_field():
     for run in (lambda: decompose(m), lambda: find_isomorphism(m, m)):
         with pytest.raises(ValueError, match=want):
             run()
+
+
+def test_every_entry_point_refuses_a_module_over_a_larger_field():
+    # projective_cover and minimal_resolution raised mismatched cyclotomic
+    # orders deep inside, functor_F refused with a misleading message, and
+    # hom_space accepted the module; each now refuses it with one line
+    m, x = coerce_field(build_w2(2, 1, 1), 8), irreducible(2, 1, 1)
+    runs = [("decompose", lambda: decompose(m)), ("projective_cover", lambda: projective_cover(m)),
+            ("minimal_resolution", lambda: minimal_resolution(m, 1)), ("functor_F", lambda: functor_F(m, 1)),
+            ("hom_space", lambda: hom_space(m, x)), ("hom_space", lambda: hom_space(x, m))]
+    for name, run in runs:
+        with pytest.raises(ValueError, match=f"^{name} needs a module over the field of order 2p = 4, not 8$"):
+            run()
+    # the workaround: take Hom over Q(zeta_2p), then base-change the maps
+    maps = [[[v.embed(8) for v in row] for row in phi] for phi in hom_space(x, build_w2(2, 1, 1)).maps]
+    assert maps == intertwiner_basis(coerce_field(x, 8), m)
 
 
 def test_module_maps_agree_with_dense_algebra():

@@ -1,10 +1,10 @@
 """find_isomorphism is decisive: None exactly when the modules are not
 isomorphic, otherwise an invertible intertwiner."""
 
+from conftest import intertwiner_basis
 from uqslcat import linalg
 from uqslcat.category import find_isomorphism
-from uqslcat.qmodules import (CP1, build_o1, direct_sum, intertwiner_basis, irreducible,
-                              tensor, weight_character)
+from uqslcat.qmodules import CP1, build_o1, direct_sum, irreducible, tensor, weight_character
 
 
 def is_isomorphism(phi, a, b) -> bool:

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import oracle_decomposable
+from conftest import oracle_decomposable, rep_hom_basis, sample_zs
 from uqslcat import linalg
 from uqslcat.cyclotomic import CycField
-from uqslcat.kronecker import (EigenvalueOutsideField, QuiverRep, canonical_rep,
-                               classify, functor_F, functor_G, rep_hom_basis)
+from uqslcat.kronecker import (EigenvalueOutsideField, QuiverRep, _regular_hom_basis, canonical_rep,
+                               classify, functor_F, functor_G)
 from uqslcat.qmodules import (CP1, build_m2, build_o1, build_w2, irreducible,
                               verify_module)
 
@@ -232,6 +232,28 @@ def test_hom_basis_counts_schur():
     f = CycField(4)
     rho1 = canonical_rep(f, "preprojective", 1)
     assert len(rep_hom_basis(rho1, rho1)) == 1
+
+
+def random_invertible(f, n, rng):
+    while True:
+        g = [[f.from_fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(g) == n:
+            return g
+
+
+def test_regular_hom_basis_equals_the_generic_solver(rng):
+    # Hom(canonical, sub) from one Jordan chain of sub, for canonical regular
+    # blocks in a random basis at every sample point (1:0 and 0:1 among them)
+    for p in (2, 3):
+        f = CycField(2 * p)
+        for z in sample_zs(p):
+            for n in range(1, 5):
+                canon = canonical_rep(f, "regular", n, z)
+                g0, g1 = random_invertible(f, n, rng), random_invertible(f, n, rng)
+                sub = QuiverRep(n, n, *(linalg.mat_mul(g1, linalg.mat_mul(arrow, linalg.inverse(g0)))
+                                        for arrow in (canon.r, canon.rbar)), f)
+                basis = _regular_hom_basis(sub, n, z)
+                assert basis == rep_hom_basis(canon, sub) and len(basis) == n
 
 
 def test_equal_multisets_yield_explicit_conjugation():

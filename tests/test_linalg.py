@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sparse_nullspace
 from uqslcat import linalg
 from uqslcat.cyclotomic import CycField
 from uqslcat.polys import roots_in_field
@@ -104,11 +105,29 @@ def test_sparse_nullspace():
     one, i = f.one, f.gen()
     # x0 + i x1 = 0 and x1 - x2 = 0, given as entries with a repeat that sums
     entries = [(("a", 0), one), (("a", 1), i), (("b", 1), one), (("b", 2), -one), (("b", 2), one), (("b", 2), -one)]
-    basis = linalg.sparse_nullspace(f, entries, 3)
+    basis = sparse_nullspace(f, entries, 3)
     assert basis == [[-i, one, one]]
-    assert linalg.sparse_nullspace(f, reversed(entries), 3) == basis
+    assert sparse_nullspace(f, reversed(entries), 3) == basis
     # equations that cancel leave every unit vector
-    assert linalg.sparse_nullspace(f, [(("a", 0), one), (("a", 0), -one)], 2) == linalg.identity(f, 2)
+    assert sparse_nullspace(f, [(("a", 0), one), (("a", 0), -one)], 2) == linalg.identity(f, 2)
+
+
+def test_span_basis_is_the_canonical_null_space_basis():
+    # over Q(zeta_8), on random systems with sparse entries: the basis of the
+    # span of the null space, given in any order, rescaled and mixed, is the
+    # one sparse_nullspace returns, and as many vectors as the nullity
+    f = CycField(8)
+    rng = random.Random(24)
+    values = [f.one, -f.one, f.gen(), f.from_fraction(Fraction(1, 2)) + f.gen() ** 3]
+    for _ in range(30):
+        neq, n = rng.randint(0, 5), rng.randint(1, 7)
+        entries = [((i, j), rng.choice(values)) for i in range(neq) for j in range(n) if rng.random() < 0.4]
+        want = sparse_nullspace(f, entries, n)
+        vecs = [linalg.mat_scale(rng.choice(values), [v])[0] for v in want]
+        mixed = [[a + b for a, b in zip(u, v)] for u, v in zip(vecs, vecs[1:])] + vecs[-1:]
+        for given in (want, want[::-1], rng.sample(vecs, len(vecs)), mixed + [[f.zero] * n] + vecs):
+            assert linalg.span_basis(given) == want
+    assert linalg.span_basis([]) == []
 
 
 # -- the fused kernels against plain reference loops ---------------------------------

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sample_zs, span_has_invertible
+from conftest import intertwiner_basis, sample_zs, span_has_invertible
 from uqslcat import linalg
 from uqslcat.algebra import casimir
 from uqslcat.category import find_isomorphism
 from uqslcat.cyclotomic import CycField, qint
 from uqslcat.qmodules import (CP1, QMod, action_matrix, block_index, build_glued,
                               build_m2, build_o1, build_p, build_w2, coerce_field,
-                              direct_sum, dual, intertwiner_basis, irreducible,
+                              direct_sum, dual, irreducible,
                               regular_module, semisimple_length_of, tensor,
                               verify_module, weight_character)
 

@@ -1,22 +1,24 @@
 """Hom spaces read off weight vectors, against the generic solver.
 
-``decompose`` and the Ext layer never solve for intertwiners: inside one
+No Hom in the package is solved for entry by entry: inside one
 Casimir block they read Hom(P, M) and Hom(X^±_p, M) off a weight space
 through ``maps_from_generator``, the radical at a top weight off the two
 gluings, and the top of a module off the top-weight vectors outside
 F M + E^s M, and the socle and the radical off the top vectors of the
-simples in M and in its dual.  These tests compare each reading with
-``intertwiner_basis`` and ``radical_columns``, and check that ``decompose``
-keeps the Hom dimensions into and out of every simple and projective."""
+simples in M and in its dual; ``hom_space`` reads Hom(a, b) off the
+first two terms of the resolution of a.  These tests compare each reading
+with the generic solver ``intertwiner_basis`` of ``conftest`` and with
+``radical_columns``, and check that ``decompose`` keeps the Hom dimensions
+into and out of every simple and projective."""
 
 import random
 from functools import partial
 
-from conftest import sample_zs, scramble
+from conftest import intertwiner_basis, sample_zs, scramble
 from uqslcat import linalg
 from uqslcat.category import (IndecLabel, _images, _term_homs, _top_radical, block_decompose, decompose,
-                              minimal_resolution, projective_cover)
-from uqslcat.qmodules import (ModMap, build_p, column_submodule, direct_sum, intertwiner_basis, irreducible,
+                              hom_space, minimal_resolution, projective_cover)
+from uqslcat.qmodules import (ModMap, QMod, build_p, column_submodule, direct_sum, irreducible,
                               irreducible_weights, lift, maps_from_generator, radical_columns,
                               regular_module, socle_columns, weight_basis)
 
@@ -199,3 +201,37 @@ def test_term_homs_span_the_hom_spaces_of_resolution_terms():
                     for dst in (term, column_submodule(term, linalg.nullspace(maps[k]))[0]):
                         want = intertwiner_basis(term, dst)
                         assert map_span(term_hom_basis(res.content[k], term, dst), term, dst) == map_span(want, term, dst)
+
+
+def intertwines(phi, a, b) -> bool:
+    return all(linalg.mat_eq(linalg.mat_mul(b.mat(g), phi), linalg.mat_mul(phi, a.mat(g))) for g in ("E", "F", "K"))
+
+
+def test_hom_space_equals_the_generic_solver():
+    # End of every block piece, 20 scrambled pairs at p = 2, 3 (the second
+    # sum shares a summand with the first, so that every Hom space is
+    # nonzero) and the zero module on either side: the same basis, element
+    # for element, and every map commutes with E, F and K
+    pairs = [(piece.module, piece.module) for piece in block_pieces()]
+    rng = random.Random(24)
+    for trial in range(20):
+        p = 2 + trial % 2
+        labels = random_labels(p, rng, rng.randint(1, 3))
+        pairs.append((scrambled_sum(p, labels, rng), scrambled_sum(p, labels[:1] + random_labels(p, rng, 1), rng)))
+    for p in (2, 3):
+        zero, x = QMod(p, [], [], []), irreducible(p, 1, 1)
+        pairs += [(zero, x), (x, zero), (zero, zero)]
+    nonzero = 0
+    for a, b in pairs:
+        maps = hom_space(a, b).maps
+        assert maps == intertwiner_basis(a, b)
+        assert all(intertwines(phi, a, b) for phi in maps)
+        nonzero += bool(maps) and a is not b
+    assert nonzero == 20
+
+
+def test_end_of_a_scrambled_regular_module():
+    m = scramble(regular_module(3), random.Random(1))
+    maps = hom_space(m, m).maps
+    assert len(maps) == 54
+    assert all(intertwines(phi, m, m) for phi in maps)
