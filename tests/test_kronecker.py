@@ -236,7 +236,7 @@ def test_hom_basis_counts_schur():
 
 def random_invertible(f, n, rng):
     while True:
-        g = [[f.from_fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        g = [[f.from_fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
         if linalg.rank(g) == n:
             return g
 
@@ -297,14 +297,7 @@ def _scrambled_mixture(f, rng):
     rep = parts[0]
     for part in parts[1:]:
         rep = rep.direct_sum(part)
-
-    def invertible(n):
-        while True:
-            g = [[f.from_fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
-            if linalg.rank(g) == n:
-                return g
-
-    g0, g1inv = invertible(rep.d0), invertible(rep.d1)
+    g0, g1inv = random_invertible(f, rep.d0, rng), random_invertible(f, rep.d1, rng)
     conj = lambda m: linalg.mat_mul(g1inv, linalg.mat_mul(m, g0))
     return QuiverRep(rep.d0, rep.d1, conj(rep.r), conj(rep.rbar), f)
 
